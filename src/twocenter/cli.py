@@ -24,6 +24,8 @@ import sys
 
 from .model import (PhysicalSetup, StateLabel, label_from_designation,
                     united_atom_designation)
+from .oracle import (AngularConvergenceError, OracleConvergenceError,
+                     RadialRootError)
 from .quadrature import QuadratureError
 from .reference import energy_table, oscillator_table, separation_table
 from .states import StateBank, correction_energy_shift
@@ -427,17 +429,10 @@ def main(argv=None) -> int:
     except (ParamDomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except QuadratureError as exc:
+    except (QuadratureError, AngularConvergenceError, OracleConvergenceError,
+            RadialRootError) as exc:  # numerical non-convergence
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except Exception as exc:  # non-convergence and solver failures
-        from .oracle import (AngularConvergenceError, OracleConvergenceError,
-                             RadialRootError)
-        if isinstance(exc, (AngularConvergenceError, OracleConvergenceError,
-                            RadialRootError)):
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
-        raise
 
 
 if __name__ == "__main__":

@@ -3,14 +3,26 @@
 The angular problem is solved by expanding the regularized eta factor in
 normalized associated Legendre functions, which turns it into a symmetric
 tridiagonal eigenproblem (the sign of the p^2 eta^2 term makes it the
-oblate-type characteristic value); the radial problem by matching the
-log-derivative of a power series regular at xi = 1 against an inward
-integration started from the truncated asymptotic phase.  A bound state
-is the joint root in (E, A): every mismatch evaluation recomputes
-p -> A(p) -> radial defect, and the root in E is bracketed on a window
-around the seed, with candidate roots filtered by interior node count.
+oblate-type characteristic value).
 
-This solver shares no code path with the trial-function machinery, so it
+The radial problem (xi^2-1) X'' + 2(lam+1) xi X' + (A + b xi - p^2 xi^2) X
+= 0, with b = (Z1+Z2) R and kappa = b/(2p), becomes an exact three-term
+recurrence under Jaffe's substitution (Z. Phys. 87, 535 (1934))
+
+    X = (xi+1)^(kappa-lam-1) e^(-p xi) sum_k g_k t^k,  t = (xi-1)/(xi+1),
+    alpha_k g_{k+1} + (A + c_k) g_k + gamma_k g_{k-1} = 0.
+
+A bound state is a minimal solution that also satisfies the k = 0 row,
+i.e. a zero in A of the continued fraction F(A) = A + c_0 + alpha_0 r_1,
+r_k = g_k/g_{k-1} = -gamma_k / (A + c_k + alpha_k r_{k+1}), evaluated
+backward as in Leaver (J. Math. Phys. 27, 1238 (1986)).  At fixed p the
+zeros are the radial eigenvalues A_0(p) < A_1(p) < ..., the n-th one with
+n interior nodes: the n-th eigenvalue of a small truncated matrix seeds a
+secant polish on F, and the sign changes of sum g_k t^k verify n.
+
+The joint solve is then the single root in p of A_n(p) - A_ang(p), which
+increases with p (its p^2-derivative is <xi^2> - <eta^2> > 0).  This
+solver shares no code path with the trial-function machinery, so it
 serves as the ground truth for the variational results.
 """
 
@@ -20,11 +32,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
-from .model import PhysicalSetup, StateLabel, p_from_energy
+from .model import PhysicalSetup, StateLabel, energy_from_p, p_from_energy
 
 
 class AngularConvergenceError(RuntimeError):
@@ -34,11 +45,11 @@ class AngularConvergenceError(RuntimeError):
 
 
 class RadialRootError(RuntimeError):
-    """No radial root with the requested node count inside the window."""
+    """No radial root with the requested node count."""
 
 
 class OracleConvergenceError(RuntimeError):
-    """Joint (E, A) iteration failed to settle."""
+    """The continued fraction or its secant polish failed to settle."""
 
 
 @dataclass(frozen=True)
@@ -98,110 +109,90 @@ def angular_eigenvalue(p: float, lam: int, m: int, parity: int,
 # ----------------------------------------------------------------------
 # radial channel
 
-
-class StiffIntegrationError(RuntimeError):
-    def __init__(self, message, step_diag):
-        self.step_diag = step_diag
-        super().__init__(f"{message}; integrator diagnostics {step_diag}")
+_N_ESTIMATE = 48      # truncated recurrence matrix that seeds A_n(p)
+_K_MAX = 1 << 16      # longest continued-fraction tail tried
 
 
-def _series_start(E_prime: float, A: float, setup: PhysicalSetup, lam: int,
-                  t0: float = 1e-4, terms: int = 16):
-    """Frobenius start of the regular solution at xi = 1 + t0, X(1) = 1."""
-    p2 = -E_prime * setup.R**2 / 4.0
-    b = (setup.Z1 + setup.Z2) * setup.R
-    cs = [1.0, -(A + b - p2) / (2.0 * (lam + 1.0))]
-    for k in range(1, terms):
-        cm2 = cs[k - 2] if k >= 2 else 0.0
-        nxt = -(((k * (k - 1.0) + 2.0 * (lam + 1.0) * k + A + b - p2) * cs[k])
-                + (b - 2.0 * p2) * cs[k - 1] - p2 * cm2) \
-            / (2.0 * (k + 1.0) * (k + lam + 1.0))
-        cs.append(nxt)
-    X = sum(c * t0**k for k, c in enumerate(cs))
-    dX = sum(k * c * t0 ** (k - 1) for k, c in enumerate(cs) if k >= 1)
-    return X, dX
+def _recurrence(p: float, b: float, lam: int, K: int):
+    """alpha_k, c_k = beta_k - A and gamma_k for k = 0..K."""
+    k = np.arange(K + 1, dtype=float)
+    kap = b / (2.0 * p)
+    alpha = (k + 1.0) * (k + lam + 1.0)
+    c = (b * (k + 0.5 * (lam + 1.0)) / p + b - 2.0 * k * k
+         - 2.0 * k * lam - 4.0 * k * p - 2.0 * k - (lam + 1.0) ** 2
+         - 2.0 * lam * p - p * p - 2.0 * p)
+    gamma = (k - kap) * (k + lam - kap)
+    return alpha, c, gamma
 
 
-def _match_point(p: float) -> float:
-    # near or inside the classically allowed sliver at xi = 1 for every
-    # tabulated R; going far beyond it de-conditions the outward branch
-    return 1.0 + min(1.0, 4.0 / p)
+def _fraction(A: float, p: float, b: float, lam: int, K: int = 64):
+    """Scaled F(A) and the ratios r_0..r_K (r_0 = 1), the tail doubled
+    from K terms until F settles at the rounding level of its terms."""
+    prev = None
+    while K <= _K_MAX:
+        alpha, c, gamma = (a.tolist() for a in _recurrence(p, b, lam, K))
+        r = [1.0] * (K + 1)
+        rk = 0.0
+        for k in range(K, 0, -1):
+            rk = r[k] = -gamma[k] / (A + c[k] + alpha[k] * rk)
+        F = A + c[0] + alpha[0] * rk
+        scale = abs(A) + abs(c[0]) + abs(alpha[0] * rk)
+        if prev is not None and abs(F - prev) <= 1e-15 * scale:
+            return F / scale, r
+        prev = F
+        K *= 2
+    raise OracleConvergenceError(
+        f"continued fraction unsettled after {_K_MAX} terms (p={p}, A={A})")
 
 
-# beyond this turning radius a channel is effectively at threshold and the
-# energy window is clipped instead of integrating an unbounded domain
-_XI_TURN_CAP = 2.5e4
-
-
-def threshold_margin(setup: PhysicalSetup) -> float:
-    """Energies closer to E' = 0 than this are outside the solver's domain
-    (the factor-2 headroom over the turning-radius cap absorbs the
-    separation-constant contribution to the turning point)."""
-    return 8.0 * (setup.Z1 + setup.Z2) / (_XI_TURN_CAP * setup.R)
+def _radial_eigenvalue(p: float, b: float, lam: int, n: int) -> float:
+    """A_n(p): n-th eigenvalue of the truncated recurrence, polished by
+    secant steps on the continued fraction."""
+    alpha, c, gamma = _recurrence(p, b, lam, _N_ESTIMATE - 1)
+    M = -(np.diag(c) + np.diag(alpha[:-1], 1) + np.diag(gamma[1:], -1))
+    A1 = float(np.sort(np.linalg.eigvals(M).real)[n])
+    F1, r = _fraction(A1, p, b, lam)
+    K = len(r) - 1
+    A0 = A1 + 1e-7 * (1.0 + abs(A1))
+    F0 = _fraction(A0, p, b, lam, K)[0]
+    for _ in range(50):
+        if F1 == 0.0 or F1 == F0:
+            return A1
+        A0, F0, A1 = A1, F1, A1 - F1 * (A1 - A0) / (F1 - F0)
+        if abs(A1 - A0) <= 4e-16 * max(1.0, abs(A1)):
+            return A1
+        F1 = _fraction(A1, p, b, lam, K)[0]
+    raise OracleConvergenceError(f"secant on A_{n}(p={p}) did not settle")
 
 
 def radial_solution(E_total: float, A: float, setup: PhysicalSetup, lam: int,
-                    rtol: float = 1e-13, count_nodes: bool = True,
-                    npts: int = 700):
-    """Scaled Wronskian mismatch of the two radial branches, and the
-    interior node count of the glued solution."""
+                    count_nodes: bool = True):
+    """Scaled continued-fraction defect F(A)/(|A|+|c_0|+|alpha_0 r_1|) at
+    p(E_total), and the interior node count of the minimal solution."""
     E_prime = E_total - setup.repulsion
     if E_prime >= 0.0:
         raise ValueError("radial solution needs a bound channel (E' < 0)")
     p = math.sqrt(-E_prime) * setup.R / 2.0
-    p2 = p * p
     b = (setup.Z1 + setup.Z2) * setup.R
-
-    def rhs(xi, y):
-        X, dX = y
-        ddX = -(2.0 * (lam + 1.0) * xi * dX
-                + (A + b * xi - p2 * xi * xi) * X) / (xi * xi - 1.0)
-        return (dX, ddX)
-
-    xm = _match_point(p)
-    t0 = 1e-4
-    X0, dX0 = _series_start(E_prime, A, setup, lam, t0)
-    out = solve_ivp(rhs, (1.0 + t0, xm), (X0, dX0), method="DOP853",
-                    rtol=rtol, atol=1e-250, dense_output=count_nodes)
-    # inward start: a fixed decay margin beyond the outer turning point
-    xi_turn = (b + math.sqrt(b * b + 4.0 * p2 * max(A, 0.0))) / (2.0 * p2)
-    if xi_turn > _XI_TURN_CAP:
-        raise StiffIntegrationError(
-            "channel too close to threshold",
-            {"xi_turn": xi_turn, "p": p})
-    xmax = max(xm, xi_turn) + 18.0 / p
-    kap = b / (2.0 * p)
-    Bc = (A + (kap - lam - 1.0) * (kap + lam)) / p - p
-    dphase = p - (kap - lam - 1.0) / xmax - Bc / (2.0 * xmax * xmax)
-    inn = solve_ivp(rhs, (xmax, xm), (1.0, -dphase), method="DOP853",
-                    rtol=rtol, atol=1e-250, dense_output=count_nodes)
-    if not (out.success and inn.success):
-        raise StiffIntegrationError(
-            "radial integration failed",
-            {"outward": out.message, "inward": inn.message,
-             "steps": (out.t.size, inn.t.size)})
-    Xo, dXo = out.y[0][-1], out.y[1][-1]
-    Xi_, dXi = inn.y[0][-1], inn.y[1][-1]
-    W = dXo * Xi_ - dXi * Xo
-    scale = abs(dXo * Xi_) + abs(dXi * Xo)
-    mism = W / scale if scale > 0.0 else math.inf
+    defect, r = _fraction(A, p, b, lam)
     if not count_nodes:
-        return mism, -1
-    go = out.sol(np.linspace(1.0 + t0, xm, npts))[0]
-    gi = inn.sol(np.linspace(xm, xmax, npts))[0]
-    if Xi_ != 0.0:
-        gi = gi * (Xo / Xi_)
-    glued = np.concatenate([go, gi])
-    s = np.sign(glued)
+        return defect, -1
+    # no node lies beyond the outer turning point of A + b xi - p^2 xi^2
+    xi_far = (b + math.sqrt(b * b + 4.0 * p * p * max(A, 0.0))) \
+        / (2.0 * p * p) + 1.0 / p
+    t = np.linspace(0.0, 1.0, 1400)[1:] * (xi_far - 1.0) / (xi_far + 1.0)
+    g = np.cumprod(r)
+    size = np.abs(g) * t[-1] ** np.arange(g.size)
+    g = g[:np.flatnonzero(size > 1e-18 * size.max())[-1] + 1]
+    s = np.sign(np.polynomial.polynomial.polyval(t, g))
     s = s[s != 0.0]
-    nodes = int(np.sum(s[:-1] * s[1:] < 0.0))
-    return mism, nodes
+    return defect, int(np.sum(s[:-1] * s[1:] < 0.0))
 
 
 def radial_mismatch(E_total: float, A: float, setup: PhysicalSetup, lam: int,
                     n: int) -> float:
-    """Log-derivative mismatch at the matching point; raises when the
-    interior node count differs from n."""
+    """Continued-fraction defect; raises when the interior node count
+    differs from n."""
     mism, nodes = radial_solution(E_total, A, setup, lam)
     if nodes != n:
         raise RadialRootError(
@@ -213,41 +204,43 @@ def radial_mismatch(E_total: float, A: float, setup: PhysicalSetup, lam: int,
 # joint solve
 
 
-def _live_mismatch(E: float, label: StateLabel, setup: PhysicalSetup,
-                   count_nodes: bool = False):
-    p = p_from_energy(E, setup)
-    A = angular_eigenvalue(p, label.lam, label.m, label.parity)
-    return radial_solution(E, A, setup, label.lam,
-                           count_nodes=count_nodes)
-
-
 def find_root(label: StateLabel, setup: PhysicalSetup, E_seed: float,
-              window: float = 2e-4, grid: int = 9,
-              max_expand: int = 40) -> tuple[float, int]:
-    """Nearest bispectral root with the right node count around E_seed."""
-    w = window
-    E_hi = setup.repulsion - threshold_margin(setup)
+              window: float = 2e-4, max_expand: int = 40) -> tuple[float, int]:
+    """Bispectral root of A_n(p) = A_ang(p), and the bracket expansions.
+
+    E_seed and window only place the first p-bracket, p(E_seed +- window);
+    the radial node count n selects the root, which is unique because the
+    difference increases with p.  The bracket walks toward the sign
+    change, doubling its width per expansion.
+    """
+    b = (setup.Z1 + setup.Z2) * setup.R
+
+    def D(p):
+        return (_radial_eigenvalue(p, b, label.lam, label.n)
+                - angular_eigenvalue(p, label.lam, label.m, label.parity))
+
+    p0 = p_from_energy(E_seed, setup)
+    dp2 = window * setup.R ** 2 / 4.0
+    lo = math.sqrt(max(p0 * p0 - dp2, 0.25 * p0 * p0))
+    hi = math.sqrt(p0 * p0 + dp2)
+    D_lo, D_hi = D(lo), D(hi)
     expansions = 0
-    for _ in range(max_expand):
-        lo = E_seed - w
-        hi = min(E_seed + w, E_hi)
-        Es = np.linspace(lo, hi, grid)
-        vals = [_live_mismatch(E, label, setup)[0] for E in Es]
-        roots = []
-        for i in range(len(Es) - 1):
-            if vals[i] * vals[i + 1] < 0.0:
-                r = brentq(lambda E: _live_mismatch(E, label, setup)[0],
-                           Es[i], Es[i + 1], xtol=5e-15, rtol=8.9e-16)
-                roots.append(r)
-        good = [r for r in roots
-                if _live_mismatch(r, label, setup, count_nodes=True)[1]
-                == label.n]
-        if good:
-            return min(good, key=lambda r: abs(r - E_seed)), expansions
-        w *= 2.5
+    while D_lo > 0.0 or D_hi < 0.0:
+        if expansions == max_expand:
+            raise RadialRootError(
+                f"no bispectral root with n={label.n} near E={E_seed}")
+        width = 2.0 * (hi - lo)
+        if D_lo > 0.0:
+            hi, D_hi = lo, D_lo
+            lo = max(lo - width, 0.5 * lo)
+            D_lo = D(lo)
+        else:
+            lo, D_lo = hi, D_hi
+            hi += width
+            D_hi = D(hi)
         expansions += 1
-    raise RadialRootError(
-        f"no bispectral root with n={label.n} near E={E_seed}")
+    p = brentq(D, lo, hi, xtol=1e-16, rtol=8.9e-16)
+    return energy_from_p(p, setup), expansions
 
 
 def hydrogenic_seed(label: StateLabel, setup: PhysicalSetup) -> float:
@@ -257,27 +250,20 @@ def hydrogenic_seed(label: StateLabel, setup: PhysicalSetup) -> float:
 
 
 def solve_bispectral(label: StateLabel, setup: PhysicalSetup,
-                     E_seed: float | None = None,
-                     max_sweeps: int = 100) -> OracleResult:
-    """Joint (E, A) solve; E_seed defaults to the one-center estimate."""
+                     E_seed: float | None = None) -> OracleResult:
+    """Joint (E, A) solve; E_seed defaults to the one-center estimate.
+
+    The seed and its window (2e-4 Ry, or 5% of |E| for the one-center
+    estimate) only place the first p-bracket: the root is the one with
+    label.n radial nodes, verified through radial_solution.
+    """
     E = E_seed if E_seed is not None else hydrogenic_seed(label, setup)
     window = 2e-4 if E_seed is not None else 0.05 * max(1.0, abs(E))
-    brackets = 0
-    for sweep in range(max_sweeps):
-        E_new, exps = find_root(label, setup, E, window=window)
-        brackets += exps + 1
-        if abs(E_new - E) <= 1e-12:
-            E = E_new
-            break
-        E = E_new
-        window = 2e-4
-    else:
-        raise OracleConvergenceError(
-            f"no settle after {max_sweeps} sweeps (last E {E})")
+    E, expansions = find_root(label, setup, E, window=window)
     p = p_from_energy(E, setup)
     A, K = angular_eigenvalue(p, label.lam, label.m, label.parity,
                               return_size=True)
     mism, nodes = radial_solution(E, A, setup, label.lam)
     if nodes != label.n:
         raise RadialRootError(f"converged to wrong node count {nodes}")
-    return OracleResult(label, setup, E, A, p, K, mism, brackets)
+    return OracleResult(label, setup, E, A, p, K, mism, expansions + 1)

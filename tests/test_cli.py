@@ -122,3 +122,22 @@ def test_extended_precision_flag(tmp_path):
     header, row = out.read_text().strip().split("\n")
     vals = dict(zip(header.split(","), row.split(",")))
     assert abs(float(vals["E_extended"]) - float(vals["E"])) <= 1e-12
+
+
+def test_oracle_failure_exit_codes(monkeypatch, capsys):
+    import twocenter.oracle
+    from twocenter.oracle import RadialRootError
+
+    def no_root(*args, **kwargs):
+        raise RadialRootError("no bispectral root")
+
+    monkeypatch.setattr(twocenter.oracle, "solve_bispectral", no_root)
+    assert main(["oracle", "--state", "1ssg", "--R", "2.0"]) == 3
+    assert "error:" in capsys.readouterr().err
+
+    def bug(*args, **kwargs):
+        raise RuntimeError("not a convergence failure")
+
+    monkeypatch.setattr(twocenter.oracle, "solve_bispectral", bug)
+    with pytest.raises(RuntimeError, match="not a convergence failure"):
+        main(["oracle", "--state", "1ssg", "--R", "2.0"])

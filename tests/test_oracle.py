@@ -3,9 +3,10 @@ import pytest
 from scipy.special import obl_cv
 
 from twocenter.model import PhysicalSetup, StateLabel, p_from_energy
-from twocenter.oracle import (RadialRootError, angular_eigenvalue, find_root,
-                              hydrogenic_seed, radial_mismatch,
-                              radial_solution, solve_bispectral)
+from twocenter.oracle import (RadialRootError, _radial_eigenvalue,
+                              angular_eigenvalue, find_root, hydrogenic_seed,
+                              radial_mismatch, radial_solution,
+                              solve_bispectral)
 
 
 @pytest.mark.parametrize("lam,m,parity,l", [
@@ -123,3 +124,41 @@ def test_find_root_filters_node_count(bank):
     E1 = bank.get(StateLabel(1, 0, 0, +1), 4.0).energy.E_total
     E, _ = find_root(StateLabel(0, 0, 0, +1), setup, E1, window=2e-3)
     assert E == pytest.approx(-1.0921697666, abs=1e-6)
+
+
+def _fraction_30_digits(A, p, b, lam, K):
+    """k = 0 row of the radial recurrence with its ratio tail, at the
+    working precision of mpmath."""
+    kap = b / (2 * p)
+
+    def c(k):
+        return (b * (k + (lam + 1) / 2) / p + b - 2 * k * k - 2 * k * lam
+                - 4 * k * p - 2 * k - (lam + 1) ** 2 - 2 * lam * p - p * p
+                - 2 * p)
+
+    r = 0
+    for k in range(K, 0, -1):
+        r = -(k - kap) * (k + lam - kap) / (A + c(k)
+                                             + (k + 1) * (k + lam + 1) * r)
+    return A + c(0) + (lam + 1) * r
+
+
+@pytest.mark.parametrize("label,R,E", [
+    (StateLabel(0, 0, 0, +1), 2.0, -1.20526842899),   # 1ssg
+    (StateLabel(1, 0, 0, -1), 10.0, -0.20117150595),  # 3psu, one node
+])
+def test_radial_eigenvalue_matches_30_digit_fraction(label, R, E):
+    import mpmath
+
+    setup = PhysicalSetup(R)
+    p, b = p_from_energy(E, setup), 2.0 * R
+    A = _radial_eigenvalue(p, b, label.lam, label.n)
+    with mpmath.workdps(30):
+        pm, bm = mpmath.mpf(p), mpmath.mpf(b)
+        roots = [mpmath.findroot(
+            lambda a: _fraction_30_digits(a, pm, bm, label.lam, K),
+            (mpmath.mpf(A) - 1e-6, mpmath.mpf(A) + 1e-6), solver="anderson")
+            for K in (300, 600)]
+        # the tail is long enough for every one of the 30 digits
+        assert abs(roots[1] - roots[0]) <= mpmath.mpf(10) ** -27
+    assert A == pytest.approx(float(roots[1]), rel=1e-12, abs=0.0)

@@ -58,6 +58,22 @@ def test_probe_ground_state_ratio():
     assert errs[-1] < errs[0] < 0.1
 
 
+def test_probe_default_sequence_small_p():
+    # the default sequence R = 0.5 ... 0.03125 reaches p ~ 0.03, where the
+    # radial expansion converges slowest; energies from an independent
+    # ODE-shooting solve of the same channel equations
+    probe = limit_convergence_probe(StateLabel(0, 0, 0, +1))
+    ref = [0.5300240000534546, 4.202885779033309, 12.0646464824799,
+           28.01834823069355, 60.004889381287704]
+    assert [pt.R for pt in probe["points"]] == [0.5 * 2.0**-k
+                                               for k in range(5)]
+    for pt, E in zip(probe["points"], ref):
+        assert pt.E_total == pytest.approx(E, abs=1e-10)
+    errs = probe["R_over_p_errors"]
+    assert all(b < a for a, b in zip(errs, errs[1:]))
+    assert errs[-1] < 0.01
+
+
 def test_probe_odd_state_separation_constant():
     probe = limit_convergence_probe(StateLabel(0, 0, 0, -1),
                                     R_sequence=[0.5, 0.25])
