@@ -93,8 +93,9 @@ def angular_eigenvalue(p: float, lam: int, m: int, parity: int,
         diag = ls * (ls + 1.0) + c2 * (a_l**2
                                        + np.where(ls > lam, a_lm1**2, 0.0))
         off = c2 * acoef(ls[:-1]) * acoef(ls[:-1] + 1.0)
-        mu = eigh_tridiagonal(diag, off, select="i",
-                              select_range=(m, m))[0][0]
+        # finest bisection tolerance; the default eps*||T||_1 is ragged in p
+        mu = eigh_tridiagonal(diag, off, select="i", select_range=(m, m),
+                              tol=2.0 * np.finfo(float).tiny)[0][0]
         A = lam * (lam + 1.0) - mu
         trend.append((K, A))
         tol = max(1e-13 * max(1.0, abs(A)),

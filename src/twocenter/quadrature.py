@@ -11,6 +11,7 @@ extended mode, so reruns are deterministic to the bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -48,20 +49,29 @@ class QuadratureRule:
     count: int
 
 
+@functools.lru_cache(maxsize=None)
+def _base_rules(N: int) -> tuple[np.ndarray, ...]:
+    """Gauss-Laguerre roots and exp(t)-scaled weights, Gauss-Legendre nodes
+    and weights: shared by every call, hence read-only."""
+    t, w = roots_laguerre(N)
+    with np.errstate(divide="ignore"):
+        wt = np.where(w > 0.0, np.exp(np.log(w) + t), 0.0)
+    out = (t, wt, *np.polynomial.legendre.leggauss(N))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def build_rules(p_scale: float, N: int) -> tuple[QuadratureRule, QuadratureRule]:
     """Deterministic (xi, eta) rules adapted to decay scale exp(-2 p_scale xi)."""
     if N < 8:
         raise ValueError(f"rule size N={N} is too small (need N >= 8)")
     if not p_scale > 0.0:
         raise ValueError(f"p_scale must be positive, got {p_scale}")
-    t, w = roots_laguerre(N)
-    with np.errstate(divide="ignore"):
-        logw = np.log(w)
-    wx = np.where(w > 0.0, np.exp(logw + t) / (2.0 * p_scale), 0.0)
-    xi = 1.0 + t / (2.0 * p_scale)
-    nodes_e, w_e = np.polynomial.legendre.leggauss(N)
+    t, wt, nodes_e, w_e = _base_rules(N)
+    scale = 2.0 * p_scale
     return (
-        QuadratureRule(xi, wx, "xi", N),
+        QuadratureRule(1.0 + t / scale, wt / scale, "xi", N),
         QuadratureRule(nodes_e, w_e, "eta", N),
     )
 
@@ -162,29 +172,42 @@ def norm_from_moments(m_xi: ChannelMoments, m_eta: ChannelMoments,
 # trial-state front ends
 
 
-def trial_moments(params: TrialParams, label: StateLabel, setup: PhysicalSetup,
-                  rules, extended: bool = False):
+def trial_channels(params: TrialParams, label: StateLabel,
+                   setup: PhysicalSetup, rules):
+    """The trial state's scaled (xi, eta) channels on the rule pair."""
     rx, re = rules
-    cx = xi_channel(params, label, setup, rx.nodes)
-    ce = eta_channel(params, label, re.nodes)
-    mx = channel_moments(cx, cx, rx, label.lam, extended)
-    me = channel_moments(ce, ce, re, label.lam, extended)
-    return mx, me
+    return (xi_channel(params, label, setup, rx.nodes),
+            eta_channel(params, label, re.nodes))
+
+
+def trial_moments(channels, label: StateLabel, rules, extended: bool = False):
+    """Self-pair moments of a trial state's (xi, eta) channels."""
+    (cx, ce), (rx, re) = channels, rules
+    return (channel_moments(cx, cx, rx, label.lam, extended),
+            channel_moments(ce, ce, re, label.lam, extended))
 
 
 def norm_squared(params: TrialParams, label: StateLabel, setup: PhysicalSetup,
                  rules, extended: bool = False) -> float:
     """Full 3D squared norm of the (unnormalized) trial state."""
-    mx, me = trial_moments(params, label, setup, rules, extended)
+    mx, me = trial_moments(trial_channels(params, label, setup, rules), label,
+                           rules, extended)
     return norm_from_moments(mx, me, setup)
+
+
+def energy_from_channels(channels, label: StateLabel, setup: PhysicalSetup,
+                         rules, extended: bool = False) -> EnergyPair:
+    """rayleigh_quotient of the trial state with these channels on rules."""
+    return assemble_energy(*trial_moments(channels, label, rules, extended),
+                           setup)
 
 
 def rayleigh_quotient(params: TrialParams, label: StateLabel,
                       setup: PhysicalSetup, rules,
                       extended: bool = False) -> EnergyPair:
     """Variational energy <H>/<1> in Ry, gradient-form kinetic energy."""
-    mx, me = trial_moments(params, label, setup, rules, extended)
-    return assemble_energy(mx, me, setup)
+    return energy_from_channels(trial_channels(params, label, setup, rules),
+                                label, setup, rules, extended)
 
 
 def rayleigh_converged(params: TrialParams, label: StateLabel,
@@ -211,10 +234,8 @@ def kinetic_energy(params: TrialParams, label: StateLabel, setup: PhysicalSetup,
     """<Psi|-Laplacian|Psi> in Ry; strong form is a cross-check oracle."""
     rx, re = rules
     lam = label.lam
-    cx = xi_channel(params, label, setup, rx.nodes)
-    ce = eta_channel(params, label, re.nodes)
-    mx = channel_moments(cx, cx, rx, lam)
-    me = channel_moments(ce, ce, re, lam)
+    cx, ce = channels = trial_channels(params, label, setup, rules)
+    mx, me = trial_moments(channels, label, rules)
     scale = math.exp(-(mx.logscale + me.logscale))
     if form == "weak":
         val = (mx.kin + mx.cross + mx.cent) * me.s0 \

@@ -18,10 +18,10 @@ from .model import EnergyPair, PhysicalSetup, StateLabel, p_from_energy
 from .nonlinearization import (ChannelPT, NodeCorrection, first_correction_eta,
                                first_correction_xi, node_correction_xi)
 from .presets import seed_for
-from .quadrature import (build_rules, channel_moments, norm_from_moments,
-                         rayleigh_quotient, assemble_energy)
-from .trial import (ChannelArrays, TrialParams, eta_channel,
-                    phase_of_trial_xi, xi_channel)
+from .quadrature import (build_rules, energy_from_channels, norm_from_moments,
+                         rayleigh_quotient, trial_moments)
+from .trial import (ChannelArrays, TrialParams, eta_channel, xi_channel,
+                    xi_envelope)
 from .variational import (OptimizationResult, default_rule_size,
                           optimize_state)
 
@@ -67,10 +67,8 @@ class SolvedState:
 
     def _node_corrected_xi(self, nodes) -> ChannelArrays:
         nc = self.node
-        phi, dphi, _ = phase_of_trial_xi(self.params, self.label, self.setup,
-                                         nodes)
-        logscale = float(np.min(phi))
-        e = np.exp(-(phi - logscale))
+        e, dphi, logscale = xi_envelope(self.params, self.label, self.setup,
+                                        nodes)
         d = nodes - nc.xi0
         absd = np.maximum(np.abs(d), 1e-300)
         r = nc.r(nodes)
@@ -78,23 +76,18 @@ class SolvedState:
         dG = 1.0 + nc.c1 * (np.log(absd) + 1.0) + r + d * nc.dr(nodes)
         return ChannelArrays(G * e, (dG - G * dphi) * e, logscale, nodes)
 
+    def _channels(self, rules):
+        return self.xi_arrays(rules[0].nodes), self.eta_arrays(rules[1].nodes)
+
     def norm_squared(self, rules=None) -> float:
         rules = rules or self.rules()
-        rx, re = rules
-        cx = self.xi_arrays(rx.nodes)
-        ce = self.eta_arrays(re.nodes)
-        mx = channel_moments(cx, cx, rx, self.label.lam)
-        me = channel_moments(ce, ce, re, self.label.lam)
+        mx, me = trial_moments(self._channels(rules), self.label, rules)
         return norm_from_moments(mx, me, self.setup)
 
     def rayleigh(self, rules=None) -> EnergyPair:
         rules = rules or self.rules()
-        rx, re = rules
-        cx = self.xi_arrays(rx.nodes)
-        ce = self.eta_arrays(re.nodes)
-        mx = channel_moments(cx, cx, rx, self.label.lam)
-        me = channel_moments(ce, ce, re, self.label.lam)
-        return assemble_energy(mx, me, self.setup)
+        return energy_from_channels(self._channels(rules), self.label,
+                                    self.setup, rules)
 
     def rules(self, N: int | None = None):
         N = N or default_rule_size(self.params.p)

@@ -286,14 +286,20 @@ class ChannelArrays:
     nodes: np.ndarray = field(repr=False, default=None)
 
 
-def xi_channel(params: TrialParams, label: StateLabel, setup: PhysicalSetup,
-               nodes, logscale: float | None = None) -> ChannelArrays:
-    """X (sans (xi^2-1)^(L/2)) and X' on a grid, in scaled form."""
-    nodes = np.asarray(nodes, dtype=float)
+def xi_envelope(params: TrialParams, label: StateLabel, setup: PhysicalSetup,
+                nodes):
+    """(exp(-(phi0 - logscale)), phi0', logscale): xi channel sans P_n."""
     phi, dphi, _ = phase_of_trial_xi(params, label, setup, nodes)
-    if logscale is None:
-        logscale = float(np.min(phi))
-    e = np.exp(-(phi - logscale))
+    logscale = float(np.min(phi))
+    return np.exp(-(phi - logscale)), dphi, logscale
+
+
+def xi_channel(params: TrialParams, label: StateLabel, setup: PhysicalSetup,
+               nodes, envelope=None) -> ChannelArrays:
+    """X (sans (xi^2-1)^(L/2)) and X' on a grid, in scaled form, reusing
+    `envelope` (xi_envelope on these nodes) when given."""
+    nodes = np.asarray(nodes, dtype=float)
+    e, dphi, logscale = envelope or xi_envelope(params, label, setup, nodes)
     f, df = xi_prefactor(params, nodes)
     return ChannelArrays(f * e, (df - f * dphi) * e, logscale, nodes)
 

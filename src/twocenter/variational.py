@@ -5,7 +5,8 @@ of shrinking initial steps) minimizes the Rayleigh quotient over
 (alpha, gamma, a1, a2, b2, b3, p).  For single-node states the node
 position xi0 is not a descent variable: each objective evaluation pins it
 through the orthogonality condition against the nodeless state of the
-same parity, whose overlap is linear in xi0.
+same parity; that overlap is linear in xi0, so solve_node places the node
+in closed form, on channels that the Rayleigh quotient then reuses.
 """
 
 from __future__ import annotations
@@ -18,17 +19,16 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize
+from scipy.optimize import minimize
 
-from .model import (EnergyPair, PhysicalSetup, StateLabel, p_from_energy)
-from .quadrature import build_rules, channel_moments, rayleigh_quotient
-from .trial import (ParamDomainError, TrialParams, eta_channel, xi_channel)
+from .model import (EnergyPair, PhysicalSetup, StateLabel,
+                    UnboundChannelError, p_from_energy)
+from .quadrature import (build_rules, channel_moments, energy_from_channels,
+                         integrate, rayleigh_quotient, trial_channels)
+from .trial import (ParamDomainError, TrialParams, eta_channel, xi_channel,
+                    xi_envelope)
 
 _FIELDS = ("alpha", "gamma", "a1", "a2", "b2", "b3", "p")
-
-
-class NodeBracketError(RuntimeError):
-    """The node overlap has no sign change inside the search bracket."""
 
 
 @dataclass
@@ -75,38 +75,49 @@ def p_consistency_check(result: OptimizationResult) -> float:
 
 
 def solve_node(label: StateLabel, setup: PhysicalSetup, params: TrialParams,
-               ground: TrialParams, rules, xi_max: float = 60.0) -> float:
-    """Node position from <nodeless | single-node> = 0, the overlap being
-    linear in xi0; bracketed and refined to machine tolerance."""
+               partner, rules) -> tuple[float, tuple]:
+    """Node xi0 of a single-node trial, and its (xi, eta) channels there.
+
+    The overlap with the nodeless partner of the same parity (its channels
+    on `rules`) is c0 - xi0 c1, c_k = int g e xi^k (xi^2 S0 - S2), with g
+    the partner's xi channel, e the trial's without its factor xi - xi0
+    and S0, S2 the eta moments.  Both integrands are positive, so
+    xi0 = c0/c1 is a weighted mean of the nodes, free of cancellation.
+    """
     if label.n != 1:
         raise ValueError(f"solve_node applies to n=1 states, got {label}")
-    glabel = StateLabel(0, label.m, label.lam, label.parity)
-    rx, re = rules
-    cg_x = xi_channel(ground, glabel, setup, rx.nodes)
-    cg_e = eta_channel(ground, glabel, re.nodes)
+    (rx, re), (cg_x, cg_e) = rules, partner
+    x = rx.nodes
     ce = eta_channel(params, label, re.nodes)
     me = channel_moments(cg_e, ce, re, label.lam)
-
-    def overlap(xi0: float) -> float:
-        trial = params.replace(xi0=xi0)
-        cx = xi_channel(trial, label, setup, rx.nodes)
-        mx = channel_moments(cg_x, cx, rx, label.lam)
-        return mx.s2 * me.s0 - mx.s0 * me.s2
-
-    lo, hi = 1.0 + 1e-9, xi_max
-    flo, fhi = overlap(lo), overlap(hi)
-    if flo * fhi > 0.0:
-        raise NodeBracketError(
-            f"no overlap sign change on [{lo}, {hi}]: endpoints {flo!r}, {fhi!r}"
-        )
-    return brentq(overlap, lo, hi, xtol=1e-13, rtol=8.9e-16)
+    envelope = xi_envelope(params, label, setup, x)
+    u = cg_x.vals * envelope[0] * (x * x - 1.0) ** label.lam \
+        * (x * x * me.s0 - me.s2)
+    c1 = integrate(rx, u)
+    xi0 = integrate(rx, x * u) / c1 if c1 != 0.0 else math.inf
+    if not 1.0 < xi0 < math.inf:
+        raise ParamDomainError(f"node xi0 must be finite and > 1, got {xi0}")
+    return xi0, (xi_channel(params.replace(xi0=xi0), label, setup, x,
+                            envelope=envelope), ce)
 
 
-def _objective_params(x: np.ndarray, xi0: float | None) -> TrialParams:
-    pars = TrialParams(*[float(v) for v in x])
-    if xi0 is not None:
-        pars = pars.replace(xi0=xi0)
-    return pars
+def _partner(label: StateLabel, setup: PhysicalSetup,
+             ortho_ref: TrialParams | None, rules):
+    """Channels on `rules` of a single-node state's nodeless partner."""
+    if label.n != 1:
+        return None
+    glabel = StateLabel(0, label.m, label.lam, label.parity)
+    return trial_channels(ortho_ref, glabel, setup, rules)
+
+
+def _energy(label: StateLabel, setup: PhysicalSetup, params: TrialParams,
+            partner, rules) -> tuple[TrialParams, EnergyPair]:
+    """The trial, with its node placed against `partner`, and its energy."""
+    if label.n != 1:
+        return params, rayleigh_quotient(params, label, setup, rules)
+    xi0, channels = solve_node(label, setup, params, partner, rules)
+    return (params.replace(xi0=xi0),
+            energy_from_channels(channels, label, setup, rules))
 
 
 def optimize_state(label: StateLabel, setup: PhysicalSetup, init: TrialParams,
@@ -142,6 +153,7 @@ def optimize_state(label: StateLabel, setup: PhysicalSetup, init: TrialParams,
     def run(x0: np.ndarray, step: float, rules) -> tuple[np.ndarray, float, bool]:
         nonlocal evaluations, iterations
         scales = np.maximum(0.2, 0.15 * np.abs(x0))
+        partner = _partner(label, setup, ortho_ref, rules)
 
         def objective(z: np.ndarray) -> float:
             nonlocal evaluations
@@ -149,14 +161,11 @@ def optimize_state(label: StateLabel, setup: PhysicalSetup, init: TrialParams,
             x = x_full.copy()
             x[free] = z
             try:
-                pars = _objective_params(x, None)
+                pars = TrialParams(*[float(v) for v in x])
                 pars.validate()
-                if label.n == 1:
-                    xi0 = solve_node(label, setup, pars, ortho_ref, rules)
-                    pars = pars.replace(xi0=xi0)
-                return rayleigh_quotient(pars, label, setup, rules).E_total
-            except (ParamDomainError, NodeBracketError, ValueError,
-                    FloatingPointError, OverflowError):
+                return _energy(label, setup, pars, partner, rules)[1].E_total
+            except (ParamDomainError, ValueError, FloatingPointError,
+                    OverflowError):
                 return 1e6
 
         z0 = x0[free]
@@ -186,7 +195,7 @@ def optimize_state(label: StateLabel, setup: PhysicalSetup, init: TrialParams,
         p_idx = _FIELDS.index("p")
         try:
             p_snap = p_from_energy(f_best, setup)
-        except Exception:
+        except UnboundChannelError:
             p_snap = None
         if p_snap is not None and abs(p_snap - x_best[p_idx]) < 0.01 * p_snap:
             x_snap = x_best.copy()
@@ -209,10 +218,9 @@ def optimize_state(label: StateLabel, setup: PhysicalSetup, init: TrialParams,
             free = saved_free
 
     rules, N = rules_for(x_best[-1])
-    pars = _objective_params(x_best, None)
-    if label.n == 1:
-        pars = pars.replace(xi0=solve_node(label, setup, pars, ortho_ref, rules))
-    energy = rayleigh_quotient(pars, label, setup, rules)
+    pars = TrialParams(*[float(v) for v in x_best])
+    pars, energy = _energy(label, setup, pars,
+                           _partner(label, setup, ortho_ref, rules), rules)
     p_cons = abs(pars.p - p_from_energy(energy.E_total, setup))
     return OptimizationResult(label, setup, pars, energy, iterations,
                               evaluations, ok, p_cons, N)
@@ -289,10 +297,8 @@ def _start_energy(label: StateLabel, setup: PhysicalSetup, seed: TrialParams,
     """The objective optimize_state(label, setup, seed) starts from."""
     N = rule_N if rule_N is not None else default_rule_size(seed.p)
     rules = build_rules(seed.p, N)
-    if label.n == 1:
-        seed = seed.replace(
-            xi0=solve_node(label, setup, seed, ortho_ref, rules))
-    return rayleigh_quotient(seed, label, setup, rules).E_total
+    partner = _partner(label, setup, ortho_ref, rules)
+    return _energy(label, setup, seed, partner, rules)[1].E_total
 
 
 def _lower_seed(label: StateLabel, setup: PhysicalSetup, warm: TrialParams,

@@ -162,3 +162,13 @@ def test_radial_eigenvalue_matches_30_digit_fraction(label, R, E):
         # the tail is long enough for every one of the 30 digits
         assert abs(roots[1] - roots[0]) <= mpmath.mpf(10) ** -27
     assert A == pytest.approx(float(roots[1]), rel=1e-12, abs=0.0)
+
+
+def test_angular_eigenvalue_smooth_at_the_3psu_root():
+    # the bisection tolerance, not the basis size, used to set a ~1e-12
+    # floor here: A_ang jumped by 1e-12 between neighbouring p
+    r = solve_bispectral(StateLabel(1, 0, 0, -1), PhysicalSetup(10.0),
+                         E_seed=-0.20117150595)
+    assert abs(r.radial_mismatch) <= 1e-13
+    A = [angular_eigenvalue(r.p + k * 1e-15, 0, 0, -1) for k in range(3)]
+    assert np.all(np.abs(np.diff(A)) <= 1e-13)

@@ -30,6 +30,27 @@ def test_rule_construction_contracts():
         build_rules(-1.0, 64)
 
 
+@pytest.mark.parametrize("N", [48, 64, 96])
+def test_rules_rescale_memoized_roots(N):
+    from scipy.special import roots_laguerre
+
+    p = 1.485015
+    t, w = roots_laguerre(N)
+    with np.errstate(divide="ignore"):
+        wx = np.where(w > 0.0, np.exp(np.log(w) + t) / (2.0 * p), 0.0)
+    nodes_e, w_e = np.polynomial.legendre.leggauss(N)
+    for _ in range(2):  # the first call may fill the cache, the second reads it
+        rx, re = build_rules(p, N)
+        assert np.array_equal(rx.nodes, 1.0 + t / (2.0 * p))
+        assert np.array_equal(rx.weights, wx)
+        assert np.array_equal(re.nodes, nodes_e)
+        assert np.array_equal(re.weights, w_e)
+    for arr in re.nodes, re.weights:
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert build_rules(2.0 * p, N)[1].nodes is re.nodes
+
+
 def test_xi_rule_exponential_exactness():
     # int_1^inf exp(-2p(xi-1)) dxi = 1/(2p)
     p = 1.485015

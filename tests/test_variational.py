@@ -1,18 +1,23 @@
 import json
+import math
 import os
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
+from scipy.optimize import brentq
 
 from twocenter.model import EnergyPair, PhysicalSetup, StateLabel
 from twocenter.presets import seed_for
-from twocenter.quadrature import build_rules, rayleigh_quotient
-from twocenter.trial import TrialParams
-from twocenter.variational import (NodeBracketError, OptimizationResult,
-                                   load_params, optimize_state,
-                                   p_consistency_check, save_result, scan_R,
-                                   solve_node)
+from twocenter.quadrature import (build_rules, channel_moments,
+                                  rayleigh_quotient, trial_channels)
+from twocenter.trial import (ParamDomainError, TrialParams, eta_channel,
+                             xi_channel)
+from twocenter.variational import (OptimizationResult, _energy, _partner,
+                                   default_rule_size, load_params,
+                                   optimize_state, p_consistency_check,
+                                   save_result, scan_R, solve_node)
 
 GS = StateLabel(0, 0, 0, +1)
 
@@ -84,13 +89,74 @@ def test_node_orthogonality_enforced(bank):
     assert scaled <= 1e-10
 
 
-def test_solve_node_bracket_error():
-    pars = seed_for(StateLabel(1, 0, 0, +1), 4.0)
-    ground = seed_for(GS, 4.0)
+def test_solve_node_rejects_root_below_one():
+    # a partner with a node of its own moves the overlap root below xi = 1
+    label, setup = StateLabel(1, 0, 0, +1), PhysicalSetup(4.0)
+    pars = seed_for(label, 4.0)
     rules = build_rules(pars.p, 64)
-    with pytest.raises(NodeBracketError):
-        solve_node(StateLabel(1, 0, 0, +1), PhysicalSetup(4.0), pars, ground,
-                   rules, xi_max=1.0 + 1e-8)
+    partner = trial_channels(seed_for(GS, 4.0).replace(xi0=1.6), GS, setup,
+                             rules)
+    with pytest.raises(ParamDomainError, match="finite and > 1"):
+        solve_node(label, setup, pars, partner, rules)
+
+
+def _node_overlap(label, setup, pars, partner, rules):
+    """Overlap with the partner as a function of xi0, scaled by both norms."""
+    (rx, re), (cg_x, cg_e) = rules, partner
+    ce = eta_channel(pars, label, re.nodes)
+    me = channel_moments(cg_e, ce, re, label.lam)
+    mgx = channel_moments(cg_x, cg_x, rx, label.lam)
+    mge = channel_moments(cg_e, cg_e, re, label.lam)
+    mee = channel_moments(ce, ce, re, label.lam)
+    ng = mgx.s2 * mge.s0 - mgx.s0 * mge.s2
+
+    def overlap(xi0):
+        cx = xi_channel(pars.replace(xi0=xi0), label, setup, rx.nodes)
+        mx = channel_moments(cg_x, cx, rx, label.lam)
+        mxx = channel_moments(cx, cx, rx, label.lam)
+        nt = mxx.s2 * mee.s0 - mxx.s0 * mee.s2
+        return (mx.s2 * me.s0 - mx.s0 * me.s2) / math.sqrt(ng * nt)
+
+    return overlap
+
+
+@settings(max_examples=40)
+@given(R=strategies.floats(0.5, 50.0),
+       parity=strategies.sampled_from((+1, -1)))
+def test_closed_form_node_zeroes_overlap(R, parity):
+    # 2ssg (even) and 3psu (odd) from their presets, on the objective's rule
+    label, glabel = StateLabel(1, 0, 0, parity), StateLabel(0, 0, 0, parity)
+    setup = PhysicalSetup(R)
+    pars = seed_for(label, R)
+    rules = build_rules(pars.p, default_rule_size(pars.p))
+    partner = trial_channels(seed_for(glabel, R), glabel, setup, rules)
+    xi0, _ = solve_node(label, setup, pars, partner, rules)
+    overlap = _node_overlap(label, setup, pars, partner, rules)
+    assert abs(overlap(xi0)) <= 1e-13
+    root = brentq(overlap, 1.0 + 1e-9, 60.0, xtol=1e-300,
+                  rtol=4.0 * np.finfo(float).eps)
+    assert abs(xi0 - root) <= 4.0 * math.ulp(root)
+
+
+@pytest.mark.parametrize("parity,R", [(+1, 4.0), (-1, 10.0), (-1, 1.0)])
+def test_node_objective_is_the_rayleigh_quotient(parity, R):
+    label, glabel = StateLabel(1, 0, 0, parity), StateLabel(0, 0, 0, parity)
+    setup = PhysicalSetup(R)
+    pars = seed_for(label, R)
+    rules = build_rules(pars.p, 64)
+    partner = _partner(label, setup, seed_for(glabel, R), rules)
+    xi0, _ = solve_node(label, setup, pars, partner, rules)
+    placed, energy = _energy(label, setup, pars, partner, rules)
+    assert placed == pars.replace(xi0=xi0)
+    plain = rayleigh_quotient(placed, label, setup, rules)
+    assert repr(energy) == repr(plain)
+
+
+def test_optimized_node_energy_is_the_rayleigh_quotient(bank):
+    st = bank.get(StateLabel(1, 0, 0, +1), 4.0)
+    rules = build_rules(st.params.p, st.result.rule_N)
+    plain = rayleigh_quotient(st.params, st.label, st.setup, rules)
+    assert repr(st.energy) == repr(plain)
 
 
 def test_scan_R_matches_energy_table():
