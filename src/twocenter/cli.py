@@ -266,74 +266,62 @@ def cmd_reproduce(args) -> int:
     return 0
 
 
+# energy tables: id -> (reference CSV, row filter or None)
+_ENERGY_TABLES = {"I": ("1ssg", None), "II": ("2psu", None),
+                  "V": ("lam12", lambda row: row["neg_explicit"]),
+                  "VI": ("node", None)}
+
+# oscillator-strength tables: id -> (reference CSV, [(column, final, kind)])
+_OSCILLATOR_TABLES = {
+    "VIII": ("e1", [("f_2ppu", StateLabel(0, 0, 1, +1), "E1"),
+                    ("f_3psu", StateLabel(1, 0, 0, -1), "E1")]),
+    "IX": ("b1", [("f_3dpg", StateLabel(0, 0, 1, -1), "B1")]),
+    "X": ("e2", [("f_3dpg", StateLabel(0, 0, 1, -1), "E2"),
+                 ("f_3ddg", StateLabel(0, 0, 2, +1), "E2"),
+                 ("f_2ssg", StateLabel(1, 0, 0, +1), "E2")]),
+}
+
+
+def _entry(which: str, label: StateLabel, R: float, value: float,
+           reference: float) -> dict:
+    return {"table": which, "state": united_atom_designation(label),
+            "R": R, "value": value, "reference": reference,
+            "rel_diff": (value - reference) / abs(reference)}
+
+
 def _reproduce_one(which: str, grid, bank: StateBank):
     from .transitions import oscillator_strength
 
-    gs = StateLabel(0, 0, 0, +1)
-    if which in ("I", "II"):
-        table = energy_table("1ssg" if which == "I" else "2psu")
-        for row in table:
-            if row["R"] not in grid:
+    if which in _ENERGY_TABLES:
+        name, keep = _ENERGY_TABLES[which]
+        for row in energy_table(name):
+            if row["R"] not in grid or (keep is not None and not keep(row)):
                 continue
-            st = bank.get(row["label"], row["R"])
-            yield {"table": which, "state": united_atom_designation(row["label"]),
-                   "R": row["R"], "value": st.energy.E_total,
-                   "reference": row["E"],
-                   "rel_diff": (st.energy.E_total - row["E"]) / abs(row["E"])}
-    elif which == "V":
-        for row in energy_table("lam12"):
-            if row["R"] not in grid or not row["neg_explicit"]:
-                continue
-            st = bank.get(row["label"], row["R"])
-            yield {"table": which, "state": united_atom_designation(row["label"]),
-                   "R": row["R"], "value": st.energy.E_total,
-                   "reference": row["E"],
-                   "rel_diff": (st.energy.E_total - row["E"]) / abs(row["E"])}
-    elif which == "VI":
-        for row in energy_table("node"):
-            if row["R"] not in grid:
-                continue
-            st = bank.get(row["label"], row["R"])
-            yield {"table": which, "state": united_atom_designation(row["label"]),
-                   "R": row["R"], "value": st.energy.E_total,
-                   "reference": row["E"],
-                   "rel_diff": (st.energy.E_total - row["E"]) / abs(row["E"])}
-            yield {"table": which + "-node",
-                   "state": united_atom_designation(row["label"]),
-                   "R": row["R"], "value": st.params.xi0,
-                   "reference": row["xi0"],
-                   "rel_diff": (st.params.xi0 - row["xi0"]) / row["xi0"]}
+            label, R = row["label"], row["R"]
+            st = bank.get(label, R)
+            yield _entry(which, label, R, st.energy.E_total, row["E"])
+            if which == "VI":
+                yield _entry("VI-node", label, R, st.params.xi0, row["xi0"])
     elif which == "VII":
         for row in separation_table():
             if row["R"] not in grid or row["label"].n != 0 \
                     or row["label"].lam != 0:
                 continue
             st = bank.get(row["label"], row["R"], corrected=True)
-            yield {"table": which, "state": united_atom_designation(row["label"]),
-                   "R": row["R"], "value": st.pt_xi.A1,
-                   "reference": row["A_ref"],
-                   "rel_diff": (st.pt_xi.A1 - row["A_ref"]) / abs(row["A_ref"])}
-    elif which in ("VIII", "IX", "X"):
-        kinds = {"VIII": ("e1", [("f_2ppu", StateLabel(0, 0, 1, +1), "E1"),
-                                 ("f_3psu", StateLabel(1, 0, 0, -1), "E1")]),
-                 "IX": ("b1", [("f_3dpg", StateLabel(0, 0, 1, -1), "B1")]),
-                 "X": ("e2", [("f_3dpg", StateLabel(0, 0, 1, -1), "E2"),
-                              ("f_3ddg", StateLabel(0, 0, 2, +1), "E2"),
-                              ("f_2ssg", StateLabel(1, 0, 0, +1), "E2")])}
-        fname, cols = kinds[which]
-        for row in oscillator_table(fname):
+            yield _entry(which, row["label"], row["R"], st.pt_xi.A1,
+                         row["A_ref"])
+    else:
+        name, cols = _OSCILLATOR_TABLES[which]
+        for row in oscillator_table(name):
             if row["R"] not in grid:
                 continue
-            si = bank.get(gs, row["R"], corrected=True)
+            si = bank.get(StateLabel(0, 0, 0, +1), row["R"], corrected=True)
             for col, label, kind in cols:
                 if col not in row:
                     continue
                 sf = bank.get(label, row["R"], corrected=True)
                 rec = oscillator_strength(kind, si, sf)
-                yield {"table": which,
-                       "state": united_atom_designation(label),
-                       "R": row["R"], "value": rec.f, "reference": row[col],
-                       "rel_diff": (rec.f - row[col]) / row[col]}
+                yield _entry(which, label, row["R"], rec.f, row[col])
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,14 @@ separation constant and phase correction are
     phi1(xi) = int_1^xi x1,                 phi1(1) = 0,
 
 and the eta channel mirrors this with W(eta) = p^2 eta^2 on [-1, 1].
+Higher orders of a nodeless xi channel repeat the step with
+Q_n = -(xi^2-1) sum x_i x_{n-i} in place of V1.  Both channels and every
+order run one shared pass: A from the channel's quadrature rule, then F
+and G = int_1^xi w X0^2 accumulated on the tabulation grid, and a single
+consistency pass A -> A - F(end)/G(end) that makes F vanish at the grid
+end before the division by (x^2-1)^(L+1) X0^2.  The channel builders keep
+only what differs: the xi tail cut and spline, the eta mirror, and the
+node's log-regular split.
 The physical p entering V and W comes from the variational energy, not
 from the shape parameter p; with that choice the two channel estimates
 A1_xi and A1_eta coincide identically for equal charges, so their spread
@@ -131,14 +139,27 @@ def residual_custom_phase(phi_d1, phi_d2, V, A, lam, x):
 
 
 # ----------------------------------------------------------------------
-# scaled squared-channel helpers
+# the first-order pass shared by both channels and all orders
+
+_RULE_N = 96          # quadrature rule size of the A integrals
+_SAMPLE_MAX = 50.0    # V1 is sampled on [1, _SAMPLE_MAX] for its bound
+_XI_PTS = 2400        # xi tabulation points, up to 2 p (xi-1) = _TAU_CUT
+_TAU_CUT = 30.0
+_TAU_KEEP = 24.0      # the xi slope is kept up to 2 p (xi-1) = _TAU_KEEP
+_ETA_PTS = 1601       # eta tabulation points on [-1, 0]
 
 
-def _xi_parts(params, label, setup, p_phys, x, scale):
-    """(A1-Q1)-integrand pieces on x: returns (wX2, pole_free_V1_wX2)."""
+def _phase(params, label, setup, x, channel):
+    if channel == "xi":
+        return phase_of_trial_xi(params, label, setup, x)
+    return phase_of_trial_eta(params, label, x)
+
+
+def _parts(params, label, setup, p_phys, x, scale, channel):
+    """(w X0^2, pole-free V1 w X0^2 without its A term) on x."""
     lam = label.lam
-    phi, dphi, ddphi = phase_of_trial_xi(params, label, setup, x)
-    f, df, ddf = channel_prefactor_second(params, label, x, "xi")
+    phi, dphi, ddphi = _phase(params, label, setup, x, channel)
+    f, df, ddf = channel_prefactor_second(params, label, x, channel)
     e = np.exp(-(phi - scale))
     X = f * e
     dX = (df - f * dphi) * e
@@ -146,36 +167,73 @@ def _xi_parts(params, label, setup, p_phys, x, scale):
     w = (x * x - 1.0) ** lam
     wX2 = w * X * X
     lhs = ((x * x - 1.0) * ddX + 2.0 * (lam + 1.0) * x * dX) * X * w
-    V = true_potential_xi(setup, p_phys, x)
-    return wX2, V * wX2 - lhs, X, dX
-
-
-def _eta_parts(params, label, p_phys, x, scale):
-    lam = label.lam
-    rho, drho, ddrho = phase_of_trial_eta(params, label, x)
-    g, dg, ddg = channel_prefactor_second(params, label, x, "eta")
-    e = np.exp(-(rho - scale))
-    Y = g * e
-    dY = (dg - g * drho) * e
-    ddY = (ddg - 2.0 * dg * drho - g * ddrho + g * drho * drho) * e
-    w = (x * x - 1.0) ** lam
-    wY2 = w * Y * Y
-    lhs = ((x * x - 1.0) * ddY + 2.0 * (lam + 1.0) * x * dY) * Y * w
-    V = true_potential_eta(p_phys, x)
-    return wY2, V * wY2 - lhs, Y, dY
+    V = (true_potential_xi(setup, p_phys, x) if channel == "xi"
+         else true_potential_eta(p_phys, x))
+    return wX2, V * wX2 - lhs
 
 
 def _cumulative(fn, grid):
-    """F(grid_j) = int_{grid_0}^{grid_j} fn, per-interval 8-point Gauss."""
+    """Cumulative integrals int_{grid_0}^{grid_j} of each array that fn
+    returns, from one evaluation on the per-interval 8-point Gauss nodes."""
     gl_x, gl_w = _GL8
     a = grid[:-1]
     b = grid[1:]
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     pts = mid[:, None] + half[:, None] * gl_x[None, :]
-    vals = fn(pts.ravel()).reshape(pts.shape)
-    seg = half * (vals @ gl_w)
-    return np.concatenate([[0.0], np.cumsum(seg)])
+    return [np.concatenate([[0.0], np.cumsum(half * (v.reshape(pts.shape)
+                                                     @ gl_w))])
+            for v in fn(pts.ravel())]
+
+
+def _xi_grid(p_scale: float):
+    u = np.linspace(0.0, 1.0, _XI_PTS)
+    return 1.0 + (_TAU_CUT / (2.0 * p_scale)) * u * u
+
+
+def _first_order(params, label, setup, p_phys, channel, q=None):
+    """(A, grid, F, scale) of one channel: the first-order pass.
+
+    A = int Q w X0^2 / int w X0^2 on the channel rule, where Q is the
+    pole-free V1, or the callable q at higher orders.  F = int (A-Q) w X0^2
+    and G = int w X0^2 accumulate on the tabulation grid from one parts
+    evaluation per node; one consistency pass then makes F vanish exactly
+    at the grid end, so the exponentially growing division by the slope
+    denominator cannot amplify the quadrature floor."""
+    if channel == "xi":
+        rule = build_rules(params.p, _RULE_N)[0]
+        grid = _xi_grid(params.p)
+    else:
+        rule = build_rules(max(params.p, 1.0), _RULE_N)[1]
+        grid = np.linspace(-1.0, 0.0, _ETA_PTS)  # mirrored by the caller
+    scale = float(np.min(_phase(params, label, setup, rule.nodes, channel)[0]))
+
+    def parts(x):
+        wX2, VwX2 = _parts(params, label, setup, p_phys, x, scale, channel)
+        return wX2, (VwX2 if q is None else q(x) * wX2)
+
+    wX2, QwX2 = parts(rule.nodes)
+    A = integrate(rule, QwX2) / integrate(rule, wX2)
+
+    def integrands(x):
+        wX2, QwX2 = parts(x)
+        return A * wX2 - QwX2, wX2
+
+    F, G = _cumulative(integrands, grid)
+    return A - F[-1] / G[-1], grid, F - F[-1] * (G / G[-1]), scale
+
+
+def _slope(params, label, setup, channel, grid, F, scale, A, Q):
+    """x1 = F / [(x^2-1)^(L+1) X0^2] on the grid; at its first point
+    x = +-1 the regular limit (A - Q) / (2 (L+1) x)."""
+    lam = label.lam
+    phi = _phase(params, label, setup, grid, channel)[0]
+    f = channel_prefactor_second(params, label, grid, channel)[0]
+    denom = (grid**2 - 1.0) ** (lam + 1) * f * f * np.exp(-2.0 * (phi - scale))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x1 = np.where(denom != 0.0, F / denom, 0.0)
+    x1[0] = (A - float(Q(grid[:1])[0])) / (2.0 * (lam + 1.0)) * grid[0]
+    return x1
 
 
 # ----------------------------------------------------------------------
@@ -183,7 +241,7 @@ def _cumulative(fn, grid):
 
 
 def build_V1_xi(params: TrialParams, label: StateLabel, setup: PhysicalSetup,
-                p_phys: float | None = None, sample_max: float = 50.0):
+                p_phys: float | None = None):
     """Perturbation V1 = V - V0 as a callable, with its sampled bound."""
     p = p_phys if p_phys is not None else params.p
 
@@ -192,7 +250,7 @@ def build_V1_xi(params: TrialParams, label: StateLabel, setup: PhysicalSetup,
             - channel_potential_xi(params, label, setup, xi)
 
     pole = params.xi0
-    xs = np.linspace(1.0, sample_max, 4001)
+    xs = np.linspace(1.0, _SAMPLE_MAX, 4001)
     if pole is not None:
         xs = xs[np.abs(xs - pole) > 0.05]
     bound = float(np.max(np.abs(V1(xs))))
@@ -201,71 +259,27 @@ def build_V1_xi(params: TrialParams, label: StateLabel, setup: PhysicalSetup,
     return V1, bound, pole
 
 
-def _xi_grid(p_scale: float, n_pts: int = 2400, tau_cut: float = 30.0):
-    u = np.linspace(0.0, 1.0, n_pts)
-    return 1.0 + (tau_cut / (2.0 * p_scale)) * u * u
-
-
 def first_correction_xi(params: TrialParams, label: StateLabel,
-                        setup: PhysicalSetup, p_phys: float,
-                        rule_N: int = 96) -> ChannelPT:
-    """A1_xi and the tabulated phase correction phi1 of the xi channel."""
-    lam = label.lam
-    rx, _ = build_rules(params.p, rule_N)
-    scale0 = float(np.min(phase_of_trial_xi(params, label, setup, rx.nodes)[0]))
-
-    wX2_r, VwX2_r, _, _ = _xi_parts(params, label, setup, p_phys, rx.nodes,
-                                    scale0)
-    norm = integrate(rx, wX2_r)
-    A1 = integrate(rx, VwX2_r) / norm
-
-    grid = _xi_grid(params.p)
-
-    def integrand(x, A):
-        wX2, VwX2, _, _ = _xi_parts(params, label, setup, p_phys, x, scale0)
-        return A * wX2 - VwX2
-
-    # one consistency pass: make F vanish exactly at the grid end so the
-    # exponentially growing division cannot amplify the quadrature floor
-    F = _cumulative(lambda x: integrand(x, A1), grid)
-    G = _cumulative(lambda x: _xi_parts(params, label, setup, p_phys, x,
-                                        scale0)[0], grid)
-    A1_adj = A1 - F[-1] / G[-1]
-    F = F - F[-1] * (G / G[-1])
-
-    phi, dphi, _ = phase_of_trial_xi(params, label, setup, grid)
-    f, df, _ = channel_prefactor_second(params, label, grid, "xi")
-    e2 = np.exp(-2.0 * (phi - scale0))
-    denom = (grid**2 - 1.0) ** (lam + 1) * f * f * e2
-
-    if label.n == 0:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x1 = np.where(denom > 0.0, F / denom, 0.0)
-        x1[0] = (A1_adj - float(
-            true_potential_xi(setup, p_phys, 1.0)
-            - channel_potential_xi(params, label, setup, np.array([1.0]))[0]
-        )) / (2.0 * (lam + 1.0))
-        x1[_tail_index(grid, params.p):] = 0.0
-        V1, bound, pole = build_V1_xi(params, label, setup, p_phys)
-        return _package_xi(grid, x1, A1_adj, V1, bound, pole, params.p)
-
-    # single-node state: h' = -F/denom has a double pole at xi0;
-    # the log-regular split is handled by the node-correction builder,
-    # here only A1 and the raw data are produced.
+                        setup: PhysicalSetup, p_phys: float) -> ChannelPT:
+    """A1_xi and the tabulated phase correction phi1 of a nodeless xi
+    channel (single-node states go through node_correction_xi)."""
+    if label.n != 0:
+        raise ValueError("first_correction_xi needs a nodeless state")
+    A1, grid, F, scale = _first_order(params, label, setup, p_phys, "xi")
     V1, bound, pole = build_V1_xi(params, label, setup, p_phys)
-    return ChannelPT("xi", V1, A1_adj, lambda x: np.zeros_like(np.asarray(x, float)),
-                     lambda x: np.zeros_like(np.asarray(x, float)), bound, pole)
-
-
-def _tail_index(grid, p_scale, tau_keep: float = 24.0):
-    return int(np.searchsorted(grid, 1.0 + tau_keep / (2.0 * p_scale)))
+    x1 = _slope(params, label, setup, "xi", grid, F, scale, A1, V1)
+    return _package_xi(grid, x1, A1, V1, bound, pole, params.p)
 
 
 def _package_xi(grid, x1, A1, V1, bound, pole, p_scale) -> ChannelPT:
-    # the slope spline and its antiderivative give an exact, C2-smooth
-    # (function, derivative) pair: smooth enough for the spectral rules
-    # and derivative-consistent so the corrected state stays variational
-    sl = slice(0, max(_tail_index(grid, p_scale), 8))
+    # the slope is cut beyond _TAU_KEEP, where the exponentially growing
+    # division has nothing left to resolve; the slope spline and its
+    # antiderivative give an exact, C2-smooth (function, derivative)
+    # pair: smooth enough for the spectral rules and derivative-consistent
+    # so the corrected state stays variational
+    tail = int(np.searchsorted(grid, 1.0 + _TAU_KEEP / (2.0 * p_scale)))
+    x1[tail:] = 0.0
+    sl = slice(0, max(tail, 8))
     x1_ip = CubicSpline(grid[sl], x1[sl])
     phi1_ip = x1_ip.antiderivative()
     hi = grid[sl][-1]
@@ -301,40 +315,13 @@ def build_W1_eta(params: TrialParams, label: StateLabel, p_phys: float):
 
 
 def first_correction_eta(params: TrialParams, label: StateLabel,
-                         p_phys: float, rule_N: int = 96,
-                         n_pts: int = 1601) -> ChannelPT:
+                         p_phys: float) -> ChannelPT:
     """A1_eta and the tabulated phase correction rho1 (even in eta)."""
-    lam = label.lam
-    _, re = build_rules(max(params.p, 1.0), rule_N)
-    scale0 = float(np.min(phase_of_trial_eta(params, label, re.nodes)[0]))
-    wY2_r, VwY2_r, _, _ = _eta_parts(params, label, p_phys, re.nodes, scale0)
-    norm = integrate(re, wY2_r)
-    A1 = integrate(re, VwY2_r) / norm
-
-    # compute on [-1, 0] and mirror: y1 is odd, rho1 even
-    grid = np.linspace(-1.0, 0.0, n_pts)
-
-    def integrand(x, A):
-        wY2, VwY2, _, _ = _eta_parts(params, label, p_phys, x, scale0)
-        return A * wY2 - VwY2
-
-    F = _cumulative(lambda x: integrand(x, A1), grid)
-    G = _cumulative(lambda x: _eta_parts(params, label, p_phys, x,
-                                         scale0)[0], grid)
-    A1_adj = A1 - F[-1] / G[-1]
-    F = F - F[-1] * (G / G[-1])
-
-    rho, _, _ = phase_of_trial_eta(params, label, grid)
-    g, _, _ = channel_prefactor_second(params, label, grid, "eta")
-    e2 = np.exp(-2.0 * (rho - scale0))
-    denom = (grid**2 - 1.0) ** (lam + 1) * g * g * e2
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        y1 = np.where(denom != 0.0, F / denom, 0.0)
+    A1, grid, F, scale = _first_order(params, label, None, p_phys, "eta")
     W1, bound = build_W1_eta(params, label, p_phys)
-    # endpoint eta = -1: limit of the split-off (1+eta) factors
-    y1[0] = -(A1_adj - float(W1(np.array([-1.0]))[0])) / (2.0 * (lam + 1.0))
-    y1[-1] = 0.0  # odd function
+    # computed on [-1, 0] and mirrored: y1 is odd, rho1 even
+    y1 = _slope(params, label, None, "eta", grid, F, scale, A1, W1)
+    y1[-1] = 0.0
 
     full = np.concatenate([grid, -grid[-2::-1]])
     y1_full = np.concatenate([y1, -y1[-2::-1]])
@@ -350,7 +337,7 @@ def first_correction_eta(params: TrialParams, label: StateLabel,
         out = y1_ip(np.clip(np.asarray(x, dtype=float), -1.0, 1.0))
         return out if out.ndim else float(out)
 
-    return ChannelPT("eta", W1, A1_adj, rho1, slope, bound)
+    return ChannelPT("eta", W1, A1, rho1, slope, bound)
 
 
 def consistency_residual(A1_xi: float, A1_eta: float) -> tuple[float, float]:
@@ -382,31 +369,14 @@ class NodeCorrection:
 
 
 def node_correction_xi(params: TrialParams, label: StateLabel,
-                       setup: PhysicalSetup, p_phys: float,
-                       rule_N: int = 96) -> NodeCorrection:
+                       setup: PhysicalSetup, p_phys: float) -> NodeCorrection:
     if label.n != 1 or params.xi0 is None:
         raise ValueError("node_correction_xi needs a single-node state")
     lam = label.lam
     xi0 = params.xi0
-    rx, _ = build_rules(params.p, rule_N)
-    scale0 = float(np.min(phase_of_trial_xi(params, label, setup, rx.nodes)[0]))
-
-    wX2_r, VwX2_r, _, _ = _xi_parts(params, label, setup, p_phys, rx.nodes,
-                                    scale0)
-    A1 = integrate(rx, VwX2_r) / integrate(rx, wX2_r)
-
-    grid = _xi_grid(params.p)
-
-    def integrand(x, A):
-        wX2, VwX2, _, _ = _xi_parts(params, label, setup, p_phys, x, scale0)
-        return A * wX2 - VwX2
-
-    F = _cumulative(lambda x: integrand(x, A1), grid)
-    G = _cumulative(lambda x: _xi_parts(params, label, setup, p_phys, x,
-                                        scale0)[0], grid)
-    A1 = A1 - F[-1] / G[-1]
-    F_vals = F - F[-1] * (G / G[-1])
-    Fip = CubicSpline(grid, F_vals)
+    # h' = -F/denom has a double pole at xi0: split off its log-regular part
+    A1, grid, F, scale0 = _first_order(params, label, setup, p_phys, "xi")
+    Fip = CubicSpline(grid, F)
 
     phi0_0, dphi0_0, _ = phase_of_trial_xi(params, label, setup,
                                            np.array([xi0]))
@@ -442,19 +412,15 @@ def node_correction_xi(params: TrialParams, label: StateLabel,
 
     # r' is regular through xi0; integrate it on the tabulation grid,
     # then anchor the gauge with h(1) = 0 on the left branch.
-    rgrid = grid
-    rp = _cumulative(dr_fn, rgrid)
-    r0 = -(f1 / (rgrid[0] - xi0) + c1 * math.log(abs(rgrid[0] - xi0)))
-    r_vals = rp + r0
-    r_ip = CubicSpline(rgrid, r_vals)
-    tail_hi = rgrid[-1]
+    rp, = _cumulative(lambda x: (dr_fn(x),), grid)
+    r0 = -(f1 / (grid[0] - xi0) + c1 * math.log(abs(grid[0] - xi0)))
+    r_ip = CubicSpline(grid, rp + r0)
 
     def r_fn(x):
-        return r_ip(np.clip(np.asarray(x, dtype=float), rgrid[0], tail_hi))
+        return r_ip(np.clip(np.asarray(x, dtype=float), grid[0], grid[-1]))
 
     def dr_pub(x):
-        x = np.clip(np.asarray(x, dtype=float), rgrid[0], tail_hi)
-        return dr_fn(x)
+        return dr_fn(np.clip(np.asarray(x, dtype=float), grid[0], grid[-1]))
 
     return NodeCorrection(f1=f1, c1=c1, r=r_fn, dr=dr_pub, xi0=xi0, A1=A1)
 
@@ -474,35 +440,16 @@ def higher_Q_xi(prev_slopes: list, x):
 
 
 def next_correction_xi(params: TrialParams, label: StateLabel,
-                       setup: PhysicalSetup, prev: list,
-                       rule_N: int = 96) -> ChannelPT:
+                       setup: PhysicalSetup, prev: list) -> ChannelPT:
     """Order-(len(prev)+1) correction of a nodeless xi channel."""
     if label.n != 0:
         raise ValueError("higher orders are implemented for nodeless states")
-    lam = label.lam
-    rx, _ = build_rules(params.p, rule_N)
-    scale0 = float(np.min(phase_of_trial_xi(params, label, setup, rx.nodes)[0]))
 
     def qn(x):
         return higher_Q_xi([c.correction_slope for c in prev], x)
 
-    wX2_r = _xi_parts(params, label, setup, params.p, rx.nodes, scale0)[0]
-    An = integrate(rx, qn(rx.nodes) * wX2_r) / integrate(rx, wX2_r)
-
-    grid = _xi_grid(params.p)
-    F = _cumulative(lambda x: (An - qn(x)) * _xi_parts(
-        params, label, setup, params.p, x, scale0)[0], grid)
-    G = _cumulative(lambda x: _xi_parts(params, label, setup, params.p, x,
-                                        scale0)[0], grid)
-    An = An - F[-1] / G[-1]
-    F = F - F[-1] * (G / G[-1])
-
-    phi, _, _ = phase_of_trial_xi(params, label, setup, grid)
-    f, _, _ = channel_prefactor_second(params, label, grid, "xi")
-    denom = (grid**2 - 1.0) ** (lam + 1) * f * f * np.exp(-2.0 * (phi - scale0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xn = np.where(denom > 0.0, F / denom, 0.0)
-    xn[0] = (An - float(qn(np.array([1.0]))[0])) / (2.0 * (lam + 1.0))
-    xn[_tail_index(grid, params.p):] = 0.0
+    An, grid, F, scale = _first_order(params, label, setup, params.p, "xi",
+                                      q=qn)
+    xn = _slope(params, label, setup, "xi", grid, F, scale, An, qn)
     return _package_xi(grid, xn, An, qn, float(np.max(np.abs(qn(grid)))),
                        None, params.p)

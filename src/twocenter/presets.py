@@ -1,17 +1,18 @@
 """Built-in optimization seeds.
 
-PRESETS holds converged parameter sets for the eight supported states on
-the working R grid (the anchor entries for the two nodeless sigma states
-come from the published parameter tables; the rest were produced by this
-package's own continuation scans and are shipped so optimizations start
-near their basin).  seed_for() falls back to rescaling the nearest preset
-in R and, failing that, to a crude build from the tabulated p trend.
+BAKED (`_preset_data.py`, written by tools/bake_presets.py) holds
+converged parameter sets for the eight supported states on the working R
+grid, produced by this package's own continuation scans and shipped so
+optimizations start near their basin.  seed_for() falls back to rescaling
+the nearest preset in R and, failing that, to a crude build from the
+tabulated p trend.
 """
 
 from __future__ import annotations
 
 import math
 
+from ._preset_data import BAKED
 from .model import StateLabel
 from .trial import TrialParams
 from .variational import rescale_seed
@@ -48,30 +49,6 @@ _P_TREND = {
                     30.0: 8.35916, 40.0: 10.88997, 50.0: 13.40975},
 }
 
-try:
-    from ._preset_data import BAKED
-except ImportError:  # before the first bake
-    BAKED = {}
-
-# Published anchor parameter sets, (alpha, gamma, a1, a2, b2, b3, p) keyed
-# by (n, m, lam, parity, R); the baked continuation data extends them.
-_ANCHORS: dict[tuple, tuple] = {
-    (0, 0, 0, +1, 1.997193): (1.48407, 1.0299, 0.9164, 0.05384, 0.06,
-                              0.00011, 1.483403),
-    (0, 0, 0, +1, 6.0): (3.32381, 0.96357, 2.597355, 0.53443, 0.588072,
-                         0.00552, 3.49506),
-    (0, 0, 0, +1, 20.0): (10.0453, 0.95774, 9.8775, 6.8392, 6.9016, 1.352,
-                          10.4882),
-    (0, 0, 0, -1, 6.0): (3.24715, 0.95706, 2.84566, 0.22098, 0.23611,
-                         -0.0027, 3.43971),
-    (0, 0, 0, -1, 12.54525): (6.5275, 0.97045, 6.075, 1.46757, 1.5349,
-                              0.1675, 6.75434),
-    (0, 0, 0, -1, 20.0): (10.7397, 1.03027, 9.8077, 2.3784, 2.43705, 0.367,
-                          10.4882),
-}
-
-PRESETS: dict[tuple, tuple] = {**_ANCHORS, **BAKED}
-
 
 def _p_guess(label: StateLabel, R: float) -> float:
     try:
@@ -103,13 +80,13 @@ def crude_seed(label: StateLabel, R: float) -> TrialParams:
 def seed_for(label: StateLabel, R: float) -> TrialParams:
     """Best available optimization seed for (label, R)."""
     key = (label.n, label.m, label.lam, label.parity)
-    exact = PRESETS.get(key + (R,))
+    exact = BAKED.get(key + (R,))
     if exact is not None:
         return TrialParams(*exact)
-    near = [k[-1] for k in PRESETS if k[:4] == key]
+    near = [k[-1] for k in BAKED if k[:4] == key]
     if near:
         R_near = min(near, key=lambda r: abs(math.log(r / R)))
         if 0.45 < R_near / R < 2.2:
-            return rescale_seed(TrialParams(*PRESETS[key + (R_near,)]),
+            return rescale_seed(TrialParams(*BAKED[key + (R_near,)]),
                                 R_near, R)
     return crude_seed(label, R)

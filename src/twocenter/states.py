@@ -94,17 +94,16 @@ class SolvedState:
         return build_rules(self.params.p, N)
 
 
-def attach_corrections(state: SolvedState, rule_N: int = 96) -> SolvedState:
+def attach_corrections(state: SolvedState) -> SolvedState:
     """Compute and attach the first-order phase corrections in place."""
     p_phys = p_from_energy(state.energy.E_total, state.setup)
     if state.label.n == 0:
         state.pt_xi = first_correction_xi(state.params, state.label,
-                                          state.setup, p_phys, rule_N)
+                                          state.setup, p_phys)
     else:
         state.node = node_correction_xi(state.params, state.label,
-                                        state.setup, p_phys, rule_N)
-    state.pt_eta = first_correction_eta(state.params, state.label, p_phys,
-                                        rule_N)
+                                        state.setup, p_phys)
+    state.pt_eta = first_correction_eta(state.params, state.label, p_phys)
     return state
 
 

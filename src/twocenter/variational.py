@@ -15,7 +15,6 @@ import json
 import math
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +22,9 @@ from scipy.optimize import minimize
 
 from .model import (EnergyPair, PhysicalSetup, StateLabel,
                     UnboundChannelError, p_from_energy)
-from .quadrature import (build_rules, channel_moments, energy_from_channels,
-                         integrate, rayleigh_quotient, trial_channels)
+from .quadrature import (QuadratureError, build_rules, channel_moments,
+                         energy_from_channels, integrate, rayleigh_quotient,
+                         trial_channels)
 from .trial import (ParamDomainError, TrialParams, eta_channel, xi_channel,
                     xi_envelope)
 
@@ -230,14 +230,8 @@ def optimize_state(label: StateLabel, setup: PhysicalSetup, init: TrialParams,
 # R-continuation scans
 
 
-def _scan_point(args):
-    label, R, seed, rule_N = args
-    return optimize_state(label, PhysicalSetup(R), seed, rule_N=rule_N)
-
-
 def scan_R(label: StateLabel, R_grid, seeds=None, warm_start: bool = True,
-           rule_N: int | None = None, workers: int = 1,
-           ortho_refs=None) -> list:
+           rule_N: int | None = None, ortho_refs=None) -> list:
     """Optimize one state over a sorted R grid.
 
     Every point has a cold seed: the supplied one, else the built-in
@@ -246,8 +240,10 @@ def scan_R(label: StateLabel, R_grid, seeds=None, warm_start: bool = True,
     optimization starts from whichever of the two has the lower starting
     Rayleigh quotient, so a continuation seed from a neighbouring valley
     cannot displace a better preset.  A continuation seed outside the
-    parameter domain is dropped.  Per-point failures are returned in
-    place (as the exception object) without aborting the scan.
+    parameter domain is dropped.  A point that fails with a domain or
+    quadrature error (ValueError, QuadratureError) is returned in place as
+    the exception object without aborting the scan; anything else
+    propagates.
     """
     from .presets import seed_for
 
@@ -255,17 +251,6 @@ def scan_R(label: StateLabel, R_grid, seeds=None, warm_start: bool = True,
     if sorted(R_grid) != R_grid:
         raise ValueError("R_grid must be sorted ascending")
     out: list = []
-    if not R_grid:
-        return out
-
-    if not warm_start and workers > 1 and label.n == 0:
-        tasks = [(label, R,
-                  seeds[i] if seeds is not None else seed_for(label, R),
-                  rule_N) for i, R in enumerate(R_grid)]
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            out = list(ex.map(_scan_point, tasks))
-        return out
-
     prev: OptimizationResult | None = None
     for i, R in enumerate(R_grid):
         try:
@@ -285,7 +270,7 @@ def scan_R(label: StateLabel, R_grid, seeds=None, warm_start: bool = True,
                                  rule_N=rule_N, ortho_ref=ref)
             out.append(res)
             prev = res
-        except Exception as exc:  # propagate per-point failures in place
+        except (ValueError, QuadratureError) as exc:  # failed point, in place
             out.append(exc)
             prev = None
     _warn_on_parameter_jumps(out, R_grid)

@@ -87,16 +87,27 @@ def test_united_atom_subcommand(capsys):
 
 
 def test_reproduce_tables_subset(tmp_path, capsys):
-    out = tmp_path / "r.csv"
-    rc = main(["reproduce-tables", "--which", "VII", "--grid", "2.0",
-               "--out", str(out)])
-    assert rc == 0
-    lines = out.read_text().strip().split("\n")
-    header = lines[0].split(",")
-    idx = header.index("rel_diff")
-    diffs = [abs(float(line.split(",")[idx])) for line in lines[1:]]
-    assert diffs and max(diffs) <= 1e-7
-    assert "max relative deviation" in capsys.readouterr().err
+    # the separation table, the three energy tables and the node table
+    # with its extra VI-node rows
+    for which, grid, tables in (("VII", "2.0", {"VII"}),
+                                ("I,II,V", "2.0,4.0", {"I", "II", "V"}),
+                                ("VI", "2.0", {"VI", "VI-node"})):
+        out = tmp_path / "r.csv"
+        rc = main(["reproduce-tables", "--which", which, "--grid", grid,
+                   "--out", str(out)])
+        assert rc == 0
+        lines = out.read_text().strip().split("\n")
+        header = lines[0].split(",")
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        assert {r["table"] for r in rows} == tables
+        # node positions are held to 1e-5 absolute (criterion 4)
+        nodes = [abs(float(r["value"]) - float(r["reference"]))
+                 for r in rows if r["table"] == "VI-node"]
+        assert max(nodes, default=0.0) <= 1e-5
+        diffs = [abs(float(r["rel_diff"])) for r in rows
+                 if r["table"] != "VI-node"]
+        assert diffs and max(diffs) <= 1e-7
+        assert "max relative deviation" in capsys.readouterr().err
 
 
 def test_reproduce_tables_bad_id(capsys):

@@ -179,6 +179,15 @@ def test_node_state_corrections(bank):
     assert np.all(np.isfinite(ca.vals)) and np.all(np.isfinite(ca.dvals))
 
 
+def test_first_correction_xi_rejects_node_state(bank):
+    # single-node states take node_correction_xi; the nodeless builder
+    # must refuse them instead of returning a zero phase
+    st = bank.get(StateLabel(1, 0, 0, +1), 4.0)
+    p_phys = p_from_energy(st.energy.E_total, st.setup)
+    with pytest.raises(ValueError):
+        first_correction_xi(st.params, st.label, st.setup, p_phys)
+
+
 def test_second_order_is_much_smaller(bank):
     st = bank.get(GS, 2.0, corrected=True)
     second = next_correction_xi(st.params, GS, st.setup, [st.pt_xi])

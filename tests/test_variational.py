@@ -279,12 +279,24 @@ def test_budget_exhaustion_still_returns():
     assert res.energy.E_total < -1.0  # still a usable variational value
 
 
-def test_parallel_cold_scan_matches_serial():
-    grid = [4.0, 6.0]
-    serial = scan_R(GS, grid, warm_start=False, workers=1)
-    parallel = scan_R(GS, grid, warm_start=False, workers=2)
-    for s, p in zip(serial, parallel):
-        assert s.energy.E_total == p.energy.E_total  # deterministic
+def test_scan_returns_typed_failures_in_place(monkeypatch):
+    import twocenter.variational as variational
+
+    def fake(label, setup, init, **kw):
+        if setup.R == 2.0:
+            raise ParamDomainError("off the domain")
+        return "solved"
+
+    monkeypatch.setattr(variational, "optimize_state", fake)
+    out = scan_R(GS, [2.0, 4.0], warm_start=False)
+    assert isinstance(out[0], ParamDomainError) and out[1] == "solved"
+
+    def broken(label, setup, init, **kw):
+        raise RuntimeError("a bug, not a failed point")
+
+    monkeypatch.setattr(variational, "optimize_state", broken)
+    with pytest.raises(RuntimeError):
+        scan_R(GS, [2.0, 4.0], warm_start=False)
 
 
 def test_store_round_trip(tmp_path, bank, monkeypatch):
