@@ -117,10 +117,13 @@ def cmd_optimize(args) -> int:
         st = bank.get(label, R)
         extended_note = {}
         if args.precision == "extended":
-            from .quadrature import build_rules, rayleigh_quotient
-            e = rayleigh_quotient(st.params, label, st.setup,
-                                  build_rules(st.params.p, st.result.rule_N),
-                                  extended=True)
+            from .quadrature import (assemble_energy, build_rules,
+                                     channel_moments, trial_channels)
+            rules = build_rules(st.params.p, st.result.rule_N)
+            moments = [channel_moments(c, c, r, label.lam, extended=True)
+                       for c, r in zip(trial_channels(st.params, label,
+                                                      st.setup, rules), rules)]
+            e = assemble_energy(*moments, st.setup)
             extended_note = {"E_extended": e.E_total}
         row = {"state": united_atom_designation(label) or str(label),
                "R": R, "E": st.energy.E_total, "p": st.params.p,

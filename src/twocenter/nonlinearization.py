@@ -44,7 +44,7 @@ from scipy.interpolate import CubicSpline
 
 from .model import PhysicalSetup, StateLabel
 from .quadrature import build_rules, integrate
-from .trial import (TrialParams, channel_prefactor_second,
+from .trial import (TrialParams, channel_factor, channel_phase, prefactor,
                     phase_of_trial_eta, phase_of_trial_xi)
 
 _GL8 = np.polynomial.legendre.leggauss(8)
@@ -76,7 +76,7 @@ def channel_potential_xi(params: TrialParams, label: StateLabel,
     """V0 reconstructed from the trial xi channel (pole at an f0 zero)."""
     xi = np.asarray(xi, dtype=float)
     _, dphi, ddphi = phase_of_trial_xi(params, label, setup, xi)
-    f, df, ddf = channel_prefactor_second(params, label, xi, "xi")
+    f, df, ddf = prefactor(params, label, xi, "xi")
     lam = label.lam
     base = (xi * xi - 1.0) * (dphi * dphi - ddphi) - 2.0 * (lam + 1.0) * xi * dphi
     extra = (xi * xi - 1.0) * (ddf - 2.0 * df * dphi) + 2.0 * (lam + 1.0) * xi * df
@@ -91,23 +91,17 @@ def channel_potential_eta(params: TrialParams, label: StateLabel, eta):
     _, drho, ddrho = phase_of_trial_eta(params, label, eta)
     lam = label.lam
     base = (eta * eta - 1.0) * (drho * drho - ddrho) - 2.0 * (lam + 1.0) * eta * drho
-    g, dg, ddg = channel_prefactor_second(params, label, eta, "eta")
-    if label.parity == +1 and len(params.Q_coeffs) == 1:
+    if label.parity == +1:
         return base
-    # g has the kinematic eta=0 zero (odd branch) and/or Q_m structure;
-    # for the odd m=0 branch g = eta and the ratio terms stay smooth:
-    # drho/eta is even because rho0 is even.
-    if label.parity == -1 and len(params.Q_coeffs) == 1:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(eta != 0.0, drho / eta, 0.0)
-        if np.any(eta == 0.0):
-            # rho0'(0)/0 -> rho0''(0), from the analytic second derivative
-            idx = np.nonzero(eta == 0.0)
-            ratio[idx] = ddrho[idx]
-        return base + 2.0 * (lam + 1.0) - 2.0 * (eta * eta - 1.0) * ratio
-    extra = (eta * eta - 1.0) * (ddg - 2.0 * dg * drho) + 2.0 * (lam + 1.0) * eta * dg
+    # the odd branch has g = eta, the kinematic eta=0 zero; the ratio terms
+    # stay smooth because drho/eta is even (rho0 is even)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return base + extra / g
+        ratio = np.where(eta != 0.0, drho / eta, 0.0)
+    if np.any(eta == 0.0):
+        # rho0'(0)/0 -> rho0''(0), from the analytic second derivative
+        idx = np.nonzero(eta == 0.0)
+        ratio[idx] = ddrho[idx]
+    return base + 2.0 * (lam + 1.0) - 2.0 * (eta * eta - 1.0) * ratio
 
 
 def true_potential_xi(setup: PhysicalSetup, p_phys: float, xi):
@@ -149,21 +143,10 @@ _TAU_KEEP = 24.0      # the xi slope is kept up to 2 p (xi-1) = _TAU_KEEP
 _ETA_PTS = 1601       # eta tabulation points on [-1, 0]
 
 
-def _phase(params, label, setup, x, channel):
-    if channel == "xi":
-        return phase_of_trial_xi(params, label, setup, x)
-    return phase_of_trial_eta(params, label, x)
-
-
 def _parts(params, label, setup, p_phys, x, scale, channel):
     """(w X0^2, pole-free V1 w X0^2 without its A term) on x."""
     lam = label.lam
-    phi, dphi, ddphi = _phase(params, label, setup, x, channel)
-    f, df, ddf = channel_prefactor_second(params, label, x, channel)
-    e = np.exp(-(phi - scale))
-    X = f * e
-    dX = (df - f * dphi) * e
-    ddX = (ddf - 2.0 * df * dphi - f * ddphi + f * dphi * dphi) * e
+    X, dX, ddX = channel_factor(params, label, setup, x, channel, scale)
     w = (x * x - 1.0) ** lam
     wX2 = w * X * X
     lhs = ((x * x - 1.0) * ddX + 2.0 * (lam + 1.0) * x * dX) * X * w
@@ -206,7 +189,8 @@ def _first_order(params, label, setup, p_phys, channel, q=None):
     else:
         rule = build_rules(max(params.p, 1.0), _RULE_N)[1]
         grid = np.linspace(-1.0, 0.0, _ETA_PTS)  # mirrored by the caller
-    scale = float(np.min(_phase(params, label, setup, rule.nodes, channel)[0]))
+    scale = float(np.min(channel_phase(params, label, setup, rule.nodes,
+                                       channel)[0]))
 
     def parts(x):
         wX2, VwX2 = _parts(params, label, setup, p_phys, x, scale, channel)
@@ -227,8 +211,8 @@ def _slope(params, label, setup, channel, grid, F, scale, A, Q):
     """x1 = F / [(x^2-1)^(L+1) X0^2] on the grid; at its first point
     x = +-1 the regular limit (A - Q) / (2 (L+1) x)."""
     lam = label.lam
-    phi = _phase(params, label, setup, grid, channel)[0]
-    f = channel_prefactor_second(params, label, grid, channel)[0]
+    phi = channel_phase(params, label, setup, grid, channel)[0]
+    f = prefactor(params, label, grid, channel)[0]
     denom = (grid**2 - 1.0) ** (lam + 1) * f * f * np.exp(-2.0 * (phi - scale))
     with np.errstate(divide="ignore", invalid="ignore"):
         x1 = np.where(denom != 0.0, F / denom, 0.0)

@@ -5,8 +5,10 @@ dxi deta dphi into products of 1D channel moments.  The xi rule is a
 Gauss-Laguerre rule mapped as xi = 1 + t/(2 p_scale), matched to the
 exp(-2p xi) decay of the squared channel function; the eta rule is
 Gauss-Legendre on [-1, 1].  Moment accumulation uses Shewchuk (fsum)
-summation in the standard mode and long-double accumulation in the
-extended mode, so reruns are deterministic to the bit.
+summation, so reruns are deterministic to the bit.  The long-double
+accumulator of the extended mode is reached only through `integrate` and
+`channel_moments`; the trial-state front ends always sum in the standard
+mode.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import numpy as np
 from scipy.special import roots_laguerre
 
 from .model import EnergyPair, PhysicalSetup, StateLabel
-from .trial import ChannelArrays, TrialParams, eta_channel, xi_channel
+from .trial import (ChannelArrays, TrialParams, channel_factor, eta_channel,
+                    xi_channel)
 
 
 class QuadratureError(RuntimeError):
@@ -180,49 +183,44 @@ def trial_channels(params: TrialParams, label: StateLabel,
             eta_channel(params, label, re.nodes))
 
 
-def trial_moments(channels, label: StateLabel, rules, extended: bool = False):
+def trial_moments(channels, label: StateLabel, rules):
     """Self-pair moments of a trial state's (xi, eta) channels."""
     (cx, ce), (rx, re) = channels, rules
-    return (channel_moments(cx, cx, rx, label.lam, extended),
-            channel_moments(ce, ce, re, label.lam, extended))
+    return (channel_moments(cx, cx, rx, label.lam),
+            channel_moments(ce, ce, re, label.lam))
 
 
 def norm_squared(params: TrialParams, label: StateLabel, setup: PhysicalSetup,
-                 rules, extended: bool = False) -> float:
+                 rules) -> float:
     """Full 3D squared norm of the (unnormalized) trial state."""
     mx, me = trial_moments(trial_channels(params, label, setup, rules), label,
-                           rules, extended)
+                           rules)
     return norm_from_moments(mx, me, setup)
 
 
 def energy_from_channels(channels, label: StateLabel, setup: PhysicalSetup,
-                         rules, extended: bool = False) -> EnergyPair:
+                         rules) -> EnergyPair:
     """rayleigh_quotient of the trial state with these channels on rules."""
-    return assemble_energy(*trial_moments(channels, label, rules, extended),
-                           setup)
+    return assemble_energy(*trial_moments(channels, label, rules), setup)
 
 
 def rayleigh_quotient(params: TrialParams, label: StateLabel,
-                      setup: PhysicalSetup, rules,
-                      extended: bool = False) -> EnergyPair:
+                      setup: PhysicalSetup, rules) -> EnergyPair:
     """Variational energy <H>/<1> in Ry, gradient-form kinetic energy."""
     return energy_from_channels(trial_channels(params, label, setup, rules),
-                                label, setup, rules, extended)
+                                label, setup, rules)
 
 
 def rayleigh_converged(params: TrialParams, label: StateLabel,
                        setup: PhysicalSetup, p_scale: float, N: int,
-                       rtol: float = 1e-11,
-                       extended: bool = False) -> tuple[EnergyPair, float]:
+                       rtol: float = 1e-11) -> tuple[EnergyPair, float]:
     """Rayleigh quotient with an (N, 2N) plateau check.
 
     Returns the fine-rule energy and the relative shift; raises
     QuadratureConvergenceError when doubling moves E beyond rtol.
     """
-    coarse = rayleigh_quotient(params, label, setup, build_rules(p_scale, N),
-                               extended)
-    fine = rayleigh_quotient(params, label, setup, build_rules(p_scale, 2 * N),
-                             extended)
+    coarse = rayleigh_quotient(params, label, setup, build_rules(p_scale, N))
+    fine = rayleigh_quotient(params, label, setup, build_rules(p_scale, 2 * N))
     shift = abs(fine.E_total - coarse.E_total) / max(1.0, abs(fine.E_total))
     if shift > rtol:
         raise QuadratureConvergenceError(coarse.E_total, fine.E_total, rtol)
@@ -244,23 +242,14 @@ def kinetic_energy(params: TrialParams, label: StateLabel, setup: PhysicalSetup,
     if form != "strong":
         raise ValueError(f"unknown kinetic form {form!r}")
 
-    from .trial import (channel_prefactor_second, phase_of_trial_eta,
-                        phase_of_trial_xi)
-
     xi = rx.nodes
-    phi, dphi, ddphi = phase_of_trial_xi(params, label, setup, xi)
-    f, df, ddf = channel_prefactor_second(params, label, xi, "xi")
-    e = np.exp(-(phi - cx.logscale))
-    ddX = (ddf - 2.0 * df * dphi - f * ddphi + f * dphi**2) * e
+    ddX = channel_factor(params, label, setup, xi, "xi", cx.logscale)[2]
     lx = -(xi**2 - 1.0) * ddX - 2.0 * (lam + 1.0) * xi * cx.dvals \
         - lam * (lam + 1.0) * cx.vals
     tx = integrate(rx, lx * cx.vals * (xi**2 - 1.0) ** lam)
 
     eta = re.nodes
-    rho, drho, ddrho = phase_of_trial_eta(params, label, eta)
-    g, dg, ddg = channel_prefactor_second(params, label, eta, "eta")
-    ee = np.exp(-(rho - ce.logscale))
-    ddY = (ddg - 2.0 * dg * drho - g * ddrho + g * drho**2) * ee
+    ddY = channel_factor(params, label, setup, eta, "eta", ce.logscale)[2]
     ly = -(1.0 - eta**2) * ddY + 2.0 * (lam + 1.0) * eta * ce.dvals \
         + lam * (lam + 1.0) * ce.vals
     te = integrate(re, ly * ce.vals * (1.0 - eta**2) ** lam)

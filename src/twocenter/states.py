@@ -45,25 +45,12 @@ class SolvedState:
         nodes = np.asarray(nodes, dtype=float)
         if self.node is not None:
             return self._node_corrected_xi(nodes)
-        ca = xi_channel(self.params, self.label, self.setup, nodes)
-        if self.pt_xi is None:
-            return ca
-        damp = np.exp(-self.pt_xi.correction_phase(nodes))
-        slope = self.pt_xi.correction_slope(nodes)
-        return ChannelArrays(ca.vals * damp,
-                             (ca.dvals - ca.vals * slope) * damp,
-                             ca.logscale, nodes)
+        return _damped(xi_channel(self.params, self.label, self.setup, nodes),
+                       self.pt_xi)
 
     def eta_arrays(self, nodes) -> ChannelArrays:
-        nodes = np.asarray(nodes, dtype=float)
-        ca = eta_channel(self.params, self.label, nodes)
-        if self.pt_eta is None:
-            return ca
-        damp = np.exp(-self.pt_eta.correction_phase(nodes))
-        slope = self.pt_eta.correction_slope(nodes)
-        return ChannelArrays(ca.vals * damp,
-                             (ca.dvals - ca.vals * slope) * damp,
-                             ca.logscale, nodes)
+        return _damped(eta_channel(self.params, self.label, nodes),
+                       self.pt_eta)
 
     def _node_corrected_xi(self, nodes) -> ChannelArrays:
         nc = self.node
@@ -92,6 +79,16 @@ class SolvedState:
     def rules(self, N: int | None = None):
         N = N or default_rule_size(self.params.p)
         return build_rules(self.params.p, N)
+
+
+def _damped(ca: ChannelArrays, pt: ChannelPT | None) -> ChannelArrays:
+    """The channel times exp(-phase correction), when one is attached."""
+    if pt is None:
+        return ca
+    damp = np.exp(-pt.correction_phase(ca.nodes))
+    slope = pt.correction_slope(ca.nodes)
+    return ChannelArrays(ca.vals * damp, (ca.dvals - ca.vals * slope) * damp,
+                         ca.logscale, ca.nodes)
 
 
 def attach_corrections(state: SolvedState) -> SolvedState:

@@ -75,10 +75,8 @@ class _Pair:
         cf = state_f.xi_arrays(self.rx.nodes)
         ei = state_i.eta_arrays(self.re.nodes)
         ef = state_f.eta_arrays(self.re.nodes)
-        s = math.exp(-(ci.logscale + cf.logscale))
         self.Xi, self.dXi = ci.vals * math.exp(-ci.logscale), ci.dvals * math.exp(-ci.logscale)
         self.Xf, self.dXf = cf.vals * math.exp(-cf.logscale), cf.dvals * math.exp(-cf.logscale)
-        se = math.exp(-(ei.logscale + ef.logscale))
         self.Yi, self.dYi = ei.vals * math.exp(-ei.logscale), ei.dvals * math.exp(-ei.logscale)
         self.Yf, self.dYf = ef.vals * math.exp(-ef.logscale), ef.dvals * math.exp(-ef.logscale)
         self.norm = math.sqrt(state_i.norm_squared() * state_f.norm_squared())

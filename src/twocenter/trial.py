@@ -13,12 +13,13 @@ with
 where kappa = (Z1+Z2) R / (2p) and L is the magnetic quantum number.  The
 exponent of the (gamma+xi) power reproduces the logarithmic term of the
 large-xi WKB phase, so the growing parts of the phase are exact by
-construction.  P_n is monic with its roots in [1, inf) (for n=1 the single
-root xi0 is the nodal spheroid radius); Q_m has its m roots in [0, 1].
+construction.  The package implements n <= 1 and m = 0, so P_n is 1 or
+xi - xi0 (xi0 > 1, the nodal spheroid radius) and Q_m == 1.
 
 For numerics the smooth, nonvanishing part of each channel lives in a
-phase: X = f exp(-phi0) with f = P_n, and Y = g exp(-rho0) with g = Q_m
-(even branch) or g = eta Q_m (odd branch, the kinematic parity node).
+phase: X = f exp(-phi0) with f = P_n, and Y = g exp(-rho0) with g = 1
+(even branch) or g = eta (odd branch, the kinematic parity node); the
+closed-form `prefactor` gives f or g with two derivatives.
 Channel evaluation is done relative to a per-grid log offset so that
 p xi of several hundreds never overflows.
 """
@@ -49,8 +50,6 @@ class TrialParams:
     b3: float
     p: float
     xi0: float | None = None
-    P_coeffs: tuple = (1.0,)  # ascending, monic; overridden by xi0 if set
-    Q_coeffs: tuple = (1.0,)  # polynomial in eta^2, ascending, monic
 
     def validate(self) -> None:
         if not self.p > 0.0:
@@ -71,12 +70,6 @@ class TrialParams:
             )
         if self.xi0 is not None and not self.xi0 > 1.0:
             raise ParamDomainError(f"node position must satisfy xi0 > 1, got {self.xi0}")
-
-    def poly_xi(self) -> tuple:
-        """Ascending coefficients of P_n; for a single node, (xi-xi0)."""
-        if self.xi0 is not None:
-            return (-self.xi0, 1.0)
-        return self.P_coeffs
 
     def replace(self, **kw) -> "TrialParams":
         from dataclasses import replace as _replace
@@ -180,9 +173,9 @@ def _eta_rationals(params: TrialParams, eta):
 def phase_of_trial_eta(params: TrialParams, label: StateLabel, eta):
     """Phase rho0 of Y = g exp(-rho0) with its first two derivatives.
 
-    g = Q_m(eta^2) on the even branch and eta Q_m(eta^2) on the odd one,
-    so rho0 is smooth and even; the odd branch requires the cosh/sinh
-    argument to stay positive for eta > 0 (a1 > 0 for the presets).
+    g = 1 on the even branch and eta on the odd one, so rho0 is smooth
+    and even; the odd branch requires the cosh/sinh argument to stay
+    positive for eta > 0 (a1 > 0 for the presets).
     """
     eta = np.asarray(eta, dtype=float)
     nu = (1.0 + 2 * label.m + label.lam) / 4.0
@@ -222,54 +215,33 @@ def phase_of_trial_eta(params: TrialParams, label: StateLabel, eta):
     return rho, drho, ddrho
 
 
-def eta_prefactor(params: TrialParams, label: StateLabel, eta):
-    """g(eta) of Y = g exp(-rho0) and its derivative."""
-    eta = np.asarray(eta, dtype=float)
-    e2 = eta * eta
-    Q = np.polynomial.polynomial.polyval(e2, params.Q_coeffs)
-    dQ = np.polynomial.polynomial.polyval(
-        e2, np.polynomial.polynomial.polyder(params.Q_coeffs)
-    ) if len(params.Q_coeffs) > 1 else np.zeros_like(eta)
-    if label.parity == +1:
-        return Q, 2.0 * eta * dQ
-    return eta * Q, Q + 2.0 * e2 * dQ
+def channel_phase(params: TrialParams, label: StateLabel,
+                  setup: PhysicalSetup, x, channel: str):
+    """phase_of_trial_xi or phase_of_trial_eta, by channel name."""
+    if channel == "xi":
+        return phase_of_trial_xi(params, label, setup, x)
+    return phase_of_trial_eta(params, label, x)
 
 
-def xi_prefactor(params: TrialParams, xi):
-    """f(xi) = P_n(xi) of X = f exp(-phi0) and its derivative."""
-    xi = np.asarray(xi, dtype=float)
-    coeffs = params.poly_xi()
-    f = np.polynomial.polynomial.polyval(xi, coeffs)
-    if len(coeffs) > 1:
-        df = np.polynomial.polynomial.polyval(
-            xi, np.polynomial.polynomial.polyder(coeffs)
-        )
-    else:
-        df = np.zeros_like(xi)
-    return f, df
+def prefactor(params: TrialParams, label: StateLabel, x, channel: str):
+    """(g, g', g'') of the channel's prefactor: xi - xi0 on the xi channel
+    of a single-node state, eta on the odd eta branch, 1 otherwise."""
+    if channel == "xi" and params.xi0 is not None:
+        return np.asarray(x, dtype=float) - params.xi0, 1.0, 0.0
+    if channel == "eta" and label.parity == -1:
+        return np.asarray(x, dtype=float), 1.0, 0.0
+    return 1.0, 0.0, 0.0
 
 
-def _eta_poly_coeffs(params: TrialParams, parity: int):
-    """g as an ordinary polynomial in eta (Q_m(eta^2), times eta when odd)."""
-    q = np.asarray(params.Q_coeffs, dtype=float)
-    c = np.zeros(2 * len(q) - 1 + (parity == -1))
-    c[(1 if parity == -1 else 0)::2] = q
-    return c
-
-
-def channel_prefactor_second(params: TrialParams, label: StateLabel, nodes,
-                             channel: str):
-    """(g, g', g'') of the polynomial prefactor on either channel."""
-    nodes = np.asarray(nodes, dtype=float)
-    pp = np.polynomial.polynomial
-    coeffs = params.poly_xi() if channel == "xi" else _eta_poly_coeffs(
-        params, label.parity)
-    vals = [pp.polyval(nodes, coeffs)]
-    c = np.asarray(coeffs, dtype=float)
-    for _ in range(2):
-        c = pp.polyder(c) if len(c) > 1 else np.zeros(1)
-        vals.append(pp.polyval(nodes, c) * np.ones_like(nodes))
-    return tuple(vals)
+def channel_factor(params: TrialParams, label: StateLabel,
+                   setup: PhysicalSetup, x, channel: str, logscale: float):
+    """(X, X', X'') of one channel (sans its (x^2-1)^(L/2) factor) on x,
+    times exp(logscale)."""
+    phi, dphi, ddphi = channel_phase(params, label, setup, x, channel)
+    g, dg, ddg = prefactor(params, label, x, channel)
+    e = np.exp(-(phi - logscale))
+    return (g * e, (dg - g * dphi) * e,
+            (ddg - 2.0 * dg * dphi - g * ddphi + g * dphi * dphi) * e)
 
 
 # ----------------------------------------------------------------------
@@ -300,19 +272,18 @@ def xi_channel(params: TrialParams, label: StateLabel, setup: PhysicalSetup,
     `envelope` (xi_envelope on these nodes) when given."""
     nodes = np.asarray(nodes, dtype=float)
     e, dphi, logscale = envelope or xi_envelope(params, label, setup, nodes)
-    f, df = xi_prefactor(params, nodes)
+    f, df, _ = prefactor(params, label, nodes, "xi")
     return ChannelArrays(f * e, (df - f * dphi) * e, logscale, nodes)
 
 
 def eta_channel(params: TrialParams, label: StateLabel,
-                nodes, logscale: float | None = None) -> ChannelArrays:
+                nodes) -> ChannelArrays:
     """Y (sans (1-eta^2)^(L/2)) and Y' on a grid, in scaled form."""
     nodes = np.asarray(nodes, dtype=float)
     rho, drho, _ = phase_of_trial_eta(params, label, nodes)
-    if logscale is None:
-        logscale = float(np.min(rho))
+    logscale = float(np.min(rho))
     e = np.exp(-(rho - logscale))
-    g, dg = eta_prefactor(params, label, nodes)
+    g, dg, _ = prefactor(params, label, nodes, "eta")
     return ChannelArrays(g * e, (dg - g * drho) * e, logscale, nodes)
 
 
@@ -327,7 +298,7 @@ def eval_X(params: TrialParams, label: StateLabel, setup: PhysicalSetup, xi):
     if np.any(xi < 1.0):
         raise ParamDomainError("xi must be >= 1")
     phi, _, _ = phase_of_trial_xi(params, label, setup, xi)
-    f, _ = xi_prefactor(params, xi)
+    f = prefactor(params, label, xi, "xi")[0]
     with np.errstate(under="ignore"):
         out = (xi**2 - 1.0) ** (label.lam / 2.0) * f * np.exp(-phi)
     return out if out.ndim else float(out)
@@ -343,9 +314,8 @@ def eval_Y(params: TrialParams, label: StateLabel, eta):
     N, D, *_ = _eta_rationals(params, eta)
     w = eta * N / D
     nu = (1.0 + 2 * label.m + label.lam) / 4.0
-    Q = np.polynomial.polynomial.polyval(e2, params.Q_coeffs)
     branch = np.cosh(w) if label.parity == +1 else np.sinh(w)
-    out = (1.0 - e2) ** (label.lam / 2.0) * Q * D ** (-nu) * branch
+    out = (1.0 - e2) ** (label.lam / 2.0) * D ** (-nu) * branch
     return out if out.ndim else float(out)
 
 

@@ -230,12 +230,11 @@ def optimize_state(label: StateLabel, setup: PhysicalSetup, init: TrialParams,
 # R-continuation scans
 
 
-def scan_R(label: StateLabel, R_grid, seeds=None, warm_start: bool = True,
-           rule_N: int | None = None, ortho_refs=None) -> list:
+def scan_R(label: StateLabel, R_grid, warm_start: bool = True,
+           rule_N: int | None = None) -> list:
     """Optimize one state over a sorted R grid.
 
-    Every point has a cold seed: the supplied one, else the built-in
-    preset.  With warm_start the continuation seed (the previous optimum,
+    Every point has a cold seed, the built-in preset.  With warm_start the continuation seed (the previous optimum,
     p-like parameters rescaled by the R ratio) competes with it: the
     optimization starts from whichever of the two has the lower starting
     Rayleigh quotient, so a continuation seed from a neighbouring valley
@@ -252,17 +251,15 @@ def scan_R(label: StateLabel, R_grid, seeds=None, warm_start: bool = True,
         raise ValueError("R_grid must be sorted ascending")
     out: list = []
     prev: OptimizationResult | None = None
-    for i, R in enumerate(R_grid):
+    for R in R_grid:
         try:
             setup = PhysicalSetup(R)
             ref = None
             if label.n == 1:
-                ref = ortho_refs[i] if ortho_refs is not None else None
-                if ref is None:
-                    glabel = StateLabel(0, label.m, label.lam, label.parity)
-                    ref = optimize_state(glabel, setup, seed_for(glabel, R),
-                                         rule_N=rule_N).params
-            seed = seeds[i] if seeds is not None else seed_for(label, R)
+                glabel = StateLabel(0, label.m, label.lam, label.parity)
+                ref = optimize_state(glabel, setup, seed_for(glabel, R),
+                                     rule_N=rule_N).params
+            seed = seed_for(label, R)
             if warm_start and prev is not None and prev.converged:
                 warm = rescale_seed(prev.params, prev.setup.R, R)
                 seed = _lower_seed(label, setup, warm, seed, ref, rule_N)
@@ -330,7 +327,7 @@ def rescale_seed(params: TrialParams, R_from: float, R_to: float) -> TrialParams
     return TrialParams(alpha=params.alpha * s, gamma=params.gamma,
                        a1=params.a1 * s, a2=params.a2 * s * s,
                        b2=params.b2 * s * s, b3=params.b3 * s * s,
-                       p=params.p * s, Q_coeffs=params.Q_coeffs)
+                       p=params.p * s)
 
 
 # ----------------------------------------------------------------------

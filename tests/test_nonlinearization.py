@@ -133,12 +133,22 @@ def test_odd_branch_midplane_regular(bank):
     assert slopes[4] == pytest.approx(-slopes[0], rel=1e-6, abs=1e-12)
 
 
-def test_A1_invariant_under_rescaling(bank):
+def test_A1_invariant_under_rescaling(bank, monkeypatch):
+    from twocenter import nonlinearization, trial
+
     st = bank.get(GS, 2.0)
     p_phys = p_from_energy(st.energy.E_total, st.setup)
     a = first_correction_eta(st.params, GS, p_phys=p_phys)
-    b = first_correction_eta(st.params.replace(Q_coeffs=(2.0,)), GS,
-                             p_phys=p_phys)
+    unscaled = trial.prefactor
+
+    def doubled(params, label, x, channel):
+        g = unscaled(params, label, x, channel)
+        return tuple(2.0 * v for v in g) if channel == "eta" else g
+
+    # Y -> 2 Y: the eta prefactor of the same state, with its derivatives
+    monkeypatch.setattr(trial, "prefactor", doubled)
+    monkeypatch.setattr(nonlinearization, "prefactor", doubled)
+    b = first_correction_eta(st.params, GS, p_phys=p_phys)
     assert b.A1 == pytest.approx(a.A1, rel=1e-13)
 
 

@@ -1,15 +1,18 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from twocenter.model import PhysicalSetup, StateLabel
+from twocenter.presets import seed_for
 from twocenter.quadrature import (ChannelMoments, QuadratureConvergenceError,
                                   QuadratureError, assemble_energy,
                                   build_rules, channel_moments, integrate,
                                   kinetic_energy, norm_from_moments,
                                   norm_squared, rayleigh_converged,
-                                  rayleigh_quotient)
+                                  rayleigh_quotient, trial_channels,
+                                  trial_moments)
 from twocenter.trial import ChannelArrays, TrialParams, eta_channel, xi_channel
 
 GS = StateLabel(0, 0, 0, +1)
@@ -120,9 +123,12 @@ def test_norm_plateau_under_doubling():
 
 
 def test_norm_quadratic_scaling():
-    base = norm_squared(PARS_EQ, GS, SETUP_EQ, build_rules(PARS_EQ.p, 64))
-    doubled = norm_squared(PARS_EQ.replace(Q_coeffs=(2.0,)), GS, SETUP_EQ,
-                           build_rules(PARS_EQ.p, 64))
+    rules = build_rules(PARS_EQ.p, 64)
+    base = norm_squared(PARS_EQ, GS, SETUP_EQ, rules)
+    cx, ce = trial_channels(PARS_EQ, GS, SETUP_EQ, rules)
+    ce2 = dataclasses.replace(ce, vals=2.0 * ce.vals, dvals=2.0 * ce.dvals)
+    doubled = norm_from_moments(*trial_moments((cx, ce2), GS, rules),
+                                SETUP_EQ)
     assert doubled == pytest.approx(4.0 * base, rel=1e-14)
 
 
@@ -148,10 +154,19 @@ def test_rayleigh_reflection_symmetry():
     assert e1.E_total == e2.E_total
 
 
-def test_weak_equals_strong_kinetic():
-    rules = build_rules(PARS_EQ.p, 96)
-    kw = kinetic_energy(PARS_EQ, GS, SETUP_EQ, rules, "weak")
-    ks = kinetic_energy(PARS_EQ, GS, SETUP_EQ, rules, "strong")
+@pytest.mark.parametrize("label, setup, pars", [
+    (GS, SETUP_EQ, PARS_EQ),
+    (StateLabel(1, 0, 0, +1), PhysicalSetup(4.0),                # 2ssg
+     seed_for(StateLabel(1, 0, 0, +1), 4.0).replace(xi0=2.5)),
+    (StateLabel(1, 0, 0, -1), PhysicalSetup(2.0),                # 3psu
+     seed_for(StateLabel(1, 0, 0, -1), 2.0).replace(xi0=2.5)),
+    (StateLabel(0, 0, 0, -1), PhysicalSetup(2.0),                # 2psu
+     seed_for(StateLabel(0, 0, 0, -1), 2.0)),
+], ids=["1ssg", "2ssg", "3psu", "2psu"])
+def test_weak_equals_strong_kinetic(label, setup, pars):
+    rules = build_rules(pars.p, 96)
+    kw = kinetic_energy(pars, label, setup, rules, "weak")
+    ks = kinetic_energy(pars, label, setup, rules, "strong")
     assert ks == pytest.approx(kw, rel=1e-10)
 
 
@@ -210,5 +225,7 @@ def test_non_positive_norm_raises():
 def test_extended_precision_mode_agrees():
     rules = build_rules(PARS_EQ.p, 64)
     e_std = rayleigh_quotient(PARS_EQ, GS, SETUP_EQ, rules)
-    e_ext = rayleigh_quotient(PARS_EQ, GS, SETUP_EQ, rules, extended=True)
+    channels = trial_channels(PARS_EQ, GS, SETUP_EQ, rules)
+    e_ext = assemble_energy(*[channel_moments(c, c, r, GS.lam, extended=True)
+                              for c, r in zip(channels, rules)], SETUP_EQ)
     assert e_ext.E_total == pytest.approx(e_std.E_total, abs=5e-14)

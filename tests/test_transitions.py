@@ -69,12 +69,19 @@ def test_quadrupole_strength_example(bank):
 
 
 def test_normalization_invariance(bank):
+    import dataclasses
+
     from twocenter.states import SolvedState
+
+    class EtaTripled(SolvedState):
+        def eta_arrays(self, nodes):
+            ca = super().eta_arrays(nodes)
+            return dataclasses.replace(ca, vals=3.0 * ca.vals,
+                                       dvals=3.0 * ca.dvals)
 
     g = bank.get(GS, 2.0)
     f = bank.get(StateLabel(0, 0, 1, +1), 2.0)
-    f_scaled = SolvedState(f.label, f.setup,
-                           f.params.replace(Q_coeffs=(3.0,)), f.energy)
+    f_scaled = EtaTripled(f.label, f.setup, f.params, f.energy)
     r1 = oscillator_strength_E1(g, f)
     r2 = oscillator_strength_E1(g, f_scaled)
     assert r2.f == pytest.approx(r1.f, rel=1e-11)
