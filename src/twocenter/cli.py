@@ -339,37 +339,41 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", help="JSON file with default flag values")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, state=True):
-        if state:
+    def common(p, *groups):
+        """Add the flags of the named groups, then --out and --format."""
+        if "state" in groups:
             p.add_argument("--state", required=True,
                            help="label '(n,m,lam,+-)' or name like 1ssg")
-        p.add_argument("--R", type=float)
-        p.add_argument("--R-grid", dest="R_grid",
-                       help="start:stop:step (inclusive)")
-        p.add_argument("--quad-N", dest="quad_N", type=int, default=None)
-        p.add_argument("--precision", choices=("standard", "extended"),
-                       default="standard")
+        if "grid" in groups:
+            p.add_argument("--R", type=float)
+            p.add_argument("--R-grid", dest="R_grid",
+                           help="start:stop:step (inclusive)")
+        if "quad" in groups:
+            p.add_argument("--quad-N", dest="quad_N", type=int, default=None)
+        if "precision" in groups:
+            p.add_argument("--precision", choices=("standard", "extended"),
+                           default="standard")
         p.add_argument("--out", help="output file (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("optimize", help="variational solve")
-    common(p)
+    common(p, "state", "grid", "quad", "precision")
     p.add_argument("--store", action="store_true",
                    help="persist parameters under TWOCENTER_DATA_DIR")
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("oracle", help="independent bispectral solve")
-    common(p)
+    common(p, "state", "grid")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("pt", help="first-order corrections")
-    common(p)
+    common(p, "state", "grid", "quad")
     p.add_argument("--emit-tables", metavar="PREFIX",
                    help="write (xi, phi1)/(eta, rho1) CSV tables")
     p.set_defaults(func=cmd_pt)
 
     p = sub.add_parser("transitions", help="oscillator strengths")
-    common(p, state=False)
+    common(p, "grid", "quad")
     p.add_argument("--kind", required=True, choices=("E1", "B1", "E2"))
     p.add_argument("--final", required=True)
     p.add_argument("--initial", default="1ssg")
@@ -378,41 +382,51 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_transitions)
 
     p = sub.add_parser("united-atom", help="R -> 0 limit data")
-    common(p)
+    common(p, "state")
     p.add_argument("--probe", action="store_true",
                    help="run the oracle along a shrinking R sequence")
     p.set_defaults(func=cmd_united_atom)
-    p.set_defaults(R=1.0)
 
     p = sub.add_parser("reproduce-tables", help="regenerate references")
     p.add_argument("--which", required=True,
                    help="comma list of table ids (I,II,V,VI,VII,VIII,IX,X)")
     p.add_argument("--grid", default="paper",
                    help="'paper' or comma list of R values")
-    p.add_argument("--quad-N", dest="quad_N", type=int, default=None)
-    p.add_argument("--out", help="output file")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    common(p, "quad")
     p.set_defaults(func=cmd_reproduce)
     return ap
 
 
+def _config_tokens(path: str) -> list[str]:
+    """A JSON config file's entries as flag tokens: "--key=value", or
+    "--key" for a switch set to true."""
+    try:
+        with open(path) as fh:
+            overrides = json.load(fh)
+    except OSError as exc:
+        raise CliError(f"cannot read config: {exc}", 4) from None
+    except json.JSONDecodeError as exc:
+        raise CliError(f"bad config JSON: {exc}", 2) from None
+    if not isinstance(overrides, dict):
+        raise CliError("config must be a JSON object", 2)
+    bad = [k for k, v in overrides.items()
+           if v is False or not isinstance(v, (int, float, str))]
+    if bad:
+        raise CliError(f"config values of {bad} must be strings, numbers "
+                       "or true", 2)
+    return [f"--{k.replace('_', '-')}" + ("" if v is True else f"={v}")
+            for k, v in overrides.items()]
+
+
 def main(argv=None) -> int:
     ap = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = ap.parse_args(argv)
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                overrides = json.load(fh)
-        except OSError as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return 4
-        except json.JSONDecodeError as exc:
-            print(f"error: bad config JSON: {exc}", file=sys.stderr)
-            return 2
-        # per the interface contract the config file wins over flags
-        for k, v in overrides.items():
-            setattr(args, k.replace("-", "_"), v)
     try:
+        if args.config:
+            # per the interface contract the config file wins over flags:
+            # its entries are parsed after the command line
+            args = ap.parse_args(argv + _config_tokens(args.config))
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

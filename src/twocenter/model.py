@@ -118,11 +118,6 @@ def label_from_designation(name: str) -> StateLabel:
     raise KeyError(f"unknown state designation {name!r}")
 
 
-def is_supported(label: StateLabel) -> bool:
-    """True when variational presets exist for the label."""
-    return label in SUPPORTED_LABELS
-
-
 @dataclass(frozen=True)
 class PhysicalSetup:
     """Internuclear distance R [bohr] and the two nuclear charges."""

@@ -197,7 +197,8 @@ def _first_order(params, label, setup, p_phys, channel, q=None):
         return wX2, (VwX2 if q is None else q(x) * wX2)
 
     wX2, QwX2 = parts(rule.nodes)
-    A = integrate(rule, QwX2) / integrate(rule, wX2)
+    num, den = integrate(rule, np.array([QwX2, wX2]))
+    A = num / den
 
     def integrands(x):
         wX2, QwX2 = parts(x)

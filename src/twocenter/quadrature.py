@@ -4,11 +4,12 @@ All 3D integrals factorize through the volume element (R/2)^3 (xi^2-eta^2)
 dxi deta dphi into products of 1D channel moments.  The xi rule is a
 Gauss-Laguerre rule mapped as xi = 1 + t/(2 p_scale), matched to the
 exp(-2p xi) decay of the squared channel function; the eta rule is
-Gauss-Legendre on [-1, 1].  Moment accumulation uses Shewchuk (fsum)
-summation, so reruns are deterministic to the bit.  The long-double
-accumulator of the extended mode is reached only through `integrate` and
-`channel_moments`; the trial-state front ends always sum in the standard
-mode.
+Gauss-Legendre on [-1, 1].  `integrate` is the one moment kernel: each
+result makes one call per rule, with its integrands stacked as rows, and
+each row is summed by Shewchuk's fsum, so sums do not depend on numpy's
+summation order and reruns are deterministic to the bit.  Its long-double
+accumulator (extended) is reached only through `integrate` and
+`channel_moments`; the trial-state front ends sum in the standard mode.
 """
 
 from __future__ import annotations
@@ -80,12 +81,16 @@ def build_rules(p_scale: float, N: int) -> tuple[QuadratureRule, QuadratureRule]
 
 
 def integrate(rule: QuadratureRule, values: np.ndarray,
-              extended: bool = False) -> float:
-    """Sum weights*values with error-free-transform accumulation."""
+              extended: bool = False) -> float | list[float]:
+    """Sum weights*values along the last axis: a float for one row of N
+    values, the list of row sums for a (k, N) stack.  Each row is summed
+    by fsum, or in long double under extended, as if it came alone."""
     prod = rule.weights * values
     if extended:
-        return float(np.sum(prod.astype(np.longdouble)))
-    return math.fsum(prod.tolist())
+        sums = np.sum(prod.astype(np.longdouble), axis=-1)
+        return sums.astype(float).tolist()
+    rows = prod.tolist()
+    return math.fsum(rows) if prod.ndim == 1 else list(map(math.fsum, rows))
 
 
 @dataclass(frozen=True)
@@ -106,37 +111,25 @@ class ChannelMoments:
     logscale: float
 
 
-def _channel_weight(rule: QuadratureRule, lam: int):
-    x = rule.nodes
-    if rule.channel == "xi":
-        base = x * x - 1.0
-        kinw = base
-        crossfac = float(lam) * x
-        cent = lam * lam * (x * x + 1.0) * base ** (lam - 1) if lam >= 1 else None
-    else:
-        base = 1.0 - x * x
-        kinw = base
-        crossfac = -float(lam) * x
-        cent = lam * lam * (1.0 + x * x) * base ** (lam - 1) if lam >= 1 else None
-    return base**lam, kinw, crossfac, cent
-
-
 def channel_moments(ca: ChannelArrays, cb: ChannelArrays, rule: QuadratureRule,
                     lam: int, extended: bool = False) -> ChannelMoments:
-    """Pair moments of two (scaled) channel evaluations on the same rule."""
+    """Pair moments of two (scaled) channel evaluations on the same rule.
+
+    The weight base is xi^2-1 on the xi rule and 1-eta^2 on the eta rule,
+    one sign times x^2-1; the cross factor is that sign times lam x.
+    """
     x = rule.nodes
-    w, kinw, crossfac, cent = _channel_weight(rule, lam)
+    sign = 1.0 if rule.channel == "xi" else -1.0
+    base = sign * (x * x - 1.0)
+    w = base**lam
     ab = ca.vals * cb.vals
-    dd = ca.dvals * cb.dvals
-    cr = ca.dvals * cb.vals + ca.vals * cb.dvals
-    s0 = integrate(rule, ab * w, extended)
-    s1 = integrate(rule, x * ab * w, extended)
-    s2 = integrate(rule, x * x * ab * w, extended)
-    kin = integrate(rule, kinw * dd * w, extended)
-    cross = integrate(rule, crossfac * cr * w, extended)
-    centm = integrate(rule, cent * ab, extended) if cent is not None else 0.0
-    return ChannelMoments(s0, s1, s2, kin, cross, centm,
-                          ca.logscale + cb.logscale)
+    rows = [ab * w, x * ab * w, x * x * ab * w,
+            base * (ca.dvals * cb.dvals) * w]
+    if lam:  # the cross and centrifugal moments vanish for lam = 0
+        rows += [sign * lam * x * (ca.dvals * cb.vals + ca.vals * cb.dvals) * w,
+                 lam * lam * (x * x + 1.0) * base ** (lam - 1) * ab]
+    sums = integrate(rule, np.array(rows), extended) + [0.0, 0.0]
+    return ChannelMoments(*sums[:6], ca.logscale + cb.logscale)
 
 
 def assemble_energy(mx: ChannelMoments, me: ChannelMoments,

@@ -63,22 +63,22 @@ class SolvedState:
         dG = 1.0 + nc.c1 * (np.log(absd) + 1.0) + r + d * nc.dr(nodes)
         return ChannelArrays(G * e, (dG - G * dphi) * e, logscale, nodes)
 
-    def _channels(self, rules):
+    def channels(self, rules):
+        """The state's (xi, eta) channel arrays on a rule pair."""
         return self.xi_arrays(rules[0].nodes), self.eta_arrays(rules[1].nodes)
 
     def norm_squared(self, rules=None) -> float:
         rules = rules or self.rules()
-        mx, me = trial_moments(self._channels(rules), self.label, rules)
+        mx, me = trial_moments(self.channels(rules), self.label, rules)
         return norm_from_moments(mx, me, self.setup)
 
     def rayleigh(self, rules=None) -> EnergyPair:
         rules = rules or self.rules()
-        return energy_from_channels(self._channels(rules), self.label,
+        return energy_from_channels(self.channels(rules), self.label,
                                     self.setup, rules)
 
-    def rules(self, N: int | None = None):
-        N = N or default_rule_size(self.params.p)
-        return build_rules(self.params.p, N)
+    def rules(self):
+        return build_rules(self.params.p, default_rule_size(self.params.p))
 
 
 def _damped(ca: ChannelArrays, pt: ChannelPT | None) -> ChannelArrays:

@@ -25,6 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .constants import BOHR_MAGNETON, FINE_STRUCTURE
 from .model import StateLabel
 from .quadrature import build_rules, integrate
@@ -60,78 +62,64 @@ def _parity_flips(i: StateLabel, f: StateLabel) -> bool:
     return ((i.sigma + i.lam) - (f.sigma + f.lam)) % 2 == 1
 
 
-def pair_rules(state_i: SolvedState, state_f: SolvedState, N: int = 96):
-    p_scale = 0.5 * (state_i.params.p + state_f.params.p)
-    return build_rules(p_scale, N)
+def _pair_moments(state_i: SolvedState, state_f: SolvedState,
+                  *kw: tuple[int, int], gradient: bool = False):
+    """({key: xi integral}, {key: eta integral}, |i| |f|) of a state pair,
+    on one 96-point rule pair at the combined decay scale (p_i + p_f)/2,
+    each channel summed by one stacked `integrate` call: per (k, w) in kw
 
+        int xi^k (xi^2-1)^w Xi Xf dxi,    int eta^k (1-eta^2)^w Yi Yf deta,
 
-class _Pair:
-    """1D channel integrals of a state pair on a shared rule."""
+    and with gradient=True, keyed by "grad", the magnetic element's pieces
 
-    def __init__(self, state_i: SolvedState, state_f: SolvedState, rules):
-        self.rx, self.re = rules
-        self.a = state_i.setup.a
-        ci = state_i.xi_arrays(self.rx.nodes)
-        cf = state_f.xi_arrays(self.rx.nodes)
-        ei = state_i.eta_arrays(self.re.nodes)
-        ef = state_f.eta_arrays(self.re.nodes)
-        self.Xi, self.dXi = ci.vals * math.exp(-ci.logscale), ci.dvals * math.exp(-ci.logscale)
-        self.Xf, self.dXf = cf.vals * math.exp(-cf.logscale), cf.dvals * math.exp(-cf.logscale)
-        self.Yi, self.dYi = ei.vals * math.exp(-ei.logscale), ei.dvals * math.exp(-ei.logscale)
-        self.Yf, self.dYf = ef.vals * math.exp(-ef.logscale), ef.dvals * math.exp(-ef.logscale)
-        self.norm = math.sqrt(state_i.norm_squared() * state_f.norm_squared())
-
-    def mxi(self, k: int, w: int) -> float:
-        x = self.rx.nodes
-        return integrate(self.rx, x**k * (x * x - 1.0) ** w * self.Xi * self.Xf)
-
-    def meta(self, k: int, w: int) -> float:
-        e = self.re.nodes
-        return integrate(self.re, e**k * (1.0 - e * e) ** w * self.Yi * self.Yf)
-
-    def mxi_dfinal(self) -> float:
-        """int Xi [(xi^2-1) Xf' + xi Xf] dxi (transverse gradient piece)."""
-        x = self.rx.nodes
-        return integrate(self.rx,
-                         self.Xi * ((x * x - 1.0) * self.dXf + x * self.Xf))
-
-    def meta_dfinal(self) -> float:
-        """int Yi [(1-eta^2) Yf' - eta Yf] deta."""
-        e = self.re.nodes
-        return integrate(self.re,
-                         self.Yi * ((1.0 - e * e) * self.dYf - e * self.Yf))
+        int Xi [(xi^2-1) Xf' + xi Xf] dxi, int Yi [(1-eta^2) Yf' - eta Yf] deta
+    """
+    rules = build_rules(0.5 * (state_i.params.p + state_f.params.p), 96)
+    out = []
+    for rule, ci, cf in zip(rules, state_i.channels(rules),
+                            state_f.channels(rules)):
+        x = rule.nodes
+        sign = 1.0 if rule.channel == "xi" else -1.0
+        base = sign * (x * x - 1.0)
+        vi = ci.vals * math.exp(-ci.logscale)
+        vf, dvf = (v * math.exp(-cf.logscale) for v in (cf.vals, cf.dvals))
+        rows = {(k, w): x**k * base**w * vi * vf for k, w in kw}
+        if gradient:
+            rows["grad"] = vi * (base * dvf + sign * x * vf)
+        sums = integrate(rule, np.array(list(rows.values())))
+        out.append(dict(zip(rows, sums)))
+    return (*out, math.sqrt(state_i.norm_squared() * state_f.norm_squared()))
 
 
 # ----------------------------------------------------------------------
 # electric dipole
 
 
-def dipole_matrix_element(state_i: SolvedState, state_f: SolvedState,
-                          rules=None) -> float:
+def dipole_matrix_element(state_i: SolvedState,
+                          state_f: SolvedState) -> float:
     """S1 = |<i| r |f>|^2 for one final member; 0 when |dLambda| > 1."""
     dlam = abs(state_f.label.lam - state_i.label.lam)
     if dlam > 1 or not _parity_flips(state_i.label, state_f.label):
         return 0.0
-    rules = rules or pair_rules(state_i, state_f)
-    pr = _Pair(state_i, state_f, rules)
-    a = pr.a
+    a = state_i.setup.a
     lam = min(state_i.label.lam, state_f.label.lam)
     if dlam == 0:
-        zme = 2.0 * math.pi * a**4 * (pr.mxi(3, lam) * pr.meta(1, lam)
-                                      - pr.mxi(1, lam) * pr.meta(3, lam))
-        return zme * zme / pr.norm**2
-    J = pr.mxi(0, lam + 2) * pr.meta(0, lam + 1) \
-        + pr.mxi(0, lam + 1) * pr.meta(0, lam + 2)
+        X, Y, norm = _pair_moments(state_i, state_f, (3, lam), (1, lam))
+        zme = 2.0 * math.pi * a**4 * (X[3, lam] * Y[1, lam]
+                                      - X[1, lam] * Y[3, lam])
+        return zme * zme / norm**2
+    X, Y, norm = _pair_moments(state_i, state_f, (0, lam + 2), (0, lam + 1))
+    J = X[0, lam + 2] * Y[0, lam + 1] + X[0, lam + 1] * Y[0, lam + 2]
     tme2 = 2.0 * (math.pi * a**4 * J) ** 2
-    return tme2 / pr.norm**2
+    return tme2 / norm**2
 
 
-def oscillator_strength_E1(state_i: SolvedState, state_f: SolvedState,
-                           rules=None) -> TransitionRecord:
+def oscillator_strength_E1(state_i: SolvedState,
+                           state_f: SolvedState) -> TransitionRecord:
     dE = state_f.energy.E_total - state_i.energy.E_total
     if dE <= 0.0:
         raise TransitionOrderingError(f"E_f <= E_i for {state_f.label}")
-    S1 = dipole_matrix_element(state_i, state_f, rules)
+    S1 = dipole_matrix_element(state_i, state_f)
     G = degeneracy(state_f.label)
     f = G * dE * S1 / 3.0
     return TransitionRecord("E1", state_i.label, state_f.label,
@@ -143,31 +131,29 @@ def oscillator_strength_E1(state_i: SolvedState, state_f: SolvedState,
 # magnetic dipole
 
 
-def magnetic_matrix_element(state_i: SolvedState, state_f: SolvedState,
-                            rules=None) -> float:
+def magnetic_matrix_element(state_i: SolvedState,
+                            state_f: SolvedState) -> float:
     """Sum over final members of |<i| L |f_m>|^2 = |<i| L_- |f_+>|^2."""
     li, lf = state_i.label, state_f.label
     if abs(lf.lam - li.lam) != 1 or _parity_flips(li, lf):
         return 0.0
     if li.lam != 0 or lf.lam != 1:
         raise NotImplementedError("magnetic elements wired for sigma -> pi")
-    rules = rules or pair_rules(state_i, state_f)
-    pr = _Pair(state_i, state_f, rules)
-    a3 = pr.a**3
-    termA = -a3 * (pr.mxi_dfinal() * pr.meta(1, 1)
-                   - pr.mxi(1, 1) * pr.meta_dfinal())
-    termB = -a3 * (pr.mxi(3, 0) * pr.meta(1, 0)
-                   - pr.mxi(1, 0) * pr.meta(3, 0))
+    a3 = state_i.setup.a**3
+    X, Y, norm = _pair_moments(state_i, state_f, (1, 1), (3, 0), (1, 0),
+                               gradient=True)
+    termA = -a3 * (X["grad"] * Y[1, 1] - X[1, 1] * Y["grad"])
+    termB = -a3 * (X[3, 0] * Y[1, 0] - X[1, 0] * Y[3, 0])
     Lminus = 2.0 * math.pi * (termA + termB)
-    return (Lminus / pr.norm) ** 2
+    return (Lminus / norm) ** 2
 
 
-def oscillator_strength_B1(state_i: SolvedState, state_f: SolvedState,
-                           rules=None) -> TransitionRecord:
+def oscillator_strength_B1(state_i: SolvedState,
+                           state_f: SolvedState) -> TransitionRecord:
     dE = state_f.energy.E_total - state_i.energy.E_total
     if dE <= 0.0:
         raise TransitionOrderingError(f"E_f <= E_i for {state_f.label}")
-    L2 = magnetic_matrix_element(state_i, state_f, rules)
+    L2 = magnetic_matrix_element(state_i, state_f)
     S = BOHR_MAGNETON**2 * L2
     f = dE * S / 3.0
     return TransitionRecord("B1", state_i.label, state_f.label,
@@ -179,8 +165,8 @@ def oscillator_strength_B1(state_i: SolvedState, state_f: SolvedState,
 # electric quadrupole
 
 
-def quadrupole_matrix_element(state_i: SolvedState, state_f: SolvedState,
-                              rules=None) -> float:
+def quadrupole_matrix_element(state_i: SolvedState,
+                              state_f: SolvedState) -> float:
     """S2 = |<i| r^2 C2_mu |f>|^2 for one final member, mu = dLambda."""
     li, lf = state_i.label, state_f.label
     dlam = abs(lf.lam - li.lam)
@@ -188,32 +174,30 @@ def quadrupole_matrix_element(state_i: SolvedState, state_f: SolvedState,
         return 0.0
     if li.lam != 0:
         raise NotImplementedError("quadrupole elements wired for sigma initial")
-    rules = rules or pair_rules(state_i, state_f)
-    pr = _Pair(state_i, state_f, rules)
-    a = pr.a
     if dlam == 0:
-        raw = 0.5 * (3.0 * pr.mxi(4, 0) * pr.meta(2, 0)
-                     - 3.0 * pr.mxi(2, 0) * pr.meta(4, 0)
-                     - pr.mxi(4, 0) * pr.meta(0, 0)
-                     + pr.mxi(2, 0) * pr.meta(0, 0)
-                     - pr.mxi(0, 0) * pr.meta(2, 0)
-                     + pr.mxi(0, 0) * pr.meta(4, 0))
+        X, Y, norm = _pair_moments(state_i, state_f, (4, 0), (2, 0), (0, 0))
+        raw = 0.5 * (3.0 * X[4, 0] * Y[2, 0]
+                     - 3.0 * X[2, 0] * Y[4, 0]
+                     - X[4, 0] * Y[0, 0]
+                     + X[2, 0] * Y[0, 0]
+                     - X[0, 0] * Y[2, 0]
+                     + X[0, 0] * Y[4, 0])
     elif dlam == 1:
-        raw = math.sqrt(1.5) * (pr.mxi(1, 2) * pr.meta(1, 1)
-                                + pr.mxi(1, 1) * pr.meta(1, 2))
+        X, Y, norm = _pair_moments(state_i, state_f, (1, 2), (1, 1))
+        raw = math.sqrt(1.5) * (X[1, 2] * Y[1, 1] + X[1, 1] * Y[1, 2])
     else:
-        raw = math.sqrt(3.0 / 8.0) * (pr.mxi(0, 3) * pr.meta(0, 2)
-                                      + pr.mxi(0, 2) * pr.meta(0, 3))
-    me = 2.0 * math.pi * a**5 * raw
-    return (me / pr.norm) ** 2
+        X, Y, norm = _pair_moments(state_i, state_f, (0, 3), (0, 2))
+        raw = math.sqrt(3.0 / 8.0) * (X[0, 3] * Y[0, 2] + X[0, 2] * Y[0, 3])
+    me = 2.0 * math.pi * state_i.setup.a**5 * raw
+    return (me / norm) ** 2
 
 
-def oscillator_strength_E2(state_i: SolvedState, state_f: SolvedState,
-                           rules=None) -> TransitionRecord:
+def oscillator_strength_E2(state_i: SolvedState,
+                           state_f: SolvedState) -> TransitionRecord:
     dE = state_f.energy.E_total - state_i.energy.E_total
     if dE <= 0.0:
         raise TransitionOrderingError(f"E_f <= E_i for {state_f.label}")
-    S2 = quadrupole_matrix_element(state_i, state_f, rules)
+    S2 = quadrupole_matrix_element(state_i, state_f)
     G = degeneracy(state_f.label)
     f = FINE_STRUCTURE**2 / 240.0 * G * dE**3 * S2
     return TransitionRecord("E2", state_i.label, state_f.label,
@@ -226,9 +210,9 @@ _KINDS = {"E1": oscillator_strength_E1, "B1": oscillator_strength_B1,
 
 
 def oscillator_strength(kind: str, state_i: SolvedState,
-                        state_f: SolvedState, rules=None) -> TransitionRecord:
+                        state_f: SolvedState) -> TransitionRecord:
     try:
         fn = _KINDS[kind.upper()]
     except KeyError:
         raise ValueError(f"unknown transition kind {kind!r}") from None
-    return fn(state_i, state_f, rules)
+    return fn(state_i, state_f)

@@ -29,6 +29,8 @@ from .trial import (ParamDomainError, TrialParams, eta_channel, xi_channel,
                     xi_envelope)
 
 _FIELDS = ("alpha", "gamma", "a1", "a2", "b2", "b3", "p")
+# initial simplex steps of optimize_state's Nelder-Mead runs, in order
+STEP_LADDER = (0.05, 0.01, 0.002, 0.0005)
 
 
 @dataclass
@@ -79,10 +81,10 @@ def solve_node(label: StateLabel, setup: PhysicalSetup, params: TrialParams,
     """Node xi0 of a single-node trial, and its (xi, eta) channels there.
 
     The overlap with the nodeless partner of the same parity (its channels
-    on `rules`) is c0 - xi0 c1, c_k = int g e xi^k (xi^2 S0 - S2), with g
+    on `rules`) is c1 - xi0 c0, c_k = int g e xi^k (xi^2 S0 - S2), with g
     the partner's xi channel, e the trial's without its factor xi - xi0
     and S0, S2 the eta moments.  Both integrands are positive, so
-    xi0 = c0/c1 is a weighted mean of the nodes, free of cancellation.
+    xi0 = c1/c0 is a weighted mean of the nodes, free of cancellation.
     """
     if label.n != 1:
         raise ValueError(f"solve_node applies to n=1 states, got {label}")
@@ -93,8 +95,8 @@ def solve_node(label: StateLabel, setup: PhysicalSetup, params: TrialParams,
     envelope = xi_envelope(params, label, setup, x)
     u = cg_x.vals * envelope[0] * (x * x - 1.0) ** label.lam \
         * (x * x * me.s0 - me.s2)
-    c1 = integrate(rx, u)
-    xi0 = integrate(rx, x * u) / c1 if c1 != 0.0 else math.inf
+    c0, c1 = integrate(rx, np.array([u, x * u]))
+    xi0 = c1 / c0 if c0 != 0.0 else math.inf
     if not 1.0 < xi0 < math.inf:
         raise ParamDomainError(f"node xi0 must be finite and > 1, got {xi0}")
     return xi0, (xi_channel(params.replace(xi0=xi0), label, setup, x,
@@ -123,15 +125,14 @@ def _energy(label: StateLabel, setup: PhysicalSetup, params: TrialParams,
 def optimize_state(label: StateLabel, setup: PhysicalSetup, init: TrialParams,
                    budget: int | None = None, rule_N: int | None = None,
                    ortho_ref: TrialParams | None = None,
-                   frozen: dict[str, float] | None = None,
-                   restarts: int = 3,
-                   steps: tuple = (0.05, 0.01, 0.002, 0.0005)) -> OptimizationResult:
+                   frozen: dict[str, float] | None = None) -> OptimizationResult:
     """Locally minimal Rayleigh quotient over the seven shape parameters.
 
     Derivative-free and deterministic for a given (init, budget): a fixed
-    ladder of Nelder-Mead runs with shrinking initial simplex steps, the
-    quadrature rule rebuilt from the current best p between runs.  Steps
-    that violate the parameter domain are rejected inside the objective.
+    ladder of Nelder-Mead runs with the shrinking initial simplex steps of
+    STEP_LADDER, the quadrature rule rebuilt from the current best p
+    between runs.  Steps that violate the parameter domain are rejected
+    inside the objective.
     For n=1 states `ortho_ref` must hold the converged nodeless parameters
     of the same parity; xi0 then follows from solve_node at every step.
     """
@@ -181,7 +182,7 @@ def optimize_state(label: StateLabel, setup: PhysicalSetup, init: TrialParams,
         return xr, float(res.fun), bool(res.success)
 
     x_best, f_best, ok = x_full, math.inf, False
-    for step in steps[: restarts + 1]:
+    for step in STEP_LADDER:
         rules, N = rules_for(x_best[-1] if f_best < 1e5 else init.p)
         x_try, f_try, run_ok = run(x_best, step, rules)
         if f_try < f_best:
@@ -234,15 +235,15 @@ def scan_R(label: StateLabel, R_grid, warm_start: bool = True,
            rule_N: int | None = None) -> list:
     """Optimize one state over a sorted R grid.
 
-    Every point has a cold seed, the built-in preset.  With warm_start the continuation seed (the previous optimum,
-    p-like parameters rescaled by the R ratio) competes with it: the
-    optimization starts from whichever of the two has the lower starting
-    Rayleigh quotient, so a continuation seed from a neighbouring valley
-    cannot displace a better preset.  A continuation seed outside the
-    parameter domain is dropped.  A point that fails with a domain or
-    quadrature error (ValueError, QuadratureError) is returned in place as
-    the exception object without aborting the scan; anything else
-    propagates.
+    Every point has a cold seed, the built-in preset.  With warm_start
+    the continuation seed (the previous optimum, p-like parameters
+    rescaled by the R ratio) competes with it: the optimization starts
+    from whichever of the two has the lower starting Rayleigh quotient, so
+    a continuation seed from a neighbouring valley cannot displace a
+    better preset.  A continuation seed outside the parameter domain is
+    dropped.  A point that fails with a domain or quadrature error
+    (ValueError, QuadratureError) is returned in place as the exception
+    object without aborting the scan; anything else propagates.
     """
     from .presets import seed_for
 

@@ -125,6 +125,20 @@ def test_config_file_overrides(tmp_path):
     assert doc[0]["R"] == 2.0
 
 
+@pytest.mark.parametrize("entry, message", [
+    ({"R": "abc"}, "invalid float value"),
+    ({"quadN": 64}, "unrecognized arguments"),
+    ({"format": "xml"}, "invalid choice"),
+], ids=["bad-value", "unknown-key", "bad-choice"])
+def test_config_file_values_are_validated(tmp_path, capsys, entry, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entry))
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "oracle", "--state", "1ssg", "--R", "2"])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_extended_precision_flag(tmp_path):
     out = tmp_path / "e.csv"
     rc = main(["optimize", "--state", "1ssg", "--R", "2.0",

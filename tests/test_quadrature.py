@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from twocenter.model import PhysicalSetup, StateLabel
 from twocenter.presets import seed_for
@@ -67,6 +68,18 @@ def test_eta_rule_polynomial_exactness():
     assert integrate(re, re.nodes**2) == pytest.approx(2.0 / 3.0, rel=1e-15)
     assert integrate(re, 1.0 - re.nodes**2) == pytest.approx(4.0 / 3.0,
                                                              rel=1e-15)
+
+
+@given(k=st.integers(1, 6), N=st.sampled_from([16, 64, 96]),
+       channel=st.sampled_from([0, 1]), extended=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_integrate_matches_rows(k, N, channel, extended, seed):
+    rule = build_rules(1.3, N)[channel]
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((k, N)) * 10.0 ** rng.integers(-8, 9, (k, 1))
+    sums = integrate(rule, stack, extended)
+    rows = [integrate(rule, row, extended) for row in stack]
+    assert [s.hex() for s in sums] == [r.hex() for r in rows]
 
 
 def _hm_channels(alpha2, setup, rules):

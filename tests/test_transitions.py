@@ -45,11 +45,14 @@ def test_ordering_error(bank):
         oscillator_strength_E1(u, g)
 
 
-def test_dipole_hermitian_symmetry(bank):
+@pytest.mark.parametrize("element, final", [
+    (dipole_matrix_element, StateLabel(0, 0, 1, +1)),
+    (quadrupole_matrix_element, StateLabel(1, 0, 0, +1)),
+], ids=["dipole", "quadrupole"])
+def test_dipole_hermitian_symmetry(bank, element, final):
     g = bank.get(GS, 4.0)
-    f = bank.get(StateLabel(0, 0, 1, +1), 4.0)
-    assert dipole_matrix_element(g, f) == pytest.approx(
-        dipole_matrix_element(f, g), rel=1e-12)
+    f = bank.get(final, 4.0)
+    assert element(g, f) == pytest.approx(element(f, g), rel=1e-12)
 
 
 def test_magnetic_strength_example(bank):

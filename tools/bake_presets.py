@@ -12,14 +12,19 @@ to each point so a bad bake is obvious.  Run from the repository root:
 import os
 import sys
 import time
+from unittest import mock
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from twocenter import variational  # noqa: E402
 from twocenter.model import PhysicalSetup, StateLabel  # noqa: E402
 from twocenter.presets import seed_for  # noqa: E402
 from twocenter.reference import energy_table  # noqa: E402
 from twocenter.trial import ParamDomainError  # noqa: E402
 from twocenter.variational import optimize_state, rescale_seed  # noqa: E402
+
+# simplex steps of the polish pass, finer than the solver's own ladder
+POLISH_LADDER = (0.004, 0.0008, 0.00015)
 
 # main ladders ascend from R = 1; sub-bohr points hang off the R = 1 result
 GRIDS = {
@@ -103,10 +108,11 @@ def main() -> None:
                 except Exception:
                     pass
                 for cand in candidates:
-                    res = optimize_state(label, PhysicalSetup(R),
-                                         cand.replace(xi0=None),
-                                         ortho_ref=ortho,
-                                         steps=(0.004, 0.0008, 0.00015))
+                    with mock.patch.object(variational, "STEP_LADDER",
+                                           POLISH_LADDER):
+                        res = optimize_state(label, PhysicalSetup(R),
+                                             cand.replace(xi0=None),
+                                             ortho_ref=ortho)
                     if res.energy.E_total < best.energy.E_total - 1e-14:
                         best, improved = res, True
                 if not improved:
