@@ -22,8 +22,8 @@ import math
 import os
 import sys
 
-from .model import (PhysicalSetup, StateLabel, label_from_designation,
-                    united_atom_designation)
+from .model import (PhysicalSetup, StateLabel, UnsupportedStateError,
+                    label_from_designation, united_atom_designation)
 from .oracle import (AngularConvergenceError, OracleConvergenceError,
                      RadialRootError)
 from .quadrature import QuadratureError
@@ -421,17 +421,21 @@ def _config_tokens(path: str) -> list[str]:
 def main(argv=None) -> int:
     ap = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = ap.parse_args(argv)
+    # --config is read first, so that the file can supply required flags
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config")
+    config = pre.parse_known_args(argv)[0].config
     try:
-        if args.config:
+        if config:
             # per the interface contract the config file wins over flags:
             # its entries are parsed after the command line
-            args = ap.parse_args(argv + _config_tokens(args.config))
+            argv = argv + _config_tokens(config)
+        args = ap.parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (ParamDomainError, ValueError) as exc:
+    except (ParamDomainError, ValueError, UnsupportedStateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (QuadratureError, AngularConvergenceError, OracleConvergenceError,

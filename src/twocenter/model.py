@@ -25,6 +25,11 @@ class UnboundChannelError(ValueError):
     """Raised when an energy does not correspond to a bound channel (E' >= 0)."""
 
 
+class UnsupportedStateError(LookupError):
+    """Raised when a variational solve is asked for a label outside
+    SUPPORTED_LABELS."""
+
+
 @dataclass(frozen=True)
 class StateLabel:
     """Quantum numbers (n, m, Lambda, parity) of a separated state."""
@@ -69,7 +74,9 @@ _L_LETTER = "spdfgh"
 _LAM_GREEK = "σπδφ"  # sigma pi delta phi
 _LAM_ASCII = "spdf"
 
-# The eight labels supported by the shipped variational presets.
+# The eight states the variational solve supports, all covered by the
+# baked presets; optimize_state raises UnsupportedStateError for any other
+# label.  The oracle takes any label.
 SUPPORTED_LABELS = (
     StateLabel(0, 0, 0, +1),
     StateLabel(0, 0, 0, -1),

@@ -64,12 +64,18 @@ class OracleResult:
     bracket_iterations: int
 
 
+_K0 = 24              # angular basis starts at _K0 + lam functions
+_N_ESTIMATE = 48      # truncated recurrence matrix that seeds A_n(p)
+_K_MAX = 1 << 16      # longest continued-fraction tail tried
+_MAX_EXPAND = 40      # p-bracket expansions before find_root gives up
+
+
 # ----------------------------------------------------------------------
 # angular channel
 
 
 def angular_eigenvalue(p: float, lam: int, m: int, parity: int,
-                       K0: int = 24, return_size: bool = False):
+                       return_size: bool = False):
     """Separation constant A(p) of the eta channel.
 
     Basis: normalized P_l^lam with l = lam + sigma + 2k; the m-th
@@ -78,7 +84,7 @@ def angular_eigenvalue(p: float, lam: int, m: int, parity: int,
     """
     sigma = 0 if parity == +1 else 1
     c2 = -p * p
-    K = K0 + lam
+    K = _K0 + lam
     prev = None
     trend = []
     while K <= 4096:
@@ -109,9 +115,6 @@ def angular_eigenvalue(p: float, lam: int, m: int, parity: int,
 
 # ----------------------------------------------------------------------
 # radial channel
-
-_N_ESTIMATE = 48      # truncated recurrence matrix that seeds A_n(p)
-_K_MAX = 1 << 16      # longest continued-fraction tail tried
 
 
 def _recurrence(p: float, b: float, lam: int, K: int):
@@ -206,7 +209,7 @@ def radial_mismatch(E_total: float, A: float, setup: PhysicalSetup, lam: int,
 
 
 def find_root(label: StateLabel, setup: PhysicalSetup, E_seed: float,
-              window: float = 2e-4, max_expand: int = 40) -> tuple[float, int]:
+              window: float = 2e-4) -> tuple[float, int]:
     """Bispectral root of A_n(p) = A_ang(p), and the bracket expansions.
 
     E_seed and window only place the first p-bracket, p(E_seed +- window);
@@ -227,7 +230,7 @@ def find_root(label: StateLabel, setup: PhysicalSetup, E_seed: float,
     D_lo, D_hi = D(lo), D(hi)
     expansions = 0
     while D_lo > 0.0 or D_hi < 0.0:
-        if expansions == max_expand:
+        if expansions == _MAX_EXPAND:
             raise RadialRootError(
                 f"no bispectral root with n={label.n} near E={E_seed}")
         width = 2.0 * (hi - lo)

@@ -170,8 +170,8 @@ class StateBank:
         self._solves: dict = {}
         self._corrections: dict = {}
 
-    def get(self, label: StateLabel, R: float, corrected: bool = False,
-            seed: TrialParams | None = None) -> SolvedState:
+    def get(self, label: StateLabel, R: float,
+            corrected: bool = False) -> SolvedState:
         key = (label, R)
         if key not in self._solves:
             setup = PhysicalSetup(R)
@@ -180,9 +180,8 @@ class StateBank:
                 glabel = StateLabel(0, label.m, label.lam, label.parity)
                 ortho = self.get(glabel, R).params
             self._solves[key] = optimize_state(
-                label, setup,
-                seed if seed is not None else seed_for(label, R),
-                rule_N=self.rule_N, ortho_ref=ortho)
+                label, setup, seed_for(label, R), rule_N=self.rule_N,
+                ortho_ref=ortho)
         res = self._solves[key]
         state = SolvedState(label, res.setup, res.params, res.energy,
                             result=res)

@@ -20,8 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .model import (EnergyPair, PhysicalSetup, StateLabel,
-                    UnboundChannelError, p_from_energy)
+from .model import (SUPPORTED_LABELS, EnergyPair, PhysicalSetup, StateLabel,
+                    UnboundChannelError, UnsupportedStateError, p_from_energy,
+                    united_atom_designation)
+from .presets import rescale_seed, seed_for
 from .quadrature import (QuadratureError, build_rules, channel_moments,
                          energy_from_channels, integrate, rayleigh_quotient,
                          trial_channels)
@@ -44,7 +46,6 @@ class OptimizationResult:
     iterations: int
     evaluations: int
     converged: bool
-    p_consistency: float
     rule_N: int
 
     def as_dict(self) -> dict:
@@ -135,7 +136,13 @@ def optimize_state(label: StateLabel, setup: PhysicalSetup, init: TrialParams,
     inside the objective.
     For n=1 states `ortho_ref` must hold the converged nodeless parameters
     of the same parity; xi0 then follows from solve_node at every step.
+    A label outside SUPPORTED_LABELS raises UnsupportedStateError before
+    any evaluation.
     """
+    if label not in SUPPORTED_LABELS:
+        names = ", ".join(map(united_atom_designation, SUPPORTED_LABELS))
+        raise UnsupportedStateError(
+            f"no variational solve for state {label}; supported: {names}")
     init.validate()
     if label.n == 1 and ortho_ref is None:
         raise ValueError("n=1 optimization needs ortho_ref (nodeless state)")
@@ -222,9 +229,8 @@ def optimize_state(label: StateLabel, setup: PhysicalSetup, init: TrialParams,
     pars = TrialParams(*[float(v) for v in x_best])
     pars, energy = _energy(label, setup, pars,
                            _partner(label, setup, ortho_ref, rules), rules)
-    p_cons = abs(pars.p - p_from_energy(energy.E_total, setup))
     return OptimizationResult(label, setup, pars, energy, iterations,
-                              evaluations, ok, p_cons, N)
+                              evaluations, ok, N)
 
 
 # ----------------------------------------------------------------------
@@ -243,10 +249,9 @@ def scan_R(label: StateLabel, R_grid, warm_start: bool = True,
     better preset.  A continuation seed outside the parameter domain is
     dropped.  A point that fails with a domain or quadrature error
     (ValueError, QuadratureError) is returned in place as the exception
-    object without aborting the scan; anything else propagates.
+    object without aborting the scan; anything else propagates, an
+    UnsupportedStateError included.
     """
-    from .presets import seed_for
-
     R_grid = list(R_grid)
     if sorted(R_grid) != R_grid:
         raise ValueError("R_grid must be sorted ascending")
@@ -320,15 +325,6 @@ def _warn_on_parameter_jumps(results, R_grid) -> None:
                     f"parameter {k} jumps at R={R_grid[i + 1]:g}: "
                     f"step {steps[i]:.3g} vs trend {trend:.3g}",
                     RuntimeWarning, stacklevel=2)
-
-
-def rescale_seed(params: TrialParams, R_from: float, R_to: float) -> TrialParams:
-    """Continuation seed: p-like parameters scale ~R, quadratic ones ~R^2."""
-    s = R_to / R_from
-    return TrialParams(alpha=params.alpha * s, gamma=params.gamma,
-                       a1=params.a1 * s, a2=params.a2 * s * s,
-                       b2=params.b2 * s * s, b3=params.b3 * s * s,
-                       p=params.p * s)
 
 
 # ----------------------------------------------------------------------

@@ -139,6 +139,18 @@ def test_config_file_values_are_validated(tmp_path, capsys, entry, message):
     assert message in capsys.readouterr().err
 
 
+def test_config_file_supplies_required_flags(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"state": "1ssg"}))
+    assert main(["--config", str(cfg), "united-atom"]) == 0
+    assert "1ssg" in capsys.readouterr().out
+
+
+def test_unsupported_state_exit_code(capsys):
+    assert main(["optimize", "--state", "3dsg", "--R", "2"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_extended_precision_flag(tmp_path):
     out = tmp_path / "e.csv"
     rc = main(["optimize", "--state", "1ssg", "--R", "2.0",

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies
 from scipy.optimize import brentq
 
-from twocenter.model import EnergyPair, PhysicalSetup, StateLabel
-from twocenter.presets import seed_for
+from twocenter.model import (EnergyPair, PhysicalSetup, StateLabel,
+                             UnsupportedStateError)
+from twocenter.oracle import solve_bispectral
+from twocenter.presets import crude_seed, seed_for
 from twocenter.quadrature import (build_rules, channel_moments,
                                   rayleigh_quotient, trial_channels)
 from twocenter.trial import (ParamDomainError, TrialParams, eta_channel,
@@ -190,7 +192,7 @@ def test_jump_heuristic_fires_only_on_jumps():
                            p=R / 2.0 + 0.5)
         pair = EnergyPair.from_total(-1.0, PhysicalSetup(R))
         return OptimizationResult(GS, PhysicalSetup(R), pars, pair, 0, 0,
-                                  True, 0.0, 64)
+                                  True, 64)
 
     grid = [4.0, 6.0, 8.0, 10.0]
     smooth = [fake(R, 0.01 * R) for R in grid]
@@ -214,7 +216,7 @@ def test_jump_heuristic_compares_steps_per_unit_R():
                            b3=0.0, p=R / 2.0 + 0.5)
         pair = EnergyPair.from_total(-1.0, PhysicalSetup(R))
         linear.append(OptimizationResult(GS, PhysicalSetup(R), pars, pair,
-                                         0, 0, True, 0.0, 64))
+                                         0, 0, True, 64))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         _warn_on_parameter_jumps(linear, grid)
@@ -243,8 +245,7 @@ def test_p_consistency_perturbation_probe(bank):
     base = p_consistency_check(st.result)
     pars = st.params.replace(alpha=1.1 * st.params.alpha)
     e = rayleigh_quotient(pars, GS, st.setup, build_rules(pars.p, 64))
-    perturbed = OptimizationResult(GS, st.setup, pars, e, 0, 0, True,
-                                   abs(pars.p - e.p), 64)
+    perturbed = OptimizationResult(GS, st.setup, pars, e, 0, 0, True, 64)
     assert p_consistency_check(perturbed) >= 10.0 * base
 
 
@@ -254,7 +255,7 @@ def test_p_consistency_closed_form_fixture():
     pars = TrialParams(alpha=1.0, gamma=1.0, a1=1.0, a2=0.0, b2=0.0, b3=0.0,
                        p=2.0)
     pair = EnergyPair.from_total(-4.0 + setup.repulsion, setup)
-    res = OptimizationResult(GS, setup, pars, pair, 0, 0, True, 0.0, 64)
+    res = OptimizationResult(GS, setup, pars, pair, 0, 0, True, 64)
     assert p_consistency_check(res) <= 1e-12
 
 
@@ -297,6 +298,32 @@ def test_scan_returns_typed_failures_in_place(monkeypatch):
     monkeypatch.setattr(variational, "optimize_state", broken)
     with pytest.raises(RuntimeError):
         scan_R(GS, [2.0, 4.0], warm_start=False)
+
+
+def test_crude_seed_takes_the_oracle_p():
+    # 3psu has no preset within a factor of two of R = 30
+    label, R = StateLabel(1, 0, 0, -1), 30.0
+    p = solve_bispectral(label, PhysicalSetup(R)).p
+    assert crude_seed(label, R).p == p
+    assert seed_for(label, R).p == p
+
+
+def test_unsupported_label_is_rejected_before_any_evaluation(monkeypatch):
+    import twocenter.variational as variational
+
+    def evaluated(*args, **kwargs):
+        raise AssertionError("objective evaluated")
+
+    monkeypatch.setattr(variational, "_energy", evaluated)
+    with pytest.raises(UnsupportedStateError, match=r"\(2,0,0,\+\)"):
+        optimize_state(StateLabel(2, 0, 0, +1), PhysicalSetup(2.0),
+                       seed_for(GS, 2.0))
+    assert not issubclass(UnsupportedStateError, ValueError)
+
+
+def test_scan_propagates_unsupported_state():
+    with pytest.raises(UnsupportedStateError):
+        scan_R(StateLabel(2, 0, 0, +1), [2.0, 4.0])
 
 
 def test_store_round_trip(tmp_path, bank, monkeypatch):

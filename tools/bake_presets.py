@@ -17,11 +17,12 @@ from unittest import mock
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from twocenter import variational  # noqa: E402
-from twocenter.model import PhysicalSetup, StateLabel  # noqa: E402
-from twocenter.presets import seed_for  # noqa: E402
+from twocenter.model import (PhysicalSetup, StateLabel,  # noqa: E402
+                             p_from_energy)
+from twocenter.presets import rescale_seed, seed_for  # noqa: E402
 from twocenter.reference import energy_table  # noqa: E402
 from twocenter.trial import ParamDomainError  # noqa: E402
-from twocenter.variational import optimize_state, rescale_seed  # noqa: E402
+from twocenter.variational import optimize_state  # noqa: E402
 
 # simplex steps of the polish pass, finer than the solver's own ladder
 POLISH_LADDER = (0.004, 0.0008, 0.00015)
@@ -54,8 +55,7 @@ BAKED = {
 
 def reference_energies() -> dict:
     refs = {}
-    for which, lab in (("1ssg", None), ("2psu", None), ("lam12", None),
-                       ("node", None)):
+    for which in ("1ssg", "2psu", "lam12", "node"):
         for row in energy_table(which):
             refs[(row["label"], row["R"])] = row["E"]
     return refs
@@ -99,7 +99,6 @@ def main() -> None:
                 improved = False
                 candidates = [best.params]
                 try:
-                    from twocenter.model import p_from_energy
                     snapped = best.params.replace(
                         p=p_from_energy(best.energy.E_total,
                                         PhysicalSetup(R)))
