@@ -30,6 +30,8 @@ from .quadrature import QuadratureError
 from .reference import energy_table, oscillator_table, separation_table
 from .states import StateBank, correction_energy_shift
 from .trial import ParamDomainError
+from .united_atom import (UntabulatedLimitError, limit_convergence_probe,
+                          limit_form)
 
 
 class CliError(Exception):
@@ -216,8 +218,6 @@ def cmd_transitions(args) -> int:
 
 
 def cmd_united_atom(args) -> int:
-    from .united_atom import limit_convergence_probe, limit_form
-
     label = parse_state(args.state)
     form = limit_form(label)
     base = {"state": form.designation, "atomic_n": form.orbital[0],
@@ -435,7 +435,8 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (ParamDomainError, ValueError, UnsupportedStateError) as exc:
+    except (ParamDomainError, ValueError, UnsupportedStateError,
+            UntabulatedLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (QuadratureError, AngularConvergenceError, OracleConvergenceError,

@@ -74,9 +74,9 @@ _L_LETTER = "spdfgh"
 _LAM_GREEK = "σπδφ"  # sigma pi delta phi
 _LAM_ASCII = "spdf"
 
-# The eight states the variational solve supports, all covered by the
-# baked presets; optimize_state raises UnsupportedStateError for any other
-# label.  The oracle takes any label.
+# The eight states the variational solve supports; seed_for and
+# optimize_state raise UnsupportedStateError for any other label, through
+# require_supported.  The oracle takes any label.
 SUPPORTED_LABELS = (
     StateLabel(0, 0, 0, +1),
     StateLabel(0, 0, 0, -1),
@@ -89,7 +89,7 @@ SUPPORTED_LABELS = (
 )
 
 # Labels with a tabulated coalesced-centers designation; the last two are
-# outside the variational presets but keep their designation entry.
+# outside the variational solve but keep their designation entry.
 _DESIGNATED_LABELS = SUPPORTED_LABELS + (
     StateLabel(0, 1, 0, +1),
     StateLabel(0, 1, 0, -1),
@@ -104,6 +104,14 @@ def united_atom_designation(label: StateLabel) -> str | None:
     greek = _LAM_ASCII[label.lam]
     gu = "g" if label.gerade else "u"
     return f"{label.atomic_n}{letter}{greek}{gu}"
+
+
+def require_supported(label: StateLabel) -> None:
+    """Raise UnsupportedStateError for a label outside SUPPORTED_LABELS."""
+    if label not in SUPPORTED_LABELS:
+        names = ", ".join(map(united_atom_designation, SUPPORTED_LABELS))
+        raise UnsupportedStateError(
+            f"no variational solve for state {label}; supported: {names}")
 
 
 def united_atom_designation_unicode(label: StateLabel) -> str | None:

@@ -23,7 +23,9 @@ secant polish on F, and the sign changes of sum g_k t^k verify n.
 The joint solve is then the single root in p of A_n(p) - A_ang(p), which
 increases with p (its p^2-derivative is <xi^2> - <eta^2> > 0).  This
 solver shares no code path with the trial-function machinery, so it
-serves as the ground truth for the variational results.
+serves as the ground truth for the variational results.  At the root,
+exact_channels evaluates the exact eigenfunctions themselves: the series
+above, and the angular eigenvector summed over the Legendre basis.
 """
 
 from __future__ import annotations
@@ -68,10 +70,33 @@ _K0 = 24              # angular basis starts at _K0 + lam functions
 _N_ESTIMATE = 48      # truncated recurrence matrix that seeds A_n(p)
 _K_MAX = 1 << 16      # longest continued-fraction tail tried
 _MAX_EXPAND = 40      # p-bracket expansions before find_root gives up
+# finest bisection tolerance of the angular eigensolver; LAPACK's default
+# eps*||T||_1 is ragged in p
+_BISECT_TOL = 2.0 * np.finfo(float).tiny
 
 
 # ----------------------------------------------------------------------
 # angular channel
+
+
+def _acoef(l, lam: int):
+    """a_l of the normalized recurrence x P_l = a_l P_(l+1) + a_(l-1) P_(l-1)
+    of the associated Legendre functions P_l^lam."""
+    return np.sqrt(((l + 1.0) ** 2 - lam**2)
+                   / ((2.0 * l + 1.0) * (2.0 * l + 3.0)))
+
+
+def _angular_matrix(p: float, lam: int, parity: int, K: int):
+    """Degrees l = lam + sigma + 2k (k < K) and the symmetric tridiagonal
+    (diag, off) of the eta channel in normalized P_l^lam."""
+    sigma = 0 if parity == +1 else 1
+    c2 = -p * p
+    ls = np.arange(lam + sigma, lam + sigma + 2 * K, 2, dtype=float)
+    a_l = _acoef(ls, lam)
+    a_lm1 = _acoef(ls - 1.0, lam)
+    diag = ls * (ls + 1.0) + c2 * (a_l**2 + np.where(ls > lam, a_lm1**2, 0.0))
+    off = c2 * _acoef(ls[:-1], lam) * _acoef(ls[:-1] + 1.0, lam)
+    return ls, diag, off
 
 
 def angular_eigenvalue(p: float, lam: int, m: int, parity: int,
@@ -82,26 +107,13 @@ def angular_eigenvalue(p: float, lam: int, m: int, parity: int,
     eigenvalue within the parity class is selected.  The basis doubles
     until the eigenvalue stops moving at the eigensolver noise floor.
     """
-    sigma = 0 if parity == +1 else 1
-    c2 = -p * p
     K = _K0 + lam
     prev = None
     trend = []
     while K <= 4096:
-        ls = np.arange(lam + sigma, lam + sigma + 2 * K, 2, dtype=float)
-
-        def acoef(l):
-            return np.sqrt(((l + 1.0) ** 2 - lam**2)
-                           / ((2.0 * l + 1.0) * (2.0 * l + 3.0)))
-
-        a_l = acoef(ls)
-        a_lm1 = acoef(ls - 1.0)
-        diag = ls * (ls + 1.0) + c2 * (a_l**2
-                                       + np.where(ls > lam, a_lm1**2, 0.0))
-        off = c2 * acoef(ls[:-1]) * acoef(ls[:-1] + 1.0)
-        # finest bisection tolerance; the default eps*||T||_1 is ragged in p
+        _, diag, off = _angular_matrix(p, lam, parity, K)
         mu = eigh_tridiagonal(diag, off, select="i", select_range=(m, m),
-                              tol=2.0 * np.finfo(float).tiny)[0][0]
+                              tol=_BISECT_TOL)[0][0]
         A = lam * (lam + 1.0) - mu
         trend.append((K, A))
         tol = max(1e-13 * max(1.0, abs(A)),
@@ -169,6 +181,14 @@ def _radial_eigenvalue(p: float, b: float, lam: int, n: int) -> float:
     raise OracleConvergenceError(f"secant on A_{n}(p={p}) did not settle")
 
 
+def _node_grid(A: float, p: float, b: float) -> np.ndarray:
+    """t = (xi-1)/(xi+1) on (0, t_far]: no node lies beyond the outer
+    turning point of A + b xi - p^2 xi^2."""
+    xi_far = (b + math.sqrt(b * b + 4.0 * p * p * max(A, 0.0))) \
+        / (2.0 * p * p) + 1.0 / p
+    return np.linspace(0.0, 1.0, 1400)[1:] * (xi_far - 1.0) / (xi_far + 1.0)
+
+
 def radial_solution(E_total: float, A: float, setup: PhysicalSetup, lam: int,
                     count_nodes: bool = True):
     """Scaled continued-fraction defect F(A)/(|A|+|c_0|+|alpha_0 r_1|) at
@@ -181,10 +201,7 @@ def radial_solution(E_total: float, A: float, setup: PhysicalSetup, lam: int,
     defect, r = _fraction(A, p, b, lam)
     if not count_nodes:
         return defect, -1
-    # no node lies beyond the outer turning point of A + b xi - p^2 xi^2
-    xi_far = (b + math.sqrt(b * b + 4.0 * p * p * max(A, 0.0))) \
-        / (2.0 * p * p) + 1.0 / p
-    t = np.linspace(0.0, 1.0, 1400)[1:] * (xi_far - 1.0) / (xi_far + 1.0)
+    t = _node_grid(A, p, b)
     g = np.cumprod(r)
     size = np.abs(g) * t[-1] ** np.arange(g.size)
     g = g[:np.flatnonzero(size > 1e-18 * size.max())[-1] + 1]
@@ -271,3 +288,91 @@ def solve_bispectral(label: StateLabel, setup: PhysicalSetup,
     if nodes != label.n:
         raise RadialRootError(f"converged to wrong node count {nodes}")
     return OracleResult(label, setup, E, A, p, K, mism, expansions + 1)
+
+
+# ----------------------------------------------------------------------
+# exact eigenfunctions
+
+
+def _series(result: OracleResult, t_max: float):
+    """Coefficients g_k of the radial series sum g_k t^k, scaled so that
+    max |g_k| = 1, and the log of that scale.  The tail doubles until the
+    terms past its first half fall below 1e-18 of the largest on
+    t <= t_max; those are dropped."""
+    setup, lam = result.setup, result.label.lam
+    b = (setup.Z1 + setup.Z2) * setup.R
+    log_t = math.log(max(t_max, 1e-3))
+    K = 64
+    while K <= _K_MAX:
+        r = np.array(_fraction(result.A, result.p, b, lam, K)[1])
+        K = r.size - 1
+        with np.errstate(divide="ignore"):
+            log_g = np.cumsum(np.log(np.abs(r)))
+        size = log_g + log_t * np.arange(K + 1)
+        top = size.max()
+        if size[K // 2:].max() < top - 41.5:
+            keep = np.flatnonzero(size > top - 41.5)[-1] + 1
+            scale = log_g[:keep].max()
+            return (np.cumprod(np.sign(r[:keep]))
+                    * np.exp(log_g[:keep] - scale)), scale
+        K *= 2
+    raise OracleConvergenceError(
+        f"radial series unsettled after {_K_MAX} terms at t={t_max}")
+
+
+def _legendre_sum(coef, ls, lam: int, x):
+    """sum_k coef_k P_(ls_k)^lam(x) / (1-x^2)^(lam/2), normalized P_l^lam up
+    to a common constant, by the three-term recurrence in l."""
+    a = _acoef(np.arange(lam - 1, int(ls[-1]) + 1, dtype=float), lam)
+    prev, cur = np.zeros_like(x), np.ones_like(x)
+    out = np.zeros_like(x)
+    for l in range(lam, int(ls[-1]) + 1):
+        k, odd = divmod(l - int(ls[0]), 2)
+        if k >= 0 and not odd:
+            out += coef[k] * cur
+        prev, cur = cur, (x * cur - a[l - lam] * prev) / a[l - lam + 1]
+    return out
+
+
+def exact_channels(result: OracleResult, xi, eta):
+    """Exact channel functions of an oracle solution, sans the factors
+    (xi^2-1)^(lam/2) and (1-eta^2)^(lam/2), as (log|X|, sign X) on xi and
+    (log|Y|, sign Y) on eta, each up to a constant factor.
+
+    X is Jaffe's series with g_k the cumulative product of the continued
+    fraction's ratios; Y sums normalized P_l^lam over the eigenvector of
+    the angular matrix at the oracle's basis size.
+    """
+    label, setup, p = result.label, result.setup, result.p
+    xi = np.asarray(xi, dtype=float)
+    eta = np.asarray(eta, dtype=float)
+    kap = (setup.Z1 + setup.Z2) * setup.R / (2.0 * p)
+    t = (xi - 1.0) / (xi + 1.0)
+    g, scale = _series(result, float(np.max(t, initial=0.0)))
+    S = np.polynomial.polynomial.polyval(t, g)
+    ls, diag, off = _angular_matrix(p, label.lam, label.parity,
+                                    result.angular_basis_size)
+    v = eigh_tridiagonal(diag, off, eigvals_only=False, select="i",
+                         select_range=(label.m, label.m),
+                         tol=_BISECT_TOL)[1][:, 0]
+    Y = _legendre_sum(v, ls, label.lam, eta)
+    with np.errstate(divide="ignore"):
+        log_x = ((kap - label.lam - 1.0) * np.log(xi + 1.0) - p * xi
+                 + np.log(np.abs(S)) + scale)
+        log_y = np.log(np.abs(Y))
+    return (log_x, np.sign(S)), (log_y, np.sign(Y))
+
+
+def exact_node(result: OracleResult) -> float:
+    """xi of the first interior node of the exact radial function."""
+    setup = result.setup
+    t = _node_grid(result.A, result.p, (setup.Z1 + setup.Z2) * setup.R)
+    g, _ = _series(result, t[-1])
+    s = np.sign(np.polynomial.polynomial.polyval(t, g))
+    change = np.flatnonzero(s[:-1] * s[1:] < 0.0)
+    if change.size == 0:
+        raise RadialRootError(f"no radial node for {result.label}")
+    i = change[0]
+    tn = brentq(lambda u: np.polynomial.polynomial.polyval(u, g),
+                t[i], t[i + 1], xtol=1e-16, rtol=8.9e-16)
+    return (1.0 + tn) / (1.0 - tn)

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EnergyPair, PhysicalSetup, StateLabel, p_from_energy
+from .model import (EnergyPair, PhysicalSetup, StateLabel, p_from_energy,
+                    require_supported)
 from .nonlinearization import (ChannelPT, NodeCorrection, first_correction_eta,
                                first_correction_xi, node_correction_xi)
 from .presets import seed_for
@@ -174,6 +175,7 @@ class StateBank:
             corrected: bool = False) -> SolvedState:
         key = (label, R)
         if key not in self._solves:
+            require_supported(label)
             setup = PhysicalSetup(R)
             ortho = None
             if label.n == 1:

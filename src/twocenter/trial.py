@@ -175,7 +175,7 @@ def phase_of_trial_eta(params: TrialParams, label: StateLabel, eta):
 
     g = 1 on the even branch and eta on the odd one, so rho0 is smooth
     and even; the odd branch requires the cosh/sinh argument to stay
-    positive for eta > 0 (a1 > 0 for the presets).
+    positive for eta > 0 (a1 > 0 for the seeds).
     """
     eta = np.asarray(eta, dtype=float)
     nu = (1.0 + 2 * label.m + label.lam) / 4.0

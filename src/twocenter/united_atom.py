@@ -21,6 +21,14 @@ from .model import (PhysicalSetup, StateLabel, limit_constant,
 from .oracle import OracleResult, solve_bispectral
 
 
+class UntabulatedLimitError(KeyError):
+    """No coalesced-centers limit is tabulated for the label.  A KeyError,
+    as before, whose str() is the bare message rather than its repr."""
+
+    def __str__(self):
+        return str(self.args[0])
+
+
 @dataclass(frozen=True)
 class HydrogenicOrbital:
     """Closed-form one-electron orbital of a Z-charged nucleus."""
@@ -82,7 +90,7 @@ class LimitForm:
 def limit_form(label: StateLabel) -> LimitForm:
     name = united_atom_designation(label)
     if name is None:
-        raise KeyError(f"no tabulated limit for {label}")
+        raise UntabulatedLimitError(f"no tabulated limit for {label}")
     return LimitForm(label, name,
                      (label.atomic_n, label.atomic_l, label.lam),
                      limit_constant(label))

