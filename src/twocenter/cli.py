@@ -75,6 +75,8 @@ def parse_grid(args) -> list[float]:
     except ValueError:
         raise CliError(f"bad --R-grid {args.R_grid!r} "
                        "(expected start:stop:step)", 2) from None
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise CliError(f"bad --R-grid {args.R_grid!r} (must be finite)", 2)
     if step <= 0 or stop < start:
         raise CliError("grid must ascend", 2)
     n = int(math.floor((stop - start) / step + 1e-9)) + 1

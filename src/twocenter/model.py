@@ -142,8 +142,8 @@ class PhysicalSetup:
     Z2: float = 1.0
 
     def __post_init__(self):
-        if not self.R > 0.0:
-            raise ValueError(f"R must be positive, got {self.R}")
+        if not 0.0 < self.R < math.inf:
+            raise ValueError(f"R must be positive and finite, got {self.R}")
 
     @property
     def a(self) -> float:

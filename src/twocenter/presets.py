@@ -18,8 +18,6 @@ density w X_ex^2 of its channel:
   Sanathanan and Koerner do (IEEE Trans. Autom. Control 8, 56 (1963));
   the odd branch from sinh(p eta), the shape the channel takes as R
   grows.
-
-rescale_seed gives the continuation seed that scan_R races against it.
 """
 
 from __future__ import annotations
@@ -38,15 +36,6 @@ _FIT_N = 64          # Gauss rule size of the projection
 _ETA_EVALS = 120     # cap on each eta fit's residual evaluations
 _ETA_FTOL = 1e-9     # an eta fit stops on a smaller relative decrease
 _SK_PASSES = 6       # Sanathanan-Koerner reweightings of Levy's fit
-
-
-def rescale_seed(params: TrialParams, R_from: float, R_to: float) -> TrialParams:
-    """Continuation seed: p-like parameters scale ~R, quadratic ones ~R^2."""
-    s = R_to / R_from
-    return TrialParams(alpha=params.alpha * s, gamma=params.gamma,
-                       a1=params.a1 * s, a2=params.a2 * s * s,
-                       b2=params.b2 * s * s, b3=params.b3 * s * s,
-                       p=params.p * s)
 
 
 def _density(log_w, log_f, base, lam: int):

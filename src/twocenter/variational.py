@@ -22,7 +22,7 @@ from scipy.optimize import minimize
 
 from .model import (EnergyPair, PhysicalSetup, StateLabel, UnboundChannelError,
                     p_from_energy, require_supported)
-from .presets import rescale_seed, seed_for
+from .presets import seed_for
 from .quadrature import (QuadratureError, build_rules, channel_moments,
                          energy_from_channels, integrate, rayleigh_quotient,
                          trial_channels)
@@ -225,75 +225,40 @@ def optimize_state(label: StateLabel, setup: PhysicalSetup, init: TrialParams,
 
 
 # ----------------------------------------------------------------------
-# R-continuation scans
+# cold R-scans
 
 
-def scan_R(label: StateLabel, R_grid, warm_start: bool = True,
-           rule_N: int | None = None) -> list:
-    """Optimize one state over a sorted R grid.
+def scan_R(label: StateLabel, R_grid) -> list:
+    """Optimize one state over a sorted R grid, each point on its own.
 
-    Every point has a cold seed, seed_for's projection of the exact
-    solution.  With warm_start the continuation seed (the previous
-    optimum, p-like parameters rescaled by the R ratio) competes with it:
-    the optimization starts from whichever of the two has the lower
-    starting Rayleigh quotient, so a continuation seed from a
-    neighbouring valley cannot displace a better cold seed.  A
-    continuation seed outside the parameter domain is dropped.  A point
-    that fails with a domain or quadrature error (ValueError,
-    QuadratureError) is returned in place as the exception object without
-    aborting the scan; anything else propagates, an UnsupportedStateError
-    included, which is raised before any solve.
+    Every point is the cold solve StateBank.get makes: seed_for's
+    projection of the exact solution, optimized, with the nodeless
+    partner of an n=1 state solved the same way first.  A point's result
+    therefore does not depend on the rest of the grid.  A point that
+    fails with a domain or quadrature error (ValueError, QuadratureError)
+    is returned in place as the exception object without aborting the
+    scan; anything else propagates, an UnsupportedStateError included,
+    which is raised before any solve.
     """
     require_supported(label)
     R_grid = list(R_grid)
     if sorted(R_grid) != R_grid:
         raise ValueError("R_grid must be sorted ascending")
     out: list = []
-    prev: OptimizationResult | None = None
     for R in R_grid:
         try:
             setup = PhysicalSetup(R)
             ref = None
             if label.n == 1:
                 glabel = StateLabel(0, label.m, label.lam, label.parity)
-                ref = optimize_state(glabel, setup, seed_for(glabel, R),
-                                     rule_N=rule_N).params
-            seed = seed_for(label, R)
-            if warm_start and prev is not None and prev.converged:
-                warm = rescale_seed(prev.params, prev.setup.R, R)
-                seed = _lower_seed(label, setup, warm, seed, ref, rule_N)
-            res = optimize_state(label, setup, seed,
-                                 rule_N=rule_N, ortho_ref=ref)
-            out.append(res)
-            prev = res
+                ref = optimize_state(glabel, setup,
+                                     seed_for(glabel, R)).params
+            out.append(optimize_state(label, setup, seed_for(label, R),
+                                      ortho_ref=ref))
         except (ValueError, QuadratureError) as exc:  # failed point, in place
             out.append(exc)
-            prev = None
     _warn_on_parameter_jumps(out, R_grid)
     return out
-
-
-def _start_energy(label: StateLabel, setup: PhysicalSetup, seed: TrialParams,
-                  ortho_ref: TrialParams | None, rule_N: int | None) -> float:
-    """The objective optimize_state(label, setup, seed) starts from."""
-    N = rule_N if rule_N is not None else default_rule_size(seed.p)
-    rules = build_rules(seed.p, N)
-    partner = _partner(label, setup, ortho_ref, rules)
-    return _energy(label, setup, seed, partner, rules)[1].E_total
-
-
-def _lower_seed(label: StateLabel, setup: PhysicalSetup, warm: TrialParams,
-                cold: TrialParams, ortho_ref: TrialParams | None,
-                rule_N: int | None) -> TrialParams:
-    """Of a continuation seed and a cold seed, the one of lower starting
-    energy; the cold one if the continuation seed leaves the domain."""
-    try:
-        warm.validate()
-    except ParamDomainError:
-        return cold
-    e_warm = _start_energy(label, setup, warm, ortho_ref, rule_N)
-    e_cold = _start_energy(label, setup, cold, ortho_ref, rule_N)
-    return warm if e_warm < e_cold else cold
 
 
 def _warn_on_parameter_jumps(results, R_grid) -> None:
@@ -330,8 +295,9 @@ def store_dir() -> str:
 
 
 def _store_key(label: StateLabel, R: float) -> str:
+    """File name of a stored result, keyed by the exact R (its repr)."""
     sign = "p" if label.parity == +1 else "m"
-    return f"{label.n}{label.m}{label.lam}{sign}_R{R:.6f}.json"
+    return f"{label.n}{label.m}{label.lam}{sign}_R{float(R)!r}.json"
 
 
 def save_result(result: OptimizationResult, A: float | None = None,

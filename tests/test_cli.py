@@ -25,6 +25,12 @@ def test_bad_grid_exit_code(capsys):
                  "--R-grid", "1:2:1"]) == 2
 
 
+@pytest.mark.parametrize("flags", [["--R-grid", "1:inf:1"], ["--R", "inf"]])
+def test_non_finite_R_exit_code(capsys, flags):
+    assert main(["optimize", "--state", "1ssg"] + flags) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_unwritable_output_exit_code(capsys):
     rc = main(["optimize", "--state", "1ssg", "--R", "2.0",
                "--out", "/nonexistent-dir/x.csv"])

@@ -164,18 +164,19 @@ def test_optimized_node_energy_is_the_rayleigh_quotient(bank):
 def test_scan_R_matches_energy_table():
     refs = {1.0: -0.90357262676, 2.0: -1.20526842899, 6.0: -1.0239380968,
             10.0: -1.0011574578}
-    out = scan_R(GS, sorted(refs), warm_start=True)
+    out = scan_R(GS, sorted(refs))
     for res, (R, ref) in zip(out, sorted(refs.items())):
         assert isinstance(res, OptimizationResult)
         assert res.energy.E_total == pytest.approx(ref, abs=5e-10)
 
 
-def test_scan_warm_and_cold_agree():
-    grid = [4.0, 6.0]
-    warm = scan_R(GS, grid, warm_start=True)
-    cold = scan_R(GS, grid, warm_start=False)
-    for w, c in zip(warm, cold):
-        assert abs(w.energy.E_total - c.energy.E_total) <= 1e-10
+def test_scan_point_does_not_depend_on_its_grid(bank):
+    in_grid = scan_R(GS, [4.0, 6.0])[1]
+    alone = scan_R(GS, [6.0])[0]
+    banked = bank.get(GS, 6.0).result
+    for res in (alone, banked):
+        assert repr(res.params) == repr(in_grid.params)
+        assert repr(res.energy) == repr(in_grid.energy)
 
 
 def test_scan_empty_grid():
@@ -220,19 +221,6 @@ def test_jump_heuristic_compares_steps_per_unit_R():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         _warn_on_parameter_jumps(linear, grid)
-
-
-def test_scan_seed_choice_by_starting_energy():
-    from twocenter.variational import _lower_seed
-
-    setup = PhysicalSetup(10.0)
-    preset = seed_for(GS, 10.0)
-    detuned = preset.replace(alpha=1.2 * preset.alpha)
-    assert _lower_seed(GS, setup, detuned, preset, None, None) is preset
-    assert _lower_seed(GS, setup, preset, detuned, None, None) is preset
-    # a continuation seed outside the parameter domain is dropped
-    outside = preset.replace(gamma=-2.0)
-    assert _lower_seed(GS, setup, outside, detuned, None, None) is detuned
 
 
 def test_p_consistency_ground_state(bank):
@@ -289,7 +277,7 @@ def test_scan_returns_typed_failures_in_place(monkeypatch):
         return "solved"
 
     monkeypatch.setattr(variational, "optimize_state", fake)
-    out = scan_R(GS, [2.0, 4.0], warm_start=False)
+    out = scan_R(GS, [2.0, 4.0])
     assert isinstance(out[0], ParamDomainError) and out[1] == "solved"
 
     def broken(label, setup, init, **kw):
@@ -297,7 +285,7 @@ def test_scan_returns_typed_failures_in_place(monkeypatch):
 
     monkeypatch.setattr(variational, "optimize_state", broken)
     with pytest.raises(RuntimeError):
-        scan_R(GS, [2.0, 4.0], warm_start=False)
+        scan_R(GS, [2.0, 4.0])
 
 
 def test_crude_seed_takes_the_oracle_p():
@@ -369,3 +357,17 @@ def test_store_round_trip(tmp_path, bank, monkeypatch):
     loaded = load_params(GS, 2.0)
     assert loaded == st.params
     assert load_params(GS, 33.0) is None
+
+
+def test_store_keys_by_exact_R(tmp_path, bank):
+    # the two R values of the mislabelled 2psu cell, 1e-7 apart
+    res = bank.get(GS, 2.0).result
+    paths = {}
+    for R, alpha in ((1.997193, 1.0), (1.9971931, 2.0)):
+        stored = OptimizationResult(GS, PhysicalSetup(R),
+                                    res.params.replace(alpha=alpha),
+                                    res.energy, 0, 0, True, res.rule_N)
+        paths[R] = save_result(stored, directory=str(tmp_path))
+    assert paths[1.997193] != paths[1.9971931]
+    assert load_params(GS, 1.997193, str(tmp_path)).alpha == 1.0
+    assert load_params(GS, 1.9971931, str(tmp_path)).alpha == 2.0
