@@ -183,12 +183,13 @@ def cmd_pt(args) -> int:
             xs = np.linspace(1.0, 1.0 + 12.0 / st.params.p, 801)
             es = np.linspace(-1.0, 1.0, 401)
             try:
-                with open(f"{base}_phi1_R{R:g}.csv", "w") as fh:
+                # the exact R (its repr) keeps nearby R values apart
+                with open(f"{base}_phi1_R{R!r}.csv", "w") as fh:
                     fh.write("xi,phi1\n")
                     if st.pt_xi is not None:
                         for x, v in zip(xs, st.pt_xi.correction_phase(xs)):
                             fh.write(f"{fmt(x)},{fmt(v)}\n")
-                with open(f"{base}_rho1_R{R:g}.csv", "w") as fh:
+                with open(f"{base}_rho1_R{R!r}.csv", "w") as fh:
                     fh.write("eta,rho1\n")
                     for x, v in zip(es, st.pt_eta.correction_phase(es)):
                         fh.write(f"{fmt(x)},{fmt(v)}\n")

@@ -133,6 +133,13 @@ def label_from_designation(name: str) -> StateLabel:
     raise KeyError(f"unknown state designation {name!r}")
 
 
+# Largest internuclear distance [bohr] a setup accepts.  At R = 1000 the
+# ground state lies 4.5e-12 Ry below the separated-atom limit, under the
+# package's 10-11 significant digits, so larger R carries no molecular
+# information; it also keeps R**2 and p**2 far inside float range.
+R_MAX = 1000.0
+
+
 @dataclass(frozen=True)
 class PhysicalSetup:
     """Internuclear distance R [bohr] and the two nuclear charges."""
@@ -142,8 +149,10 @@ class PhysicalSetup:
     Z2: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.R < math.inf:
-            raise ValueError(f"R must be positive and finite, got {self.R}")
+        if not 0.0 < self.R <= R_MAX:
+            raise ValueError(
+                f"R must be positive, finite and at most {R_MAX:g} bohr, "
+                f"got {self.R}")
 
     @property
     def a(self) -> float:

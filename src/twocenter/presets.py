@@ -5,7 +5,8 @@ channel functions (oracle.exact_channels) onto the trial ansatz on a
 Gauss rule pair at the oracle's p, each fit weighted by the quadrature
 density w X_ex^2 of its channel:
 
-- p is the oracle's p;
+- p is the oracle's p, and the seed's `origin` is the oracle's solution,
+  whose energy lets optimize_state certify the seed;
 - xi: with q = 1 + n + L - kappa fixed and u = gamma + xi,
   -log|X_ex/P_n| - q log u - p xi^2/u = alpha xi/u + c is linear in
   (alpha, c), so gamma in (-1, 20] is a bounded 1-D search over weighted
@@ -174,8 +175,9 @@ def _levy_start(eta, log_y, log_y0, weights, p: float, nu: float):
 
 def seed_for(label: StateLabel, R: float) -> TrialParams:
     """The oracle's exact solution at (label, R) projected onto the trial
-    ansatz; raises UnsupportedStateError, before any oracle call, for a
-    label the variational solve does not cover."""
+    ansatz, with that solution as its origin; raises
+    UnsupportedStateError, before any oracle call, for a label the
+    variational solve does not cover."""
     require_supported(label)
     setup = PhysicalSetup(R)
     res = solve_bispectral(label, setup)
@@ -205,6 +207,6 @@ def seed_for(label: StateLabel, R: float) -> TrialParams:
               else _levy_start(eta, log_y, log_y0, we, p, nu)]
     a1, a2, b2, b3 = (float(v) for v in
                       _fit_eta(starts, eta, log_y, we, p, nu, odd))
-    seed = TrialParams(float(alpha), gamma, a1, a2, b2, b3, p)
+    seed = TrialParams(float(alpha), gamma, a1, a2, b2, b3, p, origin=res)
     seed.validate()
     return seed

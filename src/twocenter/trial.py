@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import PhysicalSetup, StateLabel
+from .oracle import OracleResult
 
 
 class ParamDomainError(ValueError):
@@ -40,7 +41,12 @@ class ParamDomainError(ValueError):
 
 @dataclass(frozen=True)
 class TrialParams:
-    """Parameters of the trial wavefunction of one state at one R."""
+    """Parameters of the trial wavefunction of one state at one R.
+
+    `origin`, set by presets.seed_for, is the oracle solution the
+    parameters were projected from; it takes no part in comparison,
+    hashing or repr, and `replace` carries it along.
+    """
 
     alpha: float
     gamma: float
@@ -50,6 +56,8 @@ class TrialParams:
     b3: float
     p: float
     xi0: float | None = None
+    origin: OracleResult | None = field(default=None, compare=False,
+                                        repr=False)
 
     def validate(self) -> None:
         if not self.p > 0.0:

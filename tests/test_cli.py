@@ -31,6 +31,13 @@ def test_non_finite_R_exit_code(capsys, flags):
     assert "finite" in capsys.readouterr().err
 
 
+def test_huge_R_exit_code(capsys):
+    # finite but beyond any molecular scale: a validation failure, not an
+    # overflow inside the oracle
+    assert main(["oracle", "--state", "1ssg", "--R", "1e300"]) == 2
+    assert "at most" in capsys.readouterr().err
+
+
 def test_unwritable_output_exit_code(capsys):
     rc = main(["optimize", "--state", "1ssg", "--R", "2.0",
                "--out", "/nonexistent-dir/x.csv"])
@@ -69,9 +76,21 @@ def test_pt_subcommand_and_tables(tmp_path):
     vals = dict(zip(header.split(","), row.split(",")))
     assert abs(float(vals["A1_xi"]) - 0.8117295846248) <= 1e-7
     assert float(vals["consistency"]) <= 1e-10
-    phi_table = (tmp_path / "corr_phi1_R2.csv").read_text().splitlines()
+    phi_table = (tmp_path / "corr_phi1_R2.0.csv").read_text().splitlines()
     assert phi_table[0] == "xi,phi1"
     assert len(phi_table) > 100
+
+
+def test_pt_tables_key_by_exact_R(tmp_path):
+    # the two R values of the mislabelled 2psu cell, 1e-7 apart
+    prefix = str(tmp_path / "corr")
+    for R in ("1.997193", "1.9971931"):
+        assert main(["pt", "--state", "1ssg", "--R", R,
+                     "--out", str(tmp_path / "pt.csv"),
+                     "--emit-tables", prefix]) == 0
+    for kind in ("phi1", "rho1"):
+        assert (tmp_path / f"corr_{kind}_R1.997193.csv").exists()
+        assert (tmp_path / f"corr_{kind}_R1.9971931.csv").exists()
 
 
 def test_transitions_subcommand(tmp_path):

@@ -1,7 +1,6 @@
 import json
 import math
 import os
-import warnings
 
 import numpy as np
 import pytest
@@ -16,8 +15,8 @@ from twocenter.quadrature import (build_rules, channel_moments,
                                   rayleigh_quotient, trial_channels)
 from twocenter.trial import (ParamDomainError, TrialParams, eta_channel,
                              xi_channel)
-from twocenter.variational import (OptimizationResult, _energy, _partner,
-                                   default_rule_size, load_params,
+from twocenter.variational import (GAP_TOL, OptimizationResult, _energy,
+                                   _partner, default_rule_size, load_params,
                                    optimize_state, p_consistency_check,
                                    save_result, scan_R, solve_node)
 
@@ -154,6 +153,55 @@ def test_node_objective_is_the_rayleigh_quotient(parity, R):
     assert repr(energy) == repr(plain)
 
 
+@pytest.mark.parametrize("label,R", [(GS, 2.0), (GS, 6.0),
+                                     (StateLabel(0, 0, 1, -1), 6.0)])
+def test_optimize_keeps_the_seed_p_and_reports_its_gap(label, R):
+    # p is the oracle's decay, carried by the seed, never a descent
+    # variable; stopped (1ssg R = 2) and descended results report g
+    seed = seed_for(label, R)
+    res = optimize_state(label, PhysicalSetup(R), seed)
+    assert res.params.p == seed.p
+    assert res.gap == res.energy.E_total - seed.origin.E_total
+    assert -1e-11 <= res.gap <= 5e-10
+
+
+def test_node_state_keeps_the_seed_p(bank):
+    label = StateLabel(1, 0, 0, +1)
+    st = bank.get(label, 4.0)
+    assert st.params.p == seed_for(label, 4.0).p
+
+
+def test_certified_seed_stops_after_one_evaluation():
+    # the 1ssg R = 2 seed sits 9.9e-14 Ry above the exact energy
+    setup = PhysicalSetup(2.0)
+    seed = seed_for(GS, 2.0)
+    E_exact = solve_bispectral(GS, setup).E_total
+    res = optimize_state(GS, setup, seed)
+    assert (res.evaluations, res.iterations) == (1, 0)
+    assert res.converged
+    assert res.params == seed
+    eps = GAP_TOL * max(1.0, abs(E_exact))
+    assert res.gap == res.energy.E_total - E_exact
+    assert abs(res.gap) <= eps
+    plain = rayleigh_quotient(seed, GS, setup,
+                              build_rules(seed.p, res.rule_N))
+    assert repr(res.energy) == repr(plain)
+
+
+def test_uncertified_seeds_descend():
+    # the same parameters without their exact energy, or carried to
+    # another R or label, are not certified and take the full descent
+    seed = seed_for(GS, 2.0)
+    hand_built = TrialParams(seed.alpha, seed.gamma, seed.a1, seed.a2,
+                             seed.b2, seed.b3, seed.p)
+    for label, R, init in ((GS, 2.0, hand_built), (GS, 2.2, seed),
+                           (StateLabel(0, 0, 0, -1), 2.0, seed)):
+        res = optimize_state(label, PhysicalSetup(R), init)
+        assert res.evaluations > 1 and res.iterations > 0
+        assert res.gap is None
+        assert res.params.p == seed.p
+
+
 def test_optimized_node_energy_is_the_rayleigh_quotient(bank):
     st = bank.get(StateLabel(1, 0, 0, +1), 4.0)
     rules = build_rules(st.params.p, st.result.rule_N)
@@ -181,46 +229,6 @@ def test_scan_point_does_not_depend_on_its_grid(bank):
 
 def test_scan_empty_grid():
     assert scan_R(GS, []) == []
-
-
-def test_jump_heuristic_fires_only_on_jumps():
-    # unit-test the smoothness warning on synthetic scans: near-degenerate
-    # valley directions make real scans occasionally jump legitimately
-    from twocenter.variational import _warn_on_parameter_jumps
-
-    def fake(R, b3):
-        pars = TrialParams(alpha=R, gamma=1.0, a1=R, a2=0.0, b2=0.0, b3=b3,
-                           p=R / 2.0 + 0.5)
-        pair = EnergyPair.from_total(-1.0, PhysicalSetup(R))
-        return OptimizationResult(GS, PhysicalSetup(R), pars, pair, 0, 0,
-                                  True, 64)
-
-    grid = [4.0, 6.0, 8.0, 10.0]
-    smooth = [fake(R, 0.01 * R) for R in grid]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        _warn_on_parameter_jumps(smooth, grid)
-    jumped = [fake(4.0, 0.04), fake(6.0, 0.06), fake(8.0, 0.08),
-              fake(10.0, 3.0)]
-    with pytest.warns(RuntimeWarning, match="b3 jumps"):
-        _warn_on_parameter_jumps(jumped, grid)
-
-
-def test_jump_heuristic_compares_steps_per_unit_R():
-    # parameters linear in R take uneven raw steps on an uneven grid
-    from twocenter.variational import _warn_on_parameter_jumps
-
-    grid = [1.0, 1.1, 6.0]
-    linear = []
-    for R in grid:
-        pars = TrialParams(alpha=R, gamma=1.0, a1=R, a2=0.0, b2=0.0,
-                           b3=0.0, p=R / 2.0 + 0.5)
-        pair = EnergyPair.from_total(-1.0, PhysicalSetup(R))
-        linear.append(OptimizationResult(GS, PhysicalSetup(R), pars, pair,
-                                         0, 0, True, 64))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        _warn_on_parameter_jumps(linear, grid)
 
 
 def test_p_consistency_ground_state(bank):
