@@ -390,28 +390,3 @@ def pt_phase_eta_small(E_total: float, A: float, label: StateLabel,
     out = -0.5 * A * eta**2 + c4 * eta**4
     return out if out.ndim else float(out)
 
-
-# ----------------------------------------------------------------------
-# classic baseline functions
-
-
-def eval_hund_mulliken(alpha2: float, setup: PhysicalSetup, parity: int, xi, eta):
-    """Two-exponential baseline: 2 exp(-a2 R xi) cosh-or-sinh(a2 R eta)."""
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    branch = np.cosh if parity == +1 else np.sinh
-    with np.errstate(under="ignore"):
-        out = 2.0 * np.exp(-alpha2 * setup.R * xi) * branch(alpha2 * setup.R * eta)
-    return out if out.ndim else float(out)
-
-
-def eval_guillemin_zener(alpha3: float, alpha4: float, setup: PhysicalSetup,
-                         parity: int, xi, eta):
-    """Screened-pair baseline: 2 exp(-(a3+a4) R xi) cosh-or-sinh((a3-a4) R eta)."""
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    branch = np.cosh if parity == +1 else np.sinh
-    with np.errstate(under="ignore"):
-        out = 2.0 * np.exp(-(alpha3 + alpha4) * setup.R * xi) \
-            * branch((alpha3 - alpha4) * setup.R * eta)
-    return out if out.ndim else float(out)

@@ -1,10 +1,11 @@
 """Variational optimization of the trial parameters.
 
-A deterministic simplex descent (Nelder-Mead with a fixed restart ladder
-of shrinking initial steps) minimizes the Rayleigh quotient over the six
-shape parameters (alpha, gamma, a1, a2, b2, b3).  The decay p is pinned
-at the seed's, for a presets.seed_for seed the oracle's exact decay; a
-seed within GAP_TOL of the exact energy it carries is not descended.
+A deterministic simplex descent (Nelder-Mead restarts with shrinking
+initial steps, ended by the first run that gains nothing) minimizes the
+Rayleigh quotient over the six shape parameters (alpha, gamma, a1, a2,
+b2, b3).  The decay p is pinned at the seed's, for a presets.seed_for
+seed the oracle's exact decay; a seed within GAP_TOL of the exact energy
+it carries is not descended.
 For single-node states the node position xi0 is not a descent variable:
 each objective evaluation pins it through the orthogonality condition
 against the nodeless state of the same parity; that overlap is linear in
@@ -141,13 +142,17 @@ def optimize_state(label: StateLabel, setup: PhysicalSetup, init: TrialParams,
     (seed_for's seeds do; a hand-built TrialParams, or a seed moved to
     another label or R, does not), one evaluation gives the seed's gap
     g = E_var - E_exact, and g <= GAP_TOL * max(1, |E_exact|) returns the
-    seed without descending.  Otherwise a fixed ladder of Nelder-Mead
-    runs, with the shrinking initial simplex steps of STEP_LADDER,
-    descends from it; steps that violate the parameter domain are
-    rejected inside the objective.  Deterministic for a given (init,
-    budget).  The energy is within GAP_TOL + the quadrature floor of the
-    ansatz optimum; at a stopped point the result is the projected seed,
-    not a local minimum.  `frozen` fixes named parameters at given values.
+    seed without descending.  Otherwise a ladder of Nelder-Mead runs,
+    with the shrinking initial simplex steps of STEP_LADDER, descends
+    from it, each run from the best point so far.  The ladder stops after
+    the first run that lowers the energy by no more than GAP_TOL * max(1,
+    |E|): run 1 against the seed's energy when init carries the exact
+    one, every later run against the run before it.  Steps that violate
+    the parameter domain are rejected inside the objective.
+    Deterministic for a given (init, budget).  The energy is within
+    GAP_TOL + the quadrature floor of the ansatz optimum; at a stopped
+    point the result is the projected seed, not a local minimum.
+    `frozen` fixes named parameters at given values.
     For n=1 states `ortho_ref` must hold the converged nodeless parameters
     of the same parity; xi0 then follows from solve_node at every step.
     A label outside SUPPORTED_LABELS raises UnsupportedStateError before
@@ -167,7 +172,7 @@ def optimize_state(label: StateLabel, setup: PhysicalSetup, init: TrialParams,
     origin = init.origin
     E_exact = (origin.E_total if origin is not None and origin.label == label
                and origin.setup == setup else None)
-    # budget caps each simplex run; the restart ladder is fixed-length
+    # budget caps each simplex run
     budget = budget if budget is not None else 400 * len(free)
     evaluations = 0
     iterations = 0
@@ -186,7 +191,10 @@ def optimize_state(label: StateLabel, setup: PhysicalSetup, init: TrialParams,
             return 1e6
 
     x_best, ok = x0, True
-    if E_exact is None or (objective(x0[free]) - E_exact
+    # the energy the next run starts from; without an exact energy the
+    # seed's is not evaluated, and run 1 always counts as a gain
+    f_start = math.inf if E_exact is None else objective(x0[free])
+    if E_exact is None or (f_start - E_exact
                            > GAP_TOL * max(1.0, abs(E_exact))):
         f_best, ok = math.inf, False
         for step in STEP_LADDER:  # each run starts from the best so far
@@ -203,6 +211,9 @@ def optimize_state(label: StateLabel, setup: PhysicalSetup, init: TrialParams,
                 x_best = x_best.copy()
                 x_best[free] = res.x
                 f_best, ok = float(res.fun), bool(res.success)
+            if f_start - f_best <= GAP_TOL * max(1.0, abs(f_best)):
+                break  # an idle run: the later, smaller steps gain nothing
+            f_start = f_best
 
     pars, energy = _energy(label, setup,
                            TrialParams(*[float(v) for v in x_best], p),

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from twocenter.model import PhysicalSetup, StateLabel
-from twocenter.trial import (ParamDomainError, TrialParams,
-                             eval_guillemin_zener, eval_hund_mulliken,
-                             eval_psi, eval_X, eval_Y, phase_of_trial_eta,
+from twocenter.trial import (ParamDomainError, TrialParams, eval_psi,
+                             eval_X, eval_Y, phase_of_trial_eta,
                              phase_of_trial_xi, pt_phase_eta_small,
                              pt_phase_xi_small, wkb_phase_eta_large,
                              wkb_phase_xi_large)
@@ -236,6 +235,28 @@ def test_eta_series_printed_coefficients():
 
 # ----------------------------------------------------------------------
 # baseline two-exponential functions
+
+
+def eval_hund_mulliken(alpha2: float, setup: PhysicalSetup, parity: int, xi, eta):
+    """Two-exponential baseline: 2 exp(-a2 R xi) cosh-or-sinh(a2 R eta)."""
+    xi = np.asarray(xi, dtype=float)
+    eta = np.asarray(eta, dtype=float)
+    branch = np.cosh if parity == +1 else np.sinh
+    with np.errstate(under="ignore"):
+        out = 2.0 * np.exp(-alpha2 * setup.R * xi) * branch(alpha2 * setup.R * eta)
+    return out if out.ndim else float(out)
+
+
+def eval_guillemin_zener(alpha3: float, alpha4: float, setup: PhysicalSetup,
+                         parity: int, xi, eta):
+    """Screened-pair baseline: 2 exp(-(a3+a4) R xi) cosh-or-sinh((a3-a4) R eta)."""
+    xi = np.asarray(xi, dtype=float)
+    eta = np.asarray(eta, dtype=float)
+    branch = np.cosh if parity == +1 else np.sinh
+    with np.errstate(under="ignore"):
+        out = 2.0 * np.exp(-(alpha3 + alpha4) * setup.R * xi) \
+            * branch((alpha3 - alpha4) * setup.R * eta)
+    return out if out.ndim else float(out)
 
 
 def test_hund_mulliken_matches_distance_form():

@@ -11,6 +11,7 @@ from twocenter.model import (EnergyPair, PhysicalSetup, StateLabel,
                              UnsupportedStateError)
 from twocenter.oracle import solve_bispectral
 from twocenter.presets import seed_for
+from twocenter.reference import energy_table
 from twocenter.quadrature import (build_rules, channel_moments,
                                   rayleigh_quotient, trial_channels)
 from twocenter.trial import (ParamDomainError, TrialParams, eta_channel,
@@ -269,10 +270,57 @@ def test_lambda_orthogonality_by_phase_integration(bank):
     assert abs(np.mean(vals)) <= 1e-13 * np.max(np.abs(vals))
 
 
-def test_budget_exhaustion_still_returns():
+def _count_runs(monkeypatch) -> list:
+    """The results of every Nelder-Mead run optimize_state makes."""
+    import twocenter.variational as variational
+
+    runs = []
+    real = variational.minimize
+
+    def counted(*args, **kwargs):
+        runs.append(real(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(variational, "minimize", counted)
+    return runs
+
+
+def test_ladder_stops_after_the_first_idle_run(monkeypatch):
+    # run 1 from the 1ssg R = 6 seed reaches the optimum; the three
+    # smaller steps after it would gain 4.4e-16 Ry in 889 evaluations
+    runs = _count_runs(monkeypatch)
+    res = optimize_state(GS, PhysicalSetup(6.0), seed_for(GS, 6.0))
+    assert len(runs) == 1
+    assert res.evaluations <= 500
+    assert res.converged
+    assert abs(res.energy.E_total - -1.023938096795) <= GAP_TOL
+
+
+def test_ladder_goes_on_after_a_run_that_gains(monkeypatch):
+    # run 1 at 2psu R = 20 lowers the seed by 4.1e-9 Ry, run 2 by nothing
+    label = StateLabel(0, 0, 0, -1)
+    runs = _count_runs(monkeypatch)
+    res = optimize_state(label, PhysicalSetup(20.0), seed_for(label, 20.0))
+    assert len(runs) == 2
+    assert res.evaluations == 1 + sum(run.nfev for run in runs)
+    assert res.energy.E_total == runs[-1].fun
+
+
+def test_ladder_reaches_the_table_where_every_run_gains(bank):
+    # 2ppu R = 30: each of the four runs lowers the energy, and run 2
+    # spends its whole budget; run 1 alone stays 5.3e-9 Ry above the row
+    label = StateLabel(0, 0, 1, +1)
+    row, = [r for r in energy_table("lam12")
+            if r["R"] == 30.0 and r["label"] == label]
+    assert abs(bank.get(label, 30.0).energy.E_total - row["E"]) <= 5e-9
+
+
+def test_budget_exhaustion_still_returns(monkeypatch):
+    runs = _count_runs(monkeypatch)
     seed = seed_for(GS, 6.0)
     res = optimize_state(GS, PhysicalSetup(6.0), seed, budget=25)
     assert not res.converged
+    assert runs and all(run.nfev <= 25 for run in runs)
     assert res.energy.E_total < -1.0  # still a usable variational value
 
 
@@ -353,6 +401,25 @@ def test_projected_seed_is_a_tight_upper_bound(R, label):
     rules = build_rules(seed.p, default_rule_size(seed.p))
     E = rayleigh_quotient(seed, label, setup, rules).E_total
     assert exact.E_total - 1e-11 <= E <= exact.E_total + 1e-5
+
+
+@settings(max_examples=12, deadline=5000)
+@given(R=strategies.floats(0.5, 50.0),
+       label=strategies.sampled_from([StateLabel(0, 0, lam, parity)
+                                      for lam in (0, 1, 2)
+                                      for parity in (+1, -1)]))
+def test_solve_never_widens_the_seed_gap(R, label):
+    # the descent starts at the seed and keeps the best point it meets;
+    # a solve that stopped at the seed did so because it was certified
+    setup = PhysicalSetup(R)
+    seed = seed_for(label, R)
+    res = optimize_state(label, setup, seed)
+    rules = build_rules(seed.p, res.rule_N)
+    seed_gap = (rayleigh_quotient(seed, label, setup, rules).E_total
+                - seed.origin.E_total)
+    assert res.gap <= seed_gap
+    if res.evaluations == 1:
+        assert res.gap <= GAP_TOL * max(1.0, abs(res.energy.E_total))
 
 
 def test_store_round_trip(tmp_path, bank, monkeypatch):
