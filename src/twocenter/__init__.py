@@ -6,8 +6,8 @@ and refined by a convergent perturbation scheme; electric and magnetic
 multipole oscillator strengths between them.
 """
 
-from .model import (EnergyPair, PhysicalSetup, SeparatedState, StateLabel,
-                    energy_from_p, label_from_designation, p_from_energy,
+from .model import (EnergyPair, PhysicalSetup, StateLabel, energy_from_p,
+                    label_from_designation, p_from_energy,
                     united_atom_designation)
 from .trial import TrialParams, eval_X, eval_Y, eval_psi
 from .quadrature import build_rules, norm_squared, rayleigh_quotient
@@ -19,7 +19,7 @@ from .transitions import TransitionRecord, oscillator_strength
 __version__ = "0.1.0"
 
 __all__ = [
-    "EnergyPair", "PhysicalSetup", "SeparatedState", "StateLabel",
+    "EnergyPair", "PhysicalSetup", "StateLabel",
     "TrialParams", "OptimizationResult", "OracleResult", "SolvedState",
     "StateBank", "TransitionRecord", "angular_eigenvalue",
     "attach_corrections", "build_rules", "energy_from_p", "eval_X", "eval_Y",

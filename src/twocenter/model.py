@@ -199,23 +199,6 @@ class EnergyPair:
         return cls(E_total, E_total - setup.repulsion, p)
 
 
-@dataclass(frozen=True)
-class SeparatedState:
-    """A solved state at fixed R: energies, separation constant, norm."""
-
-    label: StateLabel
-    setup: PhysicalSetup
-    energy: EnergyPair
-    A: float
-    norm: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.A):
-            raise ValueError("separation constant must be finite")
-        if not self.norm > 0.0:
-            raise ValueError("norm must be positive")
-
-
 # Coalesced-centers limit bookkeeping: (n, l, m) of the atomic orbital the
 # label flows to as R -> 0, and the constant term of the limiting polynomial
 # factor where one is present.

@@ -55,12 +55,10 @@ class ChannelPT:
     """First-order perturbation data of one channel."""
 
     channel: str                       # "xi" or "eta"
-    V1: Callable                       # perturbation potential on the channel
     A1: float
     correction_phase: Callable         # phi1 (xi) or rho1 (eta), interpolated
     correction_slope: Callable         # x1 = phi1' (resp. y1 = rho1')
     bound_C: float                     # sup of |V1| on the sampled domain
-    pole: float | None = None          # node-state pole of V1, if any
 
     def __post_init__(self):
         if not (math.isfinite(self.A1) and math.isfinite(self.bound_C)):
@@ -251,12 +249,12 @@ def first_correction_xi(params: TrialParams, label: StateLabel,
     if label.n != 0:
         raise ValueError("first_correction_xi needs a nodeless state")
     A1, grid, F, scale = _first_order(params, label, setup, p_phys, "xi")
-    V1, bound, pole = build_V1_xi(params, label, setup, p_phys)
+    V1, bound, _ = build_V1_xi(params, label, setup, p_phys)
     x1 = _slope(params, label, setup, "xi", grid, F, scale, A1, V1)
-    return _package_xi(grid, x1, A1, V1, bound, pole, params.p)
+    return _package_xi(grid, x1, A1, bound, params.p)
 
 
-def _package_xi(grid, x1, A1, V1, bound, pole, p_scale) -> ChannelPT:
+def _package_xi(grid, x1, A1, bound, p_scale) -> ChannelPT:
     # the slope is cut beyond _TAU_KEEP, where the exponentially growing
     # division has nothing left to resolve; the slope spline and its
     # antiderivative give an exact, C2-smooth (function, derivative)
@@ -280,7 +278,7 @@ def _package_xi(grid, x1, A1, V1, bound, pole, p_scale) -> ChannelPT:
         out = np.where(x >= hi, 0.0, x1_ip(np.clip(x, grid[0], hi)))
         return out if out.ndim else float(out)
 
-    return ChannelPT("xi", V1, A1, phi1, slope, bound, pole)
+    return ChannelPT("xi", A1, phi1, slope, bound)
 
 
 # ----------------------------------------------------------------------
@@ -322,7 +320,7 @@ def first_correction_eta(params: TrialParams, label: StateLabel,
         out = y1_ip(np.clip(np.asarray(x, dtype=float), -1.0, 1.0))
         return out if out.ndim else float(out)
 
-    return ChannelPT("eta", W1, A1, rho1, slope, bound)
+    return ChannelPT("eta", A1, rho1, slope, bound)
 
 
 def consistency_residual(A1_xi: float, A1_eta: float) -> tuple[float, float]:
@@ -436,5 +434,5 @@ def next_correction_xi(params: TrialParams, label: StateLabel,
     An, grid, F, scale = _first_order(params, label, setup, params.p, "xi",
                                       q=qn)
     xn = _slope(params, label, setup, "xi", grid, F, scale, An, qn)
-    return _package_xi(grid, xn, An, qn, float(np.max(np.abs(qn(grid)))),
-                       None, params.p)
+    return _package_xi(grid, xn, An, float(np.max(np.abs(qn(grid)))),
+                       params.p)

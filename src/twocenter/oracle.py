@@ -189,25 +189,18 @@ def _node_grid(A: float, p: float, b: float) -> np.ndarray:
     return np.linspace(0.0, 1.0, 1400)[1:] * (xi_far - 1.0) / (xi_far + 1.0)
 
 
-def radial_solution(E_total: float, A: float, setup: PhysicalSetup, lam: int,
-                    count_nodes: bool = True):
+def radial_solution(E_total: float, A: float, setup: PhysicalSetup, lam: int):
     """Scaled continued-fraction defect F(A)/(|A|+|c_0|+|alpha_0 r_1|) at
-    p(E_total), and the interior node count of the minimal solution."""
+    p(E_total), and the interior node count of the minimal solution: the
+    sign changes of Jaffe's series on the node grid, as exact_node finds
+    them."""
     E_prime = E_total - setup.repulsion
     if E_prime >= 0.0:
         raise ValueError("radial solution needs a bound channel (E' < 0)")
     p = math.sqrt(-E_prime) * setup.R / 2.0
     b = (setup.Z1 + setup.Z2) * setup.R
-    defect, r = _fraction(A, p, b, lam)
-    if not count_nodes:
-        return defect, -1
-    t = _node_grid(A, p, b)
-    g = np.cumprod(r)
-    size = np.abs(g) * t[-1] ** np.arange(g.size)
-    g = g[:np.flatnonzero(size > 1e-18 * size.max())[-1] + 1]
-    s = np.sign(np.polynomial.polynomial.polyval(t, g))
-    s = s[s != 0.0]
-    return defect, int(np.sum(s[:-1] * s[1:] < 0.0))
+    defect = _fraction(A, p, b, lam)[0]
+    return defect, _sign_changes(A, p, b, lam)[2].size
 
 
 def radial_mismatch(E_total: float, A: float, setup: PhysicalSetup, lam: int,
@@ -276,7 +269,7 @@ def solve_bispectral(label: StateLabel, setup: PhysicalSetup,
 
     The seed and its window (2e-4 Ry, or 5% of |E| for the one-center
     estimate) only place the first p-bracket: the root is the one with
-    label.n radial nodes, verified through radial_solution.
+    label.n radial nodes, verified through radial_mismatch.
     """
     E = E_seed if E_seed is not None else hydrogenic_seed(label, setup)
     window = 2e-4 if E_seed is not None else 0.05 * max(1.0, abs(E))
@@ -284,9 +277,7 @@ def solve_bispectral(label: StateLabel, setup: PhysicalSetup,
     p = p_from_energy(E, setup)
     A, K = angular_eigenvalue(p, label.lam, label.m, label.parity,
                               return_size=True)
-    mism, nodes = radial_solution(E, A, setup, label.lam)
-    if nodes != label.n:
-        raise RadialRootError(f"converged to wrong node count {nodes}")
+    mism = radial_mismatch(E, A, setup, label.lam, label.n)
     return OracleResult(label, setup, E, A, p, K, mism, expansions + 1)
 
 
@@ -294,17 +285,15 @@ def solve_bispectral(label: StateLabel, setup: PhysicalSetup,
 # exact eigenfunctions
 
 
-def _series(result: OracleResult, t_max: float):
+def _series(A: float, p: float, b: float, lam: int, t_max: float):
     """Coefficients g_k of the radial series sum g_k t^k, scaled so that
     max |g_k| = 1, and the log of that scale.  The tail doubles until the
     terms past its first half fall below 1e-18 of the largest on
     t <= t_max; those are dropped."""
-    setup, lam = result.setup, result.label.lam
-    b = (setup.Z1 + setup.Z2) * setup.R
     log_t = math.log(max(t_max, 1e-3))
     K = 64
     while K <= _K_MAX:
-        r = np.array(_fraction(result.A, result.p, b, lam, K)[1])
+        r = np.array(_fraction(A, p, b, lam, K)[1])
         K = r.size - 1
         with np.errstate(divide="ignore"):
             log_g = np.cumsum(np.log(np.abs(r)))
@@ -318,6 +307,15 @@ def _series(result: OracleResult, t_max: float):
         K *= 2
     raise OracleConvergenceError(
         f"radial series unsettled after {_K_MAX} terms at t={t_max}")
+
+
+def _sign_changes(A: float, p: float, b: float, lam: int):
+    """The node grid t, the series coefficients g on it, and the indices i
+    where sum g_k t^k changes sign between t[i] and t[i+1]."""
+    t = _node_grid(A, p, b)
+    g, _ = _series(A, p, b, lam, t[-1])
+    s = np.sign(np.polynomial.polynomial.polyval(t, g))
+    return t, g, np.flatnonzero(s[:-1] * s[1:] < 0.0)
 
 
 def _legendre_sum(coef, ls, lam: int, x):
@@ -346,9 +344,11 @@ def exact_channels(result: OracleResult, xi, eta):
     label, setup, p = result.label, result.setup, result.p
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
-    kap = (setup.Z1 + setup.Z2) * setup.R / (2.0 * p)
+    b = (setup.Z1 + setup.Z2) * setup.R
+    kap = b / (2.0 * p)
     t = (xi - 1.0) / (xi + 1.0)
-    g, scale = _series(result, float(np.max(t, initial=0.0)))
+    g, scale = _series(result.A, p, b, label.lam,
+                       float(np.max(t, initial=0.0)))
     S = np.polynomial.polynomial.polyval(t, g)
     ls, diag, off = _angular_matrix(p, label.lam, label.parity,
                                     result.angular_basis_size)
@@ -366,10 +366,9 @@ def exact_channels(result: OracleResult, xi, eta):
 def exact_node(result: OracleResult) -> float:
     """xi of the first interior node of the exact radial function."""
     setup = result.setup
-    t = _node_grid(result.A, result.p, (setup.Z1 + setup.Z2) * setup.R)
-    g, _ = _series(result, t[-1])
-    s = np.sign(np.polynomial.polynomial.polyval(t, g))
-    change = np.flatnonzero(s[:-1] * s[1:] < 0.0)
+    t, g, change = _sign_changes(result.A, result.p,
+                                 (setup.Z1 + setup.Z2) * setup.R,
+                                 result.label.lam)
     if change.size == 0:
         raise RadialRootError(f"no radial node for {result.label}")
     i = change[0]

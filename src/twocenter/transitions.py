@@ -18,6 +18,10 @@ with G the number of degenerate final orbitals (2 for pi/delta, 1 for
 sigma) and S1/S2 evaluated for a single member of the multiplet.  The
 magnetic sum over m = +-1 collapses to |<i|L_-|f_+>|^2, so no explicit
 degeneracy factor appears in the magnetic strength.
+
+Every strength comes from one table, _KINDS, which gives each kind its
+squared matrix element, its G and its f(G, dE, S); oscillator_strength
+is the one path that looks a kind up and assembles its record.
 """
 
 from __future__ import annotations
@@ -27,10 +31,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import BOHR_MAGNETON, FINE_STRUCTURE
 from .model import StateLabel
 from .quadrature import build_rules, integrate
 from .states import SolvedState
+
+# fine structure constant, dimensionless (CODATA 2018)
+FINE_STRUCTURE = 7.2973525693e-3
+
+# Bohr magneton expressed as an equivalent length in bohr (hbar/2mc),
+# which is the factor that turns <L> into a dipole-type matrix element
+# in Rydberg atomic units.
+BOHR_MAGNETON = FINE_STRUCTURE / 2.0
 
 
 class TransitionOrderingError(ValueError):
@@ -114,19 +125,6 @@ def dipole_matrix_element(state_i: SolvedState,
     return tme2 / norm**2
 
 
-def oscillator_strength_E1(state_i: SolvedState,
-                           state_f: SolvedState) -> TransitionRecord:
-    dE = state_f.energy.E_total - state_i.energy.E_total
-    if dE <= 0.0:
-        raise TransitionOrderingError(f"E_f <= E_i for {state_f.label}")
-    S1 = dipole_matrix_element(state_i, state_f)
-    G = degeneracy(state_f.label)
-    f = G * dE * S1 / 3.0
-    return TransitionRecord("E1", state_i.label, state_f.label,
-                            state_i.setup.R, dE, S1, G, f,
-                            forbidden=(S1 == 0.0))
-
-
 # ----------------------------------------------------------------------
 # magnetic dipole
 
@@ -146,19 +144,6 @@ def magnetic_matrix_element(state_i: SolvedState,
     termB = -a3 * (X[3, 0] * Y[1, 0] - X[1, 0] * Y[3, 0])
     Lminus = 2.0 * math.pi * (termA + termB)
     return (Lminus / norm) ** 2
-
-
-def oscillator_strength_B1(state_i: SolvedState,
-                           state_f: SolvedState) -> TransitionRecord:
-    dE = state_f.energy.E_total - state_i.energy.E_total
-    if dE <= 0.0:
-        raise TransitionOrderingError(f"E_f <= E_i for {state_f.label}")
-    L2 = magnetic_matrix_element(state_i, state_f)
-    S = BOHR_MAGNETON**2 * L2
-    f = dE * S / 3.0
-    return TransitionRecord("B1", state_i.label, state_f.label,
-                            state_i.setup.R, dE, S, 1, f,
-                            forbidden=(L2 == 0.0))
 
 
 # ----------------------------------------------------------------------
@@ -192,27 +177,30 @@ def quadrupole_matrix_element(state_i: SolvedState,
     return (me / norm) ** 2
 
 
-def oscillator_strength_E2(state_i: SolvedState,
-                           state_f: SolvedState) -> TransitionRecord:
-    dE = state_f.energy.E_total - state_i.energy.E_total
-    if dE <= 0.0:
-        raise TransitionOrderingError(f"E_f <= E_i for {state_f.label}")
-    S2 = quadrupole_matrix_element(state_i, state_f)
-    G = degeneracy(state_f.label)
-    f = FINE_STRUCTURE**2 / 240.0 * G * dE**3 * S2
-    return TransitionRecord("E2", state_i.label, state_f.label,
-                            state_i.setup.R, dE, S2, G, f,
-                            forbidden=(S2 == 0.0))
-
-
-_KINDS = {"E1": oscillator_strength_E1, "B1": oscillator_strength_B1,
-          "E2": oscillator_strength_E2}
+# kind -> (squared matrix element S, degeneracy G of the final label,
+#          f as a function of (G, dE, S))
+_KINDS = {
+    "E1": (dipole_matrix_element, degeneracy,
+           lambda G, dE, S: G * dE * S / 3.0),
+    "B1": (lambda i, f: BOHR_MAGNETON**2 * magnetic_matrix_element(i, f),
+           lambda final: 1, lambda G, dE, S: dE * S / 3.0),
+    "E2": (quadrupole_matrix_element, degeneracy,
+           lambda G, dE, S: FINE_STRUCTURE**2 / 240.0 * G * dE**3 * S),
+}
 
 
 def oscillator_strength(kind: str, state_i: SolvedState,
                         state_f: SolvedState) -> TransitionRecord:
+    """Record of the i -> f transition of kind E1, B1 or E2 (any case)."""
     try:
-        fn = _KINDS[kind.upper()]
+        element, weight, strength = _KINDS[kind.upper()]
     except KeyError:
         raise ValueError(f"unknown transition kind {kind!r}") from None
-    return fn(state_i, state_f)
+    dE = state_f.energy.E_total - state_i.energy.E_total
+    if dE <= 0.0:
+        raise TransitionOrderingError(f"E_f <= E_i for {state_f.label}")
+    S = element(state_i, state_f)
+    G = weight(state_f.label)
+    return TransitionRecord(kind.upper(), state_i.label, state_f.label,
+                            state_i.setup.R, dE, S, G, strength(G, dE, S),
+                            forbidden=(S == 0.0))

@@ -1,11 +1,10 @@
-import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twocenter.model import (EnergyPair, PhysicalSetup, SeparatedState,
-                             StateLabel, UnboundChannelError, energy_from_p,
+from twocenter.model import (EnergyPair, PhysicalSetup, StateLabel,
+                             UnboundChannelError, energy_from_p,
                              label_from_designation, limit_constant,
                              p_from_energy, united_atom_designation,
                              united_atom_designation_unicode)
@@ -90,15 +89,6 @@ def test_limit_constants():
     assert limit_constant(StateLabel(0, 1, 0, +1)) == Fraction(1, 3)
     assert limit_constant(StateLabel(0, 1, 0, -1)) == Fraction(3, 5)
     assert limit_constant(StateLabel(0, 0, 0, +1)) is None
-
-
-def test_separated_state_validation():
-    setup = PhysicalSetup(2.0)
-    pair = EnergyPair.from_total(-1.2, setup)
-    with pytest.raises(ValueError):
-        SeparatedState(StateLabel(0, 0, 0, +1), setup, pair, math.nan, 1.0)
-    with pytest.raises(ValueError):
-        SeparatedState(StateLabel(0, 0, 0, +1), setup, pair, 0.8, -1.0)
 
 
 def test_setup_validation():

@@ -66,8 +66,7 @@ def test_wrong_separation_constant_has_no_nearby_root():
     setup = PhysicalSetup(2.0)
     A = 0.8117295846248 + 0.1
     Es = np.linspace(-1.20526842899 - 0.01, -1.20526842899 + 0.01, 41)
-    signs = np.sign([radial_solution(E, A, setup, 0, count_nodes=False)[0]
-                     for E in Es])
+    signs = np.sign([radial_solution(E, A, setup, 0)[0] for E in Es])
     assert np.all(signs == signs[0])
 
 

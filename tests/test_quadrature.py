@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from twocenter.model import PhysicalSetup, StateLabel
 from twocenter.presets import seed_for
@@ -15,6 +15,7 @@ from twocenter.quadrature import (ChannelMoments, QuadratureConvergenceError,
                                   rayleigh_quotient, trial_channels,
                                   trial_moments)
 from twocenter.trial import ChannelArrays, TrialParams, eta_channel, xi_channel
+from twocenter.variational import default_rule_size
 
 GS = StateLabel(0, 0, 0, +1)
 SETUP_EQ = PhysicalSetup(1.997193)
@@ -223,6 +224,19 @@ def test_plateau_failure_reports_both_estimates():
         rayleigh_converged(PARS_EQ, GS, SETUP_EQ, p_scale=60.0, N=8,
                            rtol=1e-13)
     assert exc.value.coarse != exc.value.fine
+
+
+@settings(max_examples=30, deadline=2000)
+@given(R=st.floats(0.5, 50.0),
+       label=st.sampled_from([StateLabel(0, 0, lam, parity)
+                              for lam in (0, 1, 2) for parity in (+1, -1)]))
+def test_seed_rule_sits_on_the_plateau(R, label):
+    # the (N, 2N) shift of the rule optimize_state builds, on the projected
+    # seed: the plateau part of the floor under the oracle gap
+    seed = seed_for(label, R)
+    _, shift = rayleigh_converged(seed, label, PhysicalSetup(R), seed.p,
+                                  default_rule_size(seed.p), rtol=1e-11)
+    assert shift <= 1e-11
 
 
 def test_non_positive_norm_raises():

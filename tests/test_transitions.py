@@ -6,22 +6,33 @@ from twocenter.transitions import (TransitionOrderingError,
                                    dipole_matrix_element,
                                    magnetic_matrix_element,
                                    oscillator_strength,
-                                   oscillator_strength_B1,
-                                   oscillator_strength_E1,
-                                   oscillator_strength_E2,
                                    quadrupole_matrix_element)
 
 GS = StateLabel(0, 0, 0, +1)
 
 
-def test_dipole_selection_rules(bank):
-    g = bank.get(GS, 2.0)
-    # |dLambda| = 2 is dipole-forbidden
-    rec = oscillator_strength_E1(g, bank.get(StateLabel(0, 0, 2, +1), 2.0))
-    assert rec.forbidden and rec.f == 0.0
-    # parity-conserving dipole is forbidden
-    rec = oscillator_strength_E1(g, bank.get(StateLabel(1, 0, 0, +1), 2.0))
-    assert rec.forbidden and rec.f == 0.0
+_FINALS = {"2psu": StateLabel(0, 0, 0, -1), "2ppu": StateLabel(0, 0, 1, +1),
+           "3dpg": StateLabel(0, 0, 1, -1), "3ddg": StateLabel(0, 0, 2, +1),
+           "2ssg": StateLabel(1, 0, 0, +1)}
+
+
+@pytest.mark.parametrize("final", _FINALS)
+@pytest.mark.parametrize("kind", ["E1", "B1", "E2"])
+def test_record_selection_rules(bank, kind, final):
+    # every kind's record from 1ssg (Lambda = 0, gerade) at R = 2, asked
+    # in lower case: the label rule decides the exact zero, and G counts
+    # the final orbitals the strength sums over
+    label = _FINALS[final]
+    rec = oscillator_strength(kind.lower(), bank.get(GS, 2.0),
+                              bank.get(label, 2.0))
+    dlam, flips = label.lam, not label.gerade
+    allowed = {"E1": dlam <= 1 and flips,
+               "B1": dlam == 1 and not flips,
+               "E2": dlam <= 2 and not flips}[kind]
+    assert rec.kind == kind
+    assert rec.forbidden == (not allowed)
+    assert (rec.f == 0.0) == rec.forbidden and rec.f >= 0.0
+    assert rec.G == (1 if kind == "B1" or dlam == 0 else 2)
 
 
 def test_magnetic_selection_rules(bank):
@@ -42,7 +53,7 @@ def test_ordering_error(bank):
     g = bank.get(GS, 2.0)
     u = bank.get(StateLabel(0, 0, 1, +1), 2.0)
     with pytest.raises(TransitionOrderingError):
-        oscillator_strength_E1(u, g)
+        oscillator_strength("E1", u, g)
 
 
 @pytest.mark.parametrize("element, final", [
@@ -58,7 +69,7 @@ def test_dipole_hermitian_symmetry(bank, element, final):
 def test_magnetic_strength_example(bank):
     g = bank.get(GS, 2.0, corrected=True)
     d = bank.get(StateLabel(0, 0, 1, -1), 2.0, corrected=True)
-    rec = oscillator_strength_B1(g, d)
+    rec = oscillator_strength("B1", g, d)
     assert rec.f == pytest.approx(1.6661760e-7, rel=5e-6)
     assert rec.G == 1  # the magnetic sum over members is already inside S
 
@@ -66,7 +77,7 @@ def test_magnetic_strength_example(bank):
 def test_quadrupole_strength_example(bank):
     g = bank.get(GS, 2.0, corrected=True)
     d = bank.get(StateLabel(0, 0, 2, +1), 2.0, corrected=True)
-    rec = oscillator_strength_E2(g, d)
+    rec = oscillator_strength("E2", g, d)
     assert rec.G == 2
     assert rec.f == pytest.approx(1.5573573e-6, rel=5e-6)
 
@@ -85,8 +96,8 @@ def test_normalization_invariance(bank):
     g = bank.get(GS, 2.0)
     f = bank.get(StateLabel(0, 0, 1, +1), 2.0)
     f_scaled = EtaTripled(f.label, f.setup, f.params, f.energy)
-    r1 = oscillator_strength_E1(g, f)
-    r2 = oscillator_strength_E1(g, f_scaled)
+    r1 = oscillator_strength("E1", g, f)
+    r2 = oscillator_strength("E1", g, f_scaled)
     assert r2.f == pytest.approx(r1.f, rel=1e-11)
 
 
@@ -105,10 +116,10 @@ def test_one_center_limit_pins_conventions(bank):
     # R -> 0: the summed dipole strength to both n=2 final orbitals flows
     # to the closed-form one-electron value 2^13/3^9 (Z-independent)
     g = bank.get(GS, 0.1)
-    f_sigma = oscillator_strength_E1(g, bank.get(StateLabel(0, 0, 0, -1),
+    f_sigma = oscillator_strength("E1", g, bank.get(StateLabel(0, 0, 0, -1),
+                                                    0.1)).f
+    f_pi = oscillator_strength("E1", g, bank.get(StateLabel(0, 0, 1, +1),
                                                  0.1)).f
-    f_pi = oscillator_strength_E1(g, bank.get(StateLabel(0, 0, 1, +1),
-                                              0.1)).f
     assert f_sigma + f_pi == pytest.approx(8192.0 / 19683.0, abs=0.02)
     # equal sharing among the three members: the pi pair carries ~ 2/3
     assert f_pi / (f_sigma + f_pi) == pytest.approx(2.0 / 3.0, abs=0.02)
@@ -116,23 +127,23 @@ def test_one_center_limit_pins_conventions(bank):
 
 def test_magnetic_suppressed_toward_one_center(bank):
     # dl = 2 kills the magnetic element in the one-center limit
-    f1 = oscillator_strength_B1(bank.get(GS, 1.0, corrected=True),
-                                bank.get(StateLabel(0, 0, 1, -1), 1.0,
-                                         corrected=True)).f
-    f2 = oscillator_strength_B1(bank.get(GS, 2.0, corrected=True),
-                                bank.get(StateLabel(0, 0, 1, -1), 2.0,
-                                         corrected=True)).f
+    f1 = oscillator_strength("B1", bank.get(GS, 1.0, corrected=True),
+                             bank.get(StateLabel(0, 0, 1, -1), 1.0,
+                                      corrected=True)).f
+    f2 = oscillator_strength("B1", bank.get(GS, 2.0, corrected=True),
+                             bank.get(StateLabel(0, 0, 1, -1), 2.0,
+                                      corrected=True)).f
     assert f1 < 0.1 * f2
 
 
 def test_magnitude_hierarchy_at_equilibrium(bank):
     g = bank.get(GS, 2.0, corrected=True)
-    e1 = oscillator_strength_E1(g, bank.get(StateLabel(0, 0, 1, +1), 2.0,
-                                            corrected=True)).f
-    b1 = oscillator_strength_B1(g, bank.get(StateLabel(0, 0, 1, -1), 2.0,
-                                            corrected=True)).f
-    e2 = oscillator_strength_E2(g, bank.get(StateLabel(0, 0, 1, -1), 2.0,
-                                            corrected=True)).f
+    e1 = oscillator_strength("E1", g, bank.get(StateLabel(0, 0, 1, +1), 2.0,
+                                               corrected=True)).f
+    b1 = oscillator_strength("B1", g, bank.get(StateLabel(0, 0, 1, -1), 2.0,
+                                               corrected=True)).f
+    e2 = oscillator_strength("E2", g, bank.get(StateLabel(0, 0, 1, -1), 2.0,
+                                               corrected=True)).f
     assert e1 / e2 == pytest.approx(1.764e5, rel=0.05)
     assert e1 / b1 == pytest.approx(2.76e6, rel=0.05)
 
