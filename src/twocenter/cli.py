@@ -54,7 +54,7 @@ def parse_state(text: str) -> StateLabel:
         pass
     t2 = t.strip("()")
     parts = [p.strip() for p in t2.split(",")]
-    if len(parts) == 4 and parts[3] in "+-":
+    if len(parts) == 4 and parts[3] in ("+", "-"):
         try:
             return StateLabel(int(parts[0]), int(parts[1]), int(parts[2]),
                               +1 if parts[3] == "+" else -1)

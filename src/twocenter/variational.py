@@ -23,12 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .model import (EnergyPair, PhysicalSetup, StateLabel, p_from_energy,
-                    require_supported)
-from .presets import seed_for
-from .quadrature import (QuadratureError, build_rules, channel_moments,
-                         energy_from_channels, integrate, rayleigh_quotient,
-                         trial_channels)
+from .model import EnergyPair, PhysicalSetup, StateLabel, require_supported
+from .quadrature import (build_rules, channel_moments, energy_from_channels,
+                         integrate, rayleigh_quotient, trial_channels)
 from .trial import (ParamDomainError, TrialParams, eta_channel, xi_channel,
                     xi_envelope)
 
@@ -77,12 +74,6 @@ def default_rule_size(p_scale: float) -> int:
     if p_scale < 16.0:
         return 96
     return 128
-
-
-def p_consistency_check(result: OptimizationResult) -> float:
-    """|p_opt - p(E_opt)|: how closely the shape parameter tracks the energy."""
-    return abs(result.params.p - p_from_energy(result.energy.E_total,
-                                               result.setup))
 
 
 def solve_node(label: StateLabel, setup: PhysicalSetup, params: TrialParams,
@@ -152,7 +143,8 @@ def optimize_state(label: StateLabel, setup: PhysicalSetup, init: TrialParams,
     Deterministic for a given (init, budget).  The energy is within
     GAP_TOL + the quadrature floor of the ansatz optimum; at a stopped
     point the result is the projected seed, not a local minimum.
-    `frozen` fixes named parameters at given values.
+    `frozen` fixes named shape parameters at given values; any other key,
+    p included, raises ValueError.
     For n=1 states `ortho_ref` must hold the converged nodeless parameters
     of the same parity; xi0 then follows from solve_node at every step.
     A label outside SUPPORTED_LABELS raises UnsupportedStateError before
@@ -162,8 +154,10 @@ def optimize_state(label: StateLabel, setup: PhysicalSetup, init: TrialParams,
     init.validate()
     if label.n == 1 and ortho_ref is None:
         raise ValueError("n=1 optimization needs ortho_ref (nodeless state)")
-    frozen = dict(frozen or {})
-    p = frozen.pop("p", init.p)
+    frozen = frozen or {}
+    if set(frozen) - set(_SHAPE):
+        raise ValueError(f"frozen takes only {_SHAPE}, got {sorted(frozen)}")
+    p = init.p
     free = [i for i, k in enumerate(_SHAPE) if k not in frozen]
     x0 = np.array([frozen.get(k, getattr(init, k)) for k in _SHAPE])
     N = rule_N if rule_N is not None else default_rule_size(p)
@@ -227,40 +221,22 @@ def optimize_state(label: StateLabel, setup: PhysicalSetup, init: TrialParams,
 # cold R-scans
 
 
-def scan_R(label: StateLabel, R_grid) -> list:
-    """Optimize one state over a sorted R grid, each point on its own.
+def scan_R(label: StateLabel, R_grid) -> list[OptimizationResult]:
+    """Optimize one state at each R of a grid: a loop over one StateBank.
 
-    Every point is the cold solve StateBank.get makes: seed_for's
-    projection of the exact solution, optimized, with the nodeless
-    partner of an n=1 state solved the same way first.  A point's result
-    therefore does not depend on the rest of the grid.  A point that
-    fails with a domain or quadrature error (ValueError, QuadratureError)
-    is returned in place as the exception object without aborting the
-    scan; anything else propagates, an UnsupportedStateError included,
-    which is raised before any solve.
+    Every point is StateBank.get's cold solve, so a point's result does
+    not depend on the rest of the grid or its order.  A failed point
+    raises its typed error; an unsupported label raises before any solve.
     """
+    from .states import StateBank  # states imports this module
+
     require_supported(label)
-    R_grid = list(R_grid)
-    if sorted(R_grid) != R_grid:
-        raise ValueError("R_grid must be sorted ascending")
-    out: list = []
-    for R in R_grid:
-        try:
-            setup = PhysicalSetup(R)
-            ref = None
-            if label.n == 1:
-                glabel = StateLabel(0, label.m, label.lam, label.parity)
-                ref = optimize_state(glabel, setup,
-                                     seed_for(glabel, R)).params
-            out.append(optimize_state(label, setup, seed_for(label, R),
-                                      ortho_ref=ref))
-        except (ValueError, QuadratureError) as exc:  # failed point, in place
-            out.append(exc)
-    return out
+    bank = StateBank()
+    return [bank.get(label, R).result for R in R_grid]
 
 
 # ----------------------------------------------------------------------
-# optimized-parameter store
+# optimized-parameter store, written by `twocenter optimize --store`
 
 
 def store_dir() -> str:
@@ -286,16 +262,3 @@ def save_result(result: OptimizationResult, A: float | None = None,
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
     return path
-
-
-def load_params(label: StateLabel, R: float,
-                directory: str | None = None) -> TrialParams | None:
-    path = os.path.join(directory or store_dir(), _store_key(label, R))
-    if not os.path.exists(path):
-        return None
-    with open(path) as fh:
-        doc = json.load(fh)
-    d = doc["params"]
-    return TrialParams(alpha=d["alpha"], gamma=d["gamma"], a1=d["a1"],
-                       a2=d["a2"], b2=d["b2"], b3=d["b3"], p=d["p"],
-                       xi0=d.get("xi0"))

@@ -16,6 +16,10 @@ def test_parse_state_forms():
 def test_bad_state_exit_code(capsys):
     assert main(["optimize", "--state", "9zz", "--R", "2.0"]) == 2
     assert "error" in capsys.readouterr().err
+    # a parity other than exactly "+" or "-" is no state
+    for state in ("(1,0,0,)", "(0,0,0,+-)"):
+        assert main(["oracle", "--state", state, "--R", "2.0"]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_bad_grid_exit_code(capsys):

@@ -7,18 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies
 from scipy.optimize import brentq
 
-from twocenter.model import (EnergyPair, PhysicalSetup, StateLabel,
-                             UnsupportedStateError)
+from twocenter.model import PhysicalSetup, StateLabel, UnsupportedStateError
 from twocenter.oracle import solve_bispectral
 from twocenter.presets import seed_for
 from twocenter.reference import energy_table
 from twocenter.quadrature import (build_rules, channel_moments,
                                   rayleigh_quotient, trial_channels)
+from twocenter.states import StateBank
 from twocenter.trial import (ParamDomainError, TrialParams, eta_channel,
                              xi_channel)
 from twocenter.variational import (GAP_TOL, OptimizationResult, _energy,
-                                   _partner, default_rule_size, load_params,
-                                   optimize_state, p_consistency_check,
+                                   _partner, default_rule_size, optimize_state,
                                    save_result, scan_R, solve_node)
 
 GS = StateLabel(0, 0, 0, +1)
@@ -219,41 +218,20 @@ def test_scan_R_matches_energy_table():
         assert res.energy.E_total == pytest.approx(ref, abs=5e-10)
 
 
-def test_scan_point_does_not_depend_on_its_grid(bank):
-    in_grid = scan_R(GS, [4.0, 6.0])[1]
-    alone = scan_R(GS, [6.0])[0]
-    banked = bank.get(GS, 6.0).result
-    for res in (alone, banked):
-        assert repr(res.params) == repr(in_grid.params)
-        assert repr(res.energy) == repr(in_grid.energy)
+def test_scan_point_does_not_depend_on_its_grid():
+    # each point is the fresh StateBank solve, whatever the grid's order,
+    # the partner-first solve of a single-node label included
+    node = StateLabel(1, 0, 0, -1)
+    for label, grid in ((GS, [4.0, 6.0]), (GS, [6.0]), (GS, [6.0, 4.0]),
+                        (node, [4.0])):
+        for R, res in zip(grid, scan_R(label, grid)):
+            fresh = StateBank().get(label, R).result
+            assert repr(res.params) == repr(fresh.params)
+            assert repr(res.energy) == repr(fresh.energy)
 
 
 def test_scan_empty_grid():
     assert scan_R(GS, []) == []
-
-
-def test_p_consistency_ground_state(bank):
-    st = bank.get(GS, 2.0)
-    assert p_consistency_check(st.result) <= 1e-6 * st.params.p
-
-
-def test_p_consistency_perturbation_probe(bank):
-    st = bank.get(GS, 2.0)
-    base = p_consistency_check(st.result)
-    pars = st.params.replace(alpha=1.1 * st.params.alpha)
-    e = rayleigh_quotient(pars, GS, st.setup, build_rules(pars.p, 64))
-    perturbed = OptimizationResult(GS, st.setup, pars, e, 0, 0, True, 64)
-    assert p_consistency_check(perturbed) >= 10.0 * base
-
-
-def test_p_consistency_closed_form_fixture():
-    # E' = -4 at R = 2 with p stored as exactly 2: zero residual
-    setup = PhysicalSetup(2.0)
-    pars = TrialParams(alpha=1.0, gamma=1.0, a1=1.0, a2=0.0, b2=0.0, b3=0.0,
-                       p=2.0)
-    pair = EnergyPair.from_total(-4.0 + setup.repulsion, setup)
-    res = OptimizationResult(GS, setup, pars, pair, 0, 0, True, 64)
-    assert p_consistency_check(res) <= 1e-12
 
 
 def test_lambda_orthogonality_by_phase_integration(bank):
@@ -324,24 +302,22 @@ def test_budget_exhaustion_still_returns(monkeypatch):
     assert res.energy.E_total < -1.0  # still a usable variational value
 
 
-def test_scan_returns_typed_failures_in_place(monkeypatch):
-    import twocenter.variational as variational
+def test_scan_raises_a_failed_point(monkeypatch):
+    import twocenter.states as states
 
-    def fake(label, setup, init, **kw):
-        if setup.R == 2.0:
-            raise ParamDomainError("off the domain")
-        return "solved"
+    def failed(label, setup, init, **kw):
+        raise ParamDomainError("off the domain")
 
-    monkeypatch.setattr(variational, "optimize_state", fake)
-    out = scan_R(GS, [2.0, 4.0])
-    assert isinstance(out[0], ParamDomainError) and out[1] == "solved"
-
-    def broken(label, setup, init, **kw):
-        raise RuntimeError("a bug, not a failed point")
-
-    monkeypatch.setattr(variational, "optimize_state", broken)
-    with pytest.raises(RuntimeError):
+    monkeypatch.setattr(states, "optimize_state", failed)
+    with pytest.raises(ParamDomainError, match="off the domain"):
         scan_R(GS, [2.0, 4.0])
+
+
+def test_frozen_takes_shape_parameters_only():
+    seed = seed_for(GS, 2.0)
+    for frozen in ({"p": 1.0}, {"alpah": 1.0}):
+        with pytest.raises(ValueError, match="frozen"):
+            optimize_state(GS, PhysicalSetup(2.0), seed, frozen=frozen)
 
 
 def test_crude_seed_takes_the_oracle_p():
@@ -370,7 +346,6 @@ def test_scan_propagates_unsupported_state():
 
 def test_unsupported_label_is_rejected_before_the_oracle(monkeypatch):
     import twocenter.presets as presets
-    from twocenter.states import StateBank
 
     def solved(*args, **kwargs):
         raise AssertionError("oracle called")
@@ -429,9 +404,7 @@ def test_store_round_trip(tmp_path, bank, monkeypatch):
     assert os.path.exists(path)
     doc = json.load(open(path))
     assert doc["meta"]["rule_N"] == st.result.rule_N
-    loaded = load_params(GS, 2.0)
-    assert loaded == st.params
-    assert load_params(GS, 33.0) is None
+    assert TrialParams(**doc["params"]) == st.params
 
 
 def test_store_keys_by_exact_R(tmp_path, bank):
@@ -444,5 +417,5 @@ def test_store_keys_by_exact_R(tmp_path, bank):
                                     res.energy, 0, 0, True, res.rule_N)
         paths[R] = save_result(stored, directory=str(tmp_path))
     assert paths[1.997193] != paths[1.9971931]
-    assert load_params(GS, 1.997193, str(tmp_path)).alpha == 1.0
-    assert load_params(GS, 1.9971931, str(tmp_path)).alpha == 2.0
+    for R, alpha in ((1.997193, 1.0), (1.9971931, 2.0)):
+        assert json.load(open(paths[R]))["params"]["alpha"] == alpha
