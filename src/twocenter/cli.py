@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from .model import (PhysicalSetup, StateLabel, UnsupportedStateError,

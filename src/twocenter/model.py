@@ -114,14 +114,6 @@ def require_supported(label: StateLabel) -> None:
             f"no variational solve for state {label}; supported: {names}")
 
 
-def united_atom_designation_unicode(label: StateLabel) -> str | None:
-    """Same as :func:`united_atom_designation` with the Greek Lambda letter."""
-    name = united_atom_designation(label)
-    if name is None:
-        return None
-    return name[:-2] + _LAM_GREEK[label.lam] + name[-1]
-
-
 def label_from_designation(name: str) -> StateLabel:
     """Inverse lookup: spectroscopic name (ascii or unicode) to StateLabel."""
     key = name.strip().lower()

@@ -112,16 +112,6 @@ def true_potential_eta(p_phys: float, eta):
     return p_phys**2 * eta * eta
 
 
-def riccati_residual_xi(params: TrialParams, label: StateLabel,
-                        setup: PhysicalSetup, A: float, xi,
-                        p_phys: float | None = None):
-    """Residual of the xi channel equation in Riccati form; zero iff
-    (X0, A) solve the channel ODE with the physical potential."""
-    p = p_phys if p_phys is not None else params.p
-    return channel_potential_xi(params, label, setup, xi) \
-        - (true_potential_xi(setup, p, xi) - A)
-
-
 def residual_custom_phase(phi_d1, phi_d2, V, A, lam, x):
     """Riccati residual for X = exp(-phase): fixture hook for exact cases."""
     x = np.asarray(x, dtype=float)
@@ -321,12 +311,6 @@ def first_correction_eta(params: TrialParams, label: StateLabel,
         return out if out.ndim else float(out)
 
     return ChannelPT("eta", A1, rho1, slope, bound)
-
-
-def consistency_residual(A1_xi: float, A1_eta: float) -> tuple[float, float]:
-    """Absolute and relative spread of the two channel estimates."""
-    d = abs(A1_xi - A1_eta)
-    return d, d / max(abs(A1_xi), abs(A1_eta), 1e-300)
 
 
 # ----------------------------------------------------------------------

@@ -22,25 +22,11 @@ import numpy as np
 from scipy.special import roots_laguerre
 
 from .model import EnergyPair, PhysicalSetup, StateLabel
-from .trial import (ChannelArrays, TrialParams, channel_factor, eta_channel,
-                    xi_channel)
+from .trial import ChannelArrays, TrialParams, eta_channel, xi_channel
 
 
 class QuadratureError(RuntimeError):
     """Quadrature produced an unusable result (non-positive norm, ...)."""
-
-
-class QuadratureConvergenceError(QuadratureError):
-    """Doubling the rule moved the result beyond tolerance."""
-
-    def __init__(self, coarse: float, fine: float, rtol: float):
-        self.coarse = coarse
-        self.fine = fine
-        self.rtol = rtol
-        super().__init__(
-            f"no quadrature plateau: N gave {coarse!r}, 2N gave {fine!r} "
-            f"(rtol {rtol:g})"
-        )
 
 
 @dataclass(frozen=True)
@@ -117,6 +103,8 @@ def channel_moments(ca: ChannelArrays, cb: ChannelArrays, rule: QuadratureRule,
 
     The weight base is xi^2-1 on the xi rule and 1-eta^2 on the eta rule,
     one sign times x^2-1; the cross factor is that sign times lam x.
+    A cb of k stacked rows gives each moment as an array of k values,
+    all from the same integrate call; row i sums as if it came alone.
     """
     x = rule.nodes
     sign = 1.0 if rule.channel == "xi" else -1.0
@@ -128,17 +116,17 @@ def channel_moments(ca: ChannelArrays, cb: ChannelArrays, rule: QuadratureRule,
     if lam:  # the cross and centrifugal moments vanish for lam = 0
         rows += [sign * lam * x * (ca.dvals * cb.vals + ca.vals * cb.dvals) * w,
                  lam * lam * (x * x + 1.0) * base ** (lam - 1) * ab]
-    sums = integrate(rule, np.array(rows), extended) + [0.0, 0.0]
-    return ChannelMoments(*sums[:6], ca.logscale + cb.logscale)
+    rows = np.array(rows)
+    sums, zero = integrate(rule, rows.reshape(-1, x.size), extended), 0.0
+    if rows.ndim == 3:
+        sums = list(np.reshape(sums, rows.shape[:2]))
+        zero = np.zeros(rows.shape[1])
+    return ChannelMoments(*(sums + [zero, zero])[:6],
+                          ca.logscale + cb.logscale)
 
 
-def assemble_energy(mx: ChannelMoments, me: ChannelMoments,
-                    setup: PhysicalSetup) -> EnergyPair:
-    """E' and E_total from the channel moments of a normalized-in-place state."""
-    a2 = setup.a * setup.a
-    denom = mx.s2 * me.s0 - mx.s0 * me.s2
-    if denom <= 0.0:
-        raise QuadratureError(f"non-positive norm integral: {denom!r}")
+def _forms(mx: ChannelMoments, me: ChannelMoments, setup: PhysicalSetup):
+    """(numerator, denominator) of E' a^2: each linear in mx and in me."""
     zsum = setup.Z1 + setup.Z2
     zdif = setup.Z1 - setup.Z2
     num = (
@@ -146,10 +134,45 @@ def assemble_energy(mx: ChannelMoments, me: ChannelMoments,
         + (me.kin + me.cross + me.cent) * mx.s0
         - 2.0 * setup.a * (zsum * mx.s1 * me.s0 + zdif * mx.s0 * me.s1)
     )
-    E_prime = num / (a2 * denom)
+    return num, mx.s2 * me.s0 - mx.s0 * me.s2
+
+
+def assemble_energy(mx: ChannelMoments, me: ChannelMoments,
+                    setup: PhysicalSetup) -> EnergyPair:
+    """E' and E_total from the channel moments of a normalized-in-place state."""
+    num, denom = _forms(mx, me, setup)
+    if denom <= 0.0:
+        raise QuadratureError(f"non-positive norm integral: {denom!r}")
+    E_prime = num / (setup.a * setup.a * denom)
     E_total = E_prime + setup.repulsion
     p = math.sqrt(-E_prime) * setup.R / 2.0 if E_prime < 0.0 else float("nan")
     return EnergyPair(E_total, E_prime, p)
+
+
+def _split(m: ChannelMoments) -> tuple[ChannelMoments, ChannelMoments]:
+    """Moments M(c, [c; dc]) of a channel stack as M(c, c) in floats and
+    the derivative moments d M(c, c) = 2 M(c, dc), one per row of dc."""
+    rows = (m.s0, m.s1, m.s2, m.kin, m.cross, m.cent)
+    return (ChannelMoments(*(float(v[0]) for v in rows), m.logscale),
+            ChannelMoments(*(2.0 * v[1:] for v in rows), m.logscale))
+
+
+def energy_gradient(channels, label: StateLabel, setup: PhysicalSetup,
+                    rules) -> tuple[EnergyPair, np.ndarray]:
+    """energy_from_channels of row 0 of each channel stack, to the bit,
+    and the gradient of E_total over the other rows, xi first: num and
+    den of E' = num/(a^2 den) are linear in each channel's moments, so
+    dE' = (d num - a^2 E' d den) / (a^2 den)."""
+    mx, me = (_split(channel_moments(
+        ChannelArrays(c.vals[0], c.dvals[0], c.logscale), c, rule, label.lam))
+        for c, rule in zip(channels, rules))
+    energy = assemble_energy(mx[0], me[0], setup)
+    a2 = setup.a * setup.a
+    den = _forms(mx[0], me[0], setup)[1]
+    grad = [(dnum - a2 * energy.E_prime * dden) / (a2 * den)
+            for dnum, dden in (_forms(mx[1], me[0], setup),
+                               _forms(mx[0], me[1], setup))]
+    return energy, np.concatenate(grad)
 
 
 def norm_from_moments(m_xi: ChannelMoments, m_eta: ChannelMoments,
@@ -169,11 +192,12 @@ def norm_from_moments(m_xi: ChannelMoments, m_eta: ChannelMoments,
 
 
 def trial_channels(params: TrialParams, label: StateLabel,
-                   setup: PhysicalSetup, rules):
-    """The trial state's scaled (xi, eta) channels on the rule pair."""
+                   setup: PhysicalSetup, rules, grad: bool = False):
+    """The trial state's scaled (xi, eta) channels on the rule pair, with
+    their derivative rows when grad."""
     rx, re = rules
-    return (xi_channel(params, label, setup, rx.nodes),
-            eta_channel(params, label, re.nodes))
+    return (xi_channel(params, label, setup, rx.nodes, grad=grad),
+            eta_channel(params, label, re.nodes, grad))
 
 
 def trial_moments(channels, label: StateLabel, rules):
@@ -202,49 +226,3 @@ def rayleigh_quotient(params: TrialParams, label: StateLabel,
     """Variational energy <H>/<1> in Ry, gradient-form kinetic energy."""
     return energy_from_channels(trial_channels(params, label, setup, rules),
                                 label, setup, rules)
-
-
-def rayleigh_converged(params: TrialParams, label: StateLabel,
-                       setup: PhysicalSetup, p_scale: float, N: int,
-                       rtol: float = 1e-11) -> tuple[EnergyPair, float]:
-    """Rayleigh quotient with an (N, 2N) plateau check.
-
-    Returns the fine-rule energy and the relative shift; raises
-    QuadratureConvergenceError when doubling moves E beyond rtol.
-    """
-    coarse = rayleigh_quotient(params, label, setup, build_rules(p_scale, N))
-    fine = rayleigh_quotient(params, label, setup, build_rules(p_scale, 2 * N))
-    shift = abs(fine.E_total - coarse.E_total) / max(1.0, abs(fine.E_total))
-    if shift > rtol:
-        raise QuadratureConvergenceError(coarse.E_total, fine.E_total, rtol)
-    return fine, shift
-
-
-def kinetic_energy(params: TrialParams, label: StateLabel, setup: PhysicalSetup,
-                   rules, form: str = "weak") -> float:
-    """<Psi|-Laplacian|Psi> in Ry; strong form is a cross-check oracle."""
-    rx, re = rules
-    lam = label.lam
-    cx, ce = channels = trial_channels(params, label, setup, rules)
-    mx, me = trial_moments(channels, label, rules)
-    scale = math.exp(-(mx.logscale + me.logscale))
-    if form == "weak":
-        val = (mx.kin + mx.cross + mx.cent) * me.s0 \
-            + (me.kin + me.cross + me.cent) * mx.s0
-        return 2.0 * math.pi * setup.a * val * scale
-    if form != "strong":
-        raise ValueError(f"unknown kinetic form {form!r}")
-
-    xi = rx.nodes
-    ddX = channel_factor(params, label, setup, xi, "xi", cx.logscale)[2]
-    lx = -(xi**2 - 1.0) * ddX - 2.0 * (lam + 1.0) * xi * cx.dvals \
-        - lam * (lam + 1.0) * cx.vals
-    tx = integrate(rx, lx * cx.vals * (xi**2 - 1.0) ** lam)
-
-    eta = re.nodes
-    ddY = channel_factor(params, label, setup, eta, "eta", ce.logscale)[2]
-    ly = -(1.0 - eta**2) * ddY + 2.0 * (lam + 1.0) * eta * ce.dvals \
-        + lam * (lam + 1.0) * ce.vals
-    te = integrate(re, ly * ce.vals * (1.0 - eta**2) ** lam)
-
-    return 2.0 * math.pi * setup.a * (tx * me.s0 + mx.s0 * te) * scale

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -94,6 +95,17 @@ def effective_kappa(params: TrialParams, setup: PhysicalSetup) -> float:
 # smooth phase of the xi channel
 
 
+def _xi_terms(params: TrialParams, label: StateLabel, setup: PhysicalSetup,
+              xi):
+    """(q, gamma + xi, u, c) of phi0 = q log(gamma+xi) + u, with
+    u = xi (alpha + p xi)/(gamma+xi) and c = gamma (p gamma - alpha)."""
+    xi = np.asarray(xi, dtype=float)
+    al, g, p = params.alpha, params.gamma, params.p
+    gx = g + xi
+    return (1.0 + label.n + label.lam - effective_kappa(params, setup), gx,
+            xi * (al + p * xi) / gx, g * (p * g - al))
+
+
 def phase_of_trial_xi(params: TrialParams, label: StateLabel,
                       setup: PhysicalSetup, xi):
     """Phase phi0 of X = P_n exp(-phi0) and its first two derivatives.
@@ -101,24 +113,26 @@ def phase_of_trial_xi(params: TrialParams, label: StateLabel,
     The prefactors carrying zeros ((xi^2-1)^(L/2), P_n) are excluded:
     phi0 = (1+n+L-kappa) log(gamma+xi) + xi (alpha + p xi)/(gamma+xi).
     """
-    xi = np.asarray(xi, dtype=float)
-    al, g, p = params.alpha, params.gamma, params.p
-    q = 1.0 + label.n + label.lam - effective_kappa(params, setup)
-    gx = g + xi
-    u = xi * (al + p * xi) / gx
-    c = g * (p * g - al)
-    du = p - c / gx**2
-    ddu = 2.0 * c / gx**3
-    phi = q * np.log(gx) + u
-    dphi = q / gx + du
-    ddphi = -q / gx**2 + ddu
-    return phi, dphi, ddphi
+    q, gx, u, c = _xi_terms(params, label, setup, xi)
+    return (q * np.log(gx) + u, q / gx + (params.p - c / gx**2),
+            -q / gx**2 + 2.0 * c / gx**3)
 
 
 # ----------------------------------------------------------------------
 # smooth phase of the eta channel
 
 _SMALL_W = 0.25
+# below _SMALL_W, coth w - 1/w = sum_n 2^(2n) B_2n w^(2n-1) / (2n)! to n = 11
+# (Abramowitz & Stegun 4.5.67) and sinh w / w - 1 = sum_k w^(2k) / (2k+1)!
+# to k = 9 are complete to double precision; coefficients highest first
+_B2N = (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
+        Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6),
+        Fraction(-3617, 510), Fraction(43867, 798), Fraction(-174611, 330),
+        Fraction(854513, 138))
+_COTH = [float(4**n * b / math.factorial(2 * n))
+         for n, b in enumerate(_B2N, start=1)][::-1]
+_DCOTH = [(2 * n - 1) * c for n, c in zip(range(len(_COTH), 0, -1), _COTH)]
+_SINHC = [1.0 / math.factorial(2 * k + 1) for k in range(9, 0, -1)]
 
 
 def _coth_minus_inv(w):
@@ -127,8 +141,7 @@ def _coth_minus_inv(w):
     out = np.empty_like(w)
     small = np.abs(w) < _SMALL_W
     ws = w[small]
-    w2 = ws * ws
-    out[small] = ws * (1.0 / 3.0 + w2 * (-1.0 / 45.0 + w2 * (2.0 / 945.0 - w2 / 4725.0)))
+    out[small] = ws * np.polyval(_COTH, ws * ws)
     wl = w[~small]
     out[~small] = 1.0 / np.tanh(wl) - 1.0 / wl
     return out
@@ -139,9 +152,7 @@ def _dcoth_minus_inv(w):
     w = np.asarray(w, dtype=float)
     out = np.empty_like(w)
     small = np.abs(w) < _SMALL_W
-    ws = w[small]
-    w2 = ws * ws
-    out[small] = 1.0 / 3.0 + w2 * (-1.0 / 15.0 + w2 * (2.0 / 189.0 - 7.0 * w2 / 4725.0))
+    out[small] = np.polyval(_DCOTH, w[small] ** 2)
     wl = w[~small]
     sh = np.sinh(np.clip(np.abs(wl), None, 350.0))
     out[~small] = 1.0 / wl**2 - 1.0 / sh**2
@@ -154,7 +165,7 @@ def _log_sinh_over_w(w):
     out = np.empty_like(w)
     small = w < _SMALL_W
     w2 = w[small] ** 2
-    out[small] = np.log1p(w2 / 6.0 * (1.0 + w2 / 20.0 * (1.0 + w2 / 42.0)))
+    out[small] = np.log1p(w2 * np.polyval(_SINHC, w2))
     wl = w[~small]
     out[~small] = wl + np.log(-np.expm1(-2.0 * wl)) - np.log(2.0 * wl)
     return out
@@ -178,6 +189,31 @@ def _eta_rationals(params: TrialParams, eta):
     return N, D, dN, dD, ddN, ddD
 
 
+def _eta_slope(params: TrialParams, label: StateLabel, eta):
+    """rho0, rho0' and the terms that rho0'' and the gradient reuse:
+    (nu, N, D, dN, dD, ddN, ddD, w, w', T) with T = d lt/dw, where lt is
+    log cosh w (even branch) or log(sinh w / w) + log(N/D) (odd)."""
+    nu = (1.0 + 2 * label.m + label.lam) / 4.0
+    N, D, dN, dD, ddN, ddD = _eta_rationals(params, eta)
+    P = eta * N
+    w = P / D
+    dw = (N + eta * dN) / D - P * dD / D**2
+    if label.parity == +1:
+        T = np.tanh(w)
+        lt = _log_cosh(w)
+        dlt = T * dw
+    else:
+        if not params.a1 > 0.0:
+            raise ParamDomainError("odd-branch phase requires a1 > 0")
+        if np.any(N <= 0.0):
+            raise ParamDomainError("odd-branch phase requires a positive sinh argument")
+        T = _coth_minus_inv(w)
+        lt = _log_sinh_over_w(w) + np.log(N / D)
+        dlt = T * dw + (dN / N - dD / D)
+    return (nu * np.log(D) - lt, nu * (dD / D) - dlt,
+            (nu, N, D, dN, dD, ddN, ddD, w, dw, T))
+
+
 def phase_of_trial_eta(params: TrialParams, label: StateLabel, eta):
     """Phase rho0 of Y = g exp(-rho0) with its first two derivatives.
 
@@ -186,41 +222,38 @@ def phase_of_trial_eta(params: TrialParams, label: StateLabel, eta):
     positive for eta > 0 (a1 > 0 for the seeds).
     """
     eta = np.asarray(eta, dtype=float)
-    nu = (1.0 + 2 * label.m + label.lam) / 4.0
-    N, D, dN, dD, ddN, ddD = _eta_rationals(params, eta)
-    P = eta * N
-    dP = N + eta * dN
-    ddP = 2.0 * dN + eta * ddN
-    w = P / D
-    dw = dP / D - P * dD / D**2
-    ddw = ddP / D - (2.0 * dP * dD + P * ddD) / D**2 + 2.0 * P * dD**2 / D**3
-
-    logD = np.log(D)
-    dlogD = dD / D
-    ddlogD = ddD / D - (dD / D) ** 2
-
+    rho, drho, (nu, N, D, dN, dD, ddN, ddD, w, dw, T) = \
+        _eta_slope(params, label, eta)
+    P, dP = eta * N, N + eta * dN
+    ddw = ((2.0 * dN + eta * ddN) / D - (2.0 * dP * dD + P * ddD) / D**2
+           + 2.0 * P * dD**2 / D**3)
     if label.parity == +1:
-        th = np.tanh(w)
-        lt = _log_cosh(w)
-        dlt = th * dw
-        ddlt = (1.0 - th * th) * dw * dw + th * ddw
+        ddlt = (1.0 - T * T) * dw * dw + T * ddw
     else:
-        if not params.a1 > 0.0:
-            raise ParamDomainError("odd-branch phase requires a1 > 0")
-        if np.any(N <= 0.0):
-            raise ParamDomainError("odd-branch phase requires a positive sinh argument")
-        S = _coth_minus_inv(w)
-        dS = _dcoth_minus_inv(w)
-        M = dN / N - dD / D
-        dM = ddN / N - (dN / N) ** 2 - ddD / D + (dD / D) ** 2
-        lt = _log_sinh_over_w(w) + np.log(N / D)
-        dlt = S * dw + M
-        ddlt = dS * dw * dw + S * ddw + dM
+        ddlt = (_dcoth_minus_inv(w) * dw * dw + T * ddw
+                + (ddN / N - (dN / N) ** 2 - ddD / D + (dD / D) ** 2))
+    return rho, drho, nu * (ddD / D - (dD / D) ** 2) - ddlt
 
-    rho = nu * logD - lt
-    drho = nu * dlogD - dlt
-    ddrho = nu * ddlogD - ddlt
-    return rho, drho, ddrho
+
+def _eta_gradient(params: TrialParams, label: StateLabel, eta, terms):
+    """(d rho0, d rho0'): (4, N) stacks over (a1, a2, b2, b3)."""
+    nu, N, D, dN, dD, _, _, w, dw, T = terms
+    p, e2, zero = params.p, eta * eta, np.zeros_like(eta)
+    # d/d(a1, a2, b2, b3) of N, D and of their eta-slopes dN, dD
+    gN = np.array([zero + 1.0, p * e2, zero, p * e2 * e2])
+    gD = np.array([zero, zero, e2, e2 * e2])
+    gdN = np.array([zero, 2.0 * p * eta, zero, 4.0 * p * eta * e2])
+    gdD = np.array([zero, zero, 2.0 * eta, 4.0 * eta * e2])
+    gw = (eta * gN - w * gD) / D
+    gdw = (gN + eta * gdN - gw * dD - w * gdD - dw * gD) / D
+    glogD, gdlogD = gD / D, (gdD - dD * gD / D) / D
+    if label.parity == +1:
+        return (nu * glogD - T * gw,
+                nu * gdlogD - (1.0 - T * T) * dw * gw - T * gdw)
+    # lt carries log(N/D), and T = S(w)
+    return (nu * glogD - T * gw - gN / N + glogD,
+            nu * gdlogD - _dcoth_minus_inv(w) * dw * gw - T * gdw
+            - (gdN - dN * gN / N) / N + gdlogD)
 
 
 def channel_phase(params: TrialParams, label: StateLabel,
@@ -267,32 +300,72 @@ class ChannelArrays:
 
 
 def xi_envelope(params: TrialParams, label: StateLabel, setup: PhysicalSetup,
-                nodes):
-    """(exp(-(phi0 - logscale)), phi0', logscale): xi channel sans P_n."""
-    phi, dphi, _ = phase_of_trial_xi(params, label, setup, nodes)
+                nodes, grad: bool = False):
+    """(exp(-(phi0 - logscale)), phi0', logscale): xi channel sans P_n.
+    With grad a fourth item holds (d phi0, d phi0'), (2, N) stacks over
+    (alpha, gamma)."""
+    nodes = np.asarray(nodes, dtype=float)
+    q, gx, u, c = _xi_terms(params, label, setup, nodes)
+    phi = q * np.log(gx) + u
+    dphi = q / gx + (params.p - c / gx**2)
     logscale = float(np.min(phi))
-    return np.exp(-(phi - logscale)), dphi, logscale
+    out = (np.exp(-(phi - logscale)), dphi, logscale)
+    if not grad:
+        return out
+    g, g2 = params.gamma, gx * gx
+    return out + ((np.array([nodes / gx, (q - u) / gx]),
+                   np.array([g / g2, (2.0 * c / gx - q
+                                      - (2.0 * params.p * g - params.alpha))
+                             / g2])),)
+
+
+def _with_gradient(ch: ChannelArrays, gphase, gslope) -> ChannelArrays:
+    """ch with its derivative rows stacked below it, for a channel
+    g exp(-phase) whose prefactor g takes no part: d vals = -vals d phase,
+    d dvals = -dvals d phase - vals d phase'."""
+    return ChannelArrays(
+        np.vstack([ch.vals, -ch.vals * gphase]),
+        np.vstack([ch.dvals, -ch.dvals * gphase - ch.vals * gslope]),
+        ch.logscale, ch.nodes)
 
 
 def xi_channel(params: TrialParams, label: StateLabel, setup: PhysicalSetup,
-               nodes, envelope=None) -> ChannelArrays:
+               nodes, envelope=None, grad: bool = False) -> ChannelArrays:
     """X (sans (xi^2-1)^(L/2)) and X' on a grid, in scaled form, reusing
-    `envelope` (xi_envelope on these nodes) when given."""
+    `envelope` (xi_envelope on these nodes, with grad as here) when given.
+
+    With grad, rows below the channel's hold its derivatives over (alpha,
+    gamma), then xi0 when the trial has a node.  The logscale is held
+    fixed, which the energy, a ratio, does not see.
+    """
     nodes = np.asarray(nodes, dtype=float)
-    e, dphi, logscale = envelope or xi_envelope(params, label, setup, nodes)
+    env = envelope or xi_envelope(params, label, setup, nodes, grad)
+    e, dphi, logscale = env[:3]
     f, df, _ = prefactor(params, label, nodes, "xi")
-    return ChannelArrays(f * e, (df - f * dphi) * e, logscale, nodes)
+    ch = ChannelArrays(f * e, (df - f * dphi) * e, logscale, nodes)
+    if not grad:
+        return ch
+    ch = _with_gradient(ch, *env[3])
+    if params.xi0 is not None:  # f = xi - xi0
+        ch.vals = np.vstack([ch.vals, -e])
+        ch.dvals = np.vstack([ch.dvals, dphi * e])
+    return ch
 
 
-def eta_channel(params: TrialParams, label: StateLabel,
-                nodes) -> ChannelArrays:
-    """Y (sans (1-eta^2)^(L/2)) and Y' on a grid, in scaled form."""
+def eta_channel(params: TrialParams, label: StateLabel, nodes,
+                grad: bool = False) -> ChannelArrays:
+    """Y (sans (1-eta^2)^(L/2)) and Y' on a grid, in scaled form; with
+    grad, rows below the channel's hold its derivatives over (a1, a2, b2,
+    b3)."""
     nodes = np.asarray(nodes, dtype=float)
-    rho, drho, _ = phase_of_trial_eta(params, label, nodes)
+    rho, drho, terms = _eta_slope(params, label, nodes)
     logscale = float(np.min(rho))
     e = np.exp(-(rho - logscale))
     g, dg, _ = prefactor(params, label, nodes, "eta")
-    return ChannelArrays(g * e, (dg - g * drho) * e, logscale, nodes)
+    ch = ChannelArrays(g * e, (dg - g * drho) * e, logscale, nodes)
+    if not grad:
+        return ch
+    return _with_gradient(ch, *_eta_gradient(params, label, nodes, terms))
 
 
 # ----------------------------------------------------------------------
@@ -332,61 +405,3 @@ def eval_psi(params: TrialParams, label: StateLabel, setup: PhysicalSetup,
     """Complete (unnormalized) trial wavefunction X * Y * exp(i L phi)."""
     xy = eval_X(params, label, setup, xi) * eval_Y(params, label, eta)
     return xy * np.exp(1j * label.lam * np.asarray(phi_angle, dtype=float))
-
-
-# ----------------------------------------------------------------------
-# asymptotic phase expansions
-
-
-def wkb_phase_xi_large(E_total: float, A: float, label: StateLabel,
-                       setup: PhysicalSetup, xi):
-    """Three printed terms of the large-xi WKB phase of X = exp(-phase)."""
-    from .model import p_from_energy
-
-    xi = np.asarray(xi, dtype=float)
-    p = p_from_energy(E_total, setup)
-    kap = (setup.Z1 + setup.Z2) * setup.R / (2.0 * p)
-    lam = label.lam
-    tail = (A + (kap - lam - 1.0) * (kap + lam)) / p - p
-    out = p * xi - (kap - lam - 1.0) * np.log(xi) + tail / (2.0 * xi)
-    return out if out.ndim else float(out)
-
-
-def pt_phase_xi_small(E_total: float, A: float, label: StateLabel,
-                      setup: PhysicalSetup, xi):
-    """Quartic truncation of the small-xi phase series of X = exp(-phase)."""
-    from .model import p_from_energy
-
-    xi = np.asarray(xi, dtype=float)
-    p = p_from_energy(E_total, setup)
-    lam = label.lam
-    c3 = (setup.Z1 + setup.Z2) * setup.R / 6.0
-    c4 = (p * p + A * A - A * (2 * lam + 3)) / 12.0
-    out = -0.5 * A * xi**2 - c3 * xi**3 + c4 * xi**4
-    return out if out.ndim else float(out)
-
-
-def wkb_phase_eta_large(E_total: float, A: float, label: StateLabel,
-                        setup: PhysicalSetup, eta):
-    """Large-argument phase of the analytically continued eta channel."""
-    from .model import p_from_energy
-
-    eta = np.asarray(eta, dtype=float)
-    p = p_from_energy(E_total, setup)
-    lam = label.lam
-    tail = (A - lam * (lam + 1.0)) / p - p
-    out = -p * eta + (lam + 1.0) * np.log(eta) - tail / (2.0 * eta)
-    return out if out.ndim else float(out)
-
-
-def pt_phase_eta_small(E_total: float, A: float, label: StateLabel,
-                       setup: PhysicalSetup, eta):
-    """Quartic truncation of the small-eta phase series of Y = exp(-phase)."""
-    from .model import p_from_energy
-
-    eta = np.asarray(eta, dtype=float)
-    p = p_from_energy(E_total, setup)
-    c4 = (p * p + A * A - A * (2 * label.lam + 3)) / 12.0
-    out = -0.5 * A * eta**2 + c4 * eta**4
-    return out if out.ndim else float(out)
-

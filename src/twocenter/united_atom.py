@@ -3,18 +3,14 @@
 As R -> 0 the two-center problem flows to the one-center ion of charge
 Z = Z1 + Z2: R xi -> 2r, eta -> cos(theta), and R/p approaches the
 principal quantum number of the limiting atomic orbital.  This module
-provides the hydrogenic references, the symbolic limit descriptors, and
-numerical convergence probes along a fixed geometric R sequence.
+provides the symbolic limit descriptors and numerical convergence probes
+along a fixed geometric R sequence.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
-from scipy.special import eval_genlaguerre, lpmv
 
 from .model import (PhysicalSetup, StateLabel, limit_constant,
                     united_atom_designation)
@@ -27,54 +23,6 @@ class UntabulatedLimitError(KeyError):
 
     def __str__(self):
         return str(self.args[0])
-
-
-@dataclass(frozen=True)
-class HydrogenicOrbital:
-    """Closed-form one-electron orbital of a Z-charged nucleus."""
-
-    n: int
-    l: int
-    m: int
-    Z: float
-
-    @property
-    def energy(self) -> float:
-        """Total energy -Z^2/n^2 in Ry."""
-        return -(self.Z / self.n) ** 2
-
-    def radial(self, r):
-        """Normalized radial factor R_nl(r), r in bohr."""
-        r = np.asarray(r, dtype=float)
-        n, l, Z = self.n, self.l, self.Z
-        rho = 2.0 * Z * r / n
-        norm = math.sqrt((2.0 * Z / n) ** 3
-                         * math.factorial(n - l - 1)
-                         / (2.0 * n * math.factorial(n + l)))
-        with np.errstate(under="ignore"):
-            out = norm * np.exp(-0.5 * rho) * rho**l \
-                * eval_genlaguerre(n - l - 1, 2 * l + 1, rho)
-        return out if out.ndim else float(out)
-
-    def angular(self, theta):
-        """Theta factor of the (unnormalized in phi) spherical harmonic."""
-        theta = np.asarray(theta, dtype=float)
-        l, m = self.l, self.m
-        norm = math.sqrt((2 * l + 1) / (4.0 * math.pi)
-                         * math.factorial(l - m) / math.factorial(l + m))
-        out = norm * lpmv(m, l, np.cos(theta))
-        return out if out.ndim else float(out)
-
-    def __call__(self, r, theta, phi):
-        return self.radial(r) * self.angular(theta) \
-            * np.exp(1j * self.m * np.asarray(phi, dtype=float))
-
-
-def hydrogenic_reference(n: int, l: int, m: int, Z: float = 2.0) -> HydrogenicOrbital:
-    """Closed-form orbital handle with E = -Z^2/n^2 Ry."""
-    if not (0 <= m <= l < n):
-        raise ValueError(f"bad quantum numbers (n,l,m)=({n},{l},{m})")
-    return HydrogenicOrbital(n, l, m, Z)
 
 
 @dataclass(frozen=True)

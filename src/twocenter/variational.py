@@ -1,7 +1,6 @@
 """Variational optimization of the trial parameters.
 
-A deterministic simplex descent (Nelder-Mead restarts with shrinking
-initial steps, ended by the first run that gains nothing) minimizes the
+A deterministic BFGS descent on the exact gradient minimizes the
 Rayleigh quotient over the six shape parameters (alpha, gamma, a1, a2,
 b2, b3).  The decay p is pinned at the seed's, for a presets.seed_for
 seed the oracle's exact decay; a seed within GAP_TOL of the exact energy
@@ -10,7 +9,7 @@ For single-node states the node position xi0 is not a descent variable:
 each objective evaluation pins it through the orthogonality condition
 against the nodeless state of the same parity; that overlap is linear in
 xi0, so solve_node places the node in closed form, on channels that the
-Rayleigh quotient then reuses.
+Rayleigh quotient then reuses, and differentiates xi0 for the gradient.
 """
 
 from __future__ import annotations
@@ -21,21 +20,19 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .model import EnergyPair, PhysicalSetup, StateLabel, require_supported
-from .quadrature import (build_rules, channel_moments, energy_from_channels,
-                         integrate, rayleigh_quotient, trial_channels)
+from .quadrature import (build_rules, channel_moments, energy_gradient,
+                         integrate, trial_channels)
 from .trial import (ParamDomainError, TrialParams, eta_channel, xi_channel,
                     xi_envelope)
 
 _FIELDS = ("alpha", "gamma", "a1", "a2", "b2", "b3", "p")
 _SHAPE = _FIELDS[:-1]  # the descent variables; p stays the seed's
 # a seed within this gap of the exact energy, relative to max(1, |E|),
-# is returned undescended
+# is returned undescended; a descent run ends on a smaller predicted gain
 GAP_TOL = 1e-11
-# initial simplex steps of optimize_state's Nelder-Mead runs, in order
-STEP_LADDER = (0.05, 0.01, 0.002, 0.0005)
+_ARMIJO = 1e-4  # sufficient decrease (Nocedal & Wright, sec. 3.1)
 
 
 @dataclass
@@ -46,7 +43,7 @@ class OptimizationResult:
     setup: PhysicalSetup
     params: TrialParams
     energy: EnergyPair
-    iterations: int
+    iterations: int  # quasi-Newton iterations, one line search each
     evaluations: int
     converged: bool
     rule_N: int
@@ -77,30 +74,38 @@ def default_rule_size(p_scale: float) -> int:
 
 
 def solve_node(label: StateLabel, setup: PhysicalSetup, params: TrialParams,
-               partner, rules) -> tuple[float, tuple]:
-    """Node xi0 of a single-node trial, and its (xi, eta) channels there.
+               partner, rules) -> tuple[float, tuple, np.ndarray]:
+    """Node xi0 of a single-node trial, its (xi, eta) channels there with
+    their derivative rows, and the gradient of xi0 over the shape
+    parameters.
 
     The overlap with the nodeless partner of the same parity (its channels
     on `rules`) is c1 - xi0 c0, c_k = int g e xi^k (xi^2 S0 - S2), with g
     the partner's xi channel, e the trial's without its factor xi - xi0
     and S0, S2 the eta moments.  Both integrands are positive, so
-    xi0 = c1/c0 is a weighted mean of the nodes, free of cancellation.
+    xi0 = c1/c0 is a weighted mean of the nodes, free of cancellation;
+    its gradient follows by the quotient rule from derivative rows of c0
+    and c1.
     """
     if label.n != 1:
         raise ValueError(f"solve_node applies to n=1 states, got {label}")
     (rx, re), (cg_x, cg_e) = rules, partner
     x = rx.nodes
-    ce = eta_channel(params, label, re.nodes)
+    ce = eta_channel(params, label, re.nodes, grad=True)
+    # S0 and S2, and below them their derivatives over (a1, a2, b2, b3)
     me = channel_moments(cg_e, ce, re, label.lam)
-    envelope = xi_envelope(params, label, setup, x)
+    envelope = xi_envelope(params, label, setup, x, grad=True)
     u = cg_x.vals * envelope[0] * (x * x - 1.0) ** label.lam \
-        * (x * x * me.s0 - me.s2)
-    c0, c1 = integrate(rx, np.array([u, x * u]))
-    xi0 = c1 / c0 if c0 != 0.0 else math.inf
+        * (x * x * me.s0[:, None] - me.s2[:, None])
+    # rows: u, then its derivatives over alpha, gamma, a1..b3
+    u = np.vstack([u[:1], -u[0] * envelope[3][0], u[1:]])
+    c0, c1 = np.reshape(integrate(rx, np.vstack([u, x * u])), (2, -1))
+    xi0 = float(c1[0] / c0[0]) if c0[0] != 0.0 else math.inf
     if not 1.0 < xi0 < math.inf:
         raise ParamDomainError(f"node xi0 must be finite and > 1, got {xi0}")
-    return xi0, (xi_channel(params.replace(xi0=xi0), label, setup, x,
-                            envelope=envelope), ce)
+    cx = xi_channel(params.replace(xi0=xi0), label, setup, x,
+                    envelope=envelope, grad=True)
+    return xi0, (cx, ce), (c1[1:] - xi0 * c0[1:]) / c0[0]
 
 
 def _partner(label: StateLabel, setup: PhysicalSetup,
@@ -112,18 +117,61 @@ def _partner(label: StateLabel, setup: PhysicalSetup,
     return trial_channels(ortho_ref, glabel, setup, rules)
 
 
-def _energy(label: StateLabel, setup: PhysicalSetup, params: TrialParams,
-            partner, rules) -> tuple[TrialParams, EnergyPair]:
-    """The trial, with its node placed against `partner`, and its energy."""
+def _evaluate(label: StateLabel, setup: PhysicalSetup, params: TrialParams,
+              partner, rules) -> tuple[TrialParams, EnergyPair, np.ndarray]:
+    """The trial with its node placed against `partner`, its energy, and
+    the energy's gradient over the six shape parameters, which for a
+    single-node state carries xi0's: dE = dE|xi0 + dE/dxi0 dxi0."""
     if label.n != 1:
-        return params, rayleigh_quotient(params, label, setup, rules)
-    xi0, channels = solve_node(label, setup, params, partner, rules)
-    return (params.replace(xi0=xi0),
-            energy_from_channels(channels, label, setup, rules))
+        return (params, *energy_gradient(trial_channels(
+            params, label, setup, rules, grad=True), label, setup, rules))
+    xi0, channels, dxi0 = solve_node(label, setup, params, partner, rules)
+    energy, g = energy_gradient(channels, label, setup, rules)
+    # the xi rows are (alpha, gamma, xi0), the eta rows follow
+    return params.replace(xi0=xi0), energy, np.delete(g, 2) + g[2] * dxi0
+
+
+def _initial_inverse_hessian(gradient, z: np.ndarray,
+                             g: np.ndarray) -> np.ndarray:
+    """Inverse of the symmetrized forward-difference Hessian B of the exact
+    gradient at z, with steps sqrt(eps) max(1, |z_i|).  B's asymmetry
+    measures its error; an eigenvalue not above it is set to it."""
+    B = np.empty((z.size, z.size))
+    for i in range(z.size):
+        step = np.zeros_like(z)
+        step[i] = math.sqrt(np.finfo(float).eps) * max(1.0, abs(z[i]))
+        B[:, i] = (gradient(z + step) - g) / step[i]
+    lam, V = np.linalg.eigh(0.5 * (B + B.T))
+    error = np.max(np.abs(B - B.T))
+    return (V / np.maximum(lam, error)) @ V.T
+
+
+def _armijo(evaluate, z: np.ndarray, E: float, d: np.ndarray, slope: float,
+            shorten: bool = True):
+    """(step, evaluate's result there) of an Armijo backtracking search
+    from z along d (slope = g.d < 0) from the full step, or None once no
+    shorter step moves z, or at once when not `shorten`.  A step must
+    lower the energy.  A failed trial shrinks the step to the minimum of
+    the quadratic through E, slope and its energy, within [0.1, 0.5] of
+    it; one outside the domain halves it."""
+    t = 1.0
+    while not np.array_equal(z + t * d, z):
+        try:
+            trial = evaluate(z + t * d)
+        except ParamDomainError:
+            trial = None
+        E_new = math.inf if trial is None else trial[1].E_total
+        if E_new < E and E_new <= E + _ARMIJO * t * slope:
+            return t * d, trial
+        if not shorten:
+            return None
+        t *= 0.5 if trial is None else min(0.5, max(
+            0.1, -0.5 * t * slope / (E_new - E - t * slope)))
+    return None
 
 
 def optimize_state(label: StateLabel, setup: PhysicalSetup, init: TrialParams,
-                   budget: int | None = None, rule_N: int | None = None,
+                   rule_N: int | None = None,
                    ortho_ref: TrialParams | None = None,
                    frozen: dict[str, float] | None = None) -> OptimizationResult:
     """Rayleigh-quotient optimum over the six shape parameters at init.p.
@@ -133,22 +181,24 @@ def optimize_state(label: StateLabel, setup: PhysicalSetup, init: TrialParams,
     (seed_for's seeds do; a hand-built TrialParams, or a seed moved to
     another label or R, does not), one evaluation gives the seed's gap
     g = E_var - E_exact, and g <= GAP_TOL * max(1, |E_exact|) returns the
-    seed without descending.  Otherwise a ladder of Nelder-Mead runs,
-    with the shrinking initial simplex steps of STEP_LADDER, descends
-    from it, each run from the best point so far.  The ladder stops after
-    the first run that lowers the energy by no more than GAP_TOL * max(1,
-    |E|): run 1 against the seed's energy when init carries the exact
-    one, every later run against the run before it.  Steps that violate
-    the parameter domain are rejected inside the objective.
-    Deterministic for a given (init, budget).  The energy is within
-    GAP_TOL + the quadrature floor of the ansatz optimum; at a stopped
-    point the result is the projected seed, not a local minimum.
-    `frozen` fixes named shape parameters at given values; any other key,
-    p included, raises ValueError.
+    seed without descending.  Otherwise BFGS on the exact gradient
+    descends (Nocedal & Wright, Numerical Optimization, ch. 6) by Armijo
+    backtracking along -H g, H from a forward-difference Hessian; a step
+    outside the domain raises ParamDomainError, which shortens it.  Once
+    the gain the model predicts, g.H.g/2, is at most GAP_TOL * max(1, |E|),
+    full steps go on while they lower the energy (they place the xi0 of
+    node states, which the energy fixes only to second order), and the
+    run ends, converged, at the first that does not.  A run that finds no
+    step at all ends the descent, not converged.  Runs from fresh models
+    follow, since a curved valley outlasts one model, until a run gains at
+    most GAP_TOL * max(1, |E|).  The result is never above the seed and
+    is deterministic for a given init.  `frozen` fixes named shape
+    parameters, and the descent sees the gradient over the others; any
+    other key, p included, raises ValueError.
     For n=1 states `ortho_ref` must hold the converged nodeless parameters
     of the same parity; xi0 then follows from solve_node at every step.
     A label outside SUPPORTED_LABELS raises UnsupportedStateError before
-    any evaluation.
+    any evaluation; a seed outside the domain raises ParamDomainError.
     """
     require_supported(label)
     init.validate()
@@ -166,55 +216,48 @@ def optimize_state(label: StateLabel, setup: PhysicalSetup, init: TrialParams,
     origin = init.origin
     E_exact = (origin.E_total if origin is not None and origin.label == label
                and origin.setup == setup else None)
-    # budget caps each simplex run
-    budget = budget if budget is not None else 400 * len(free)
     evaluations = 0
-    iterations = 0
 
-    def objective(z: np.ndarray) -> float:
+    def evaluate(z: np.ndarray):
+        """(params, energy, gradient over the free coordinates) at z."""
         nonlocal evaluations
         evaluations += 1
         x = x0.copy()
         x[free] = z
-        try:
-            pars = TrialParams(*[float(v) for v in x], p)
-            pars.validate()
-            return _energy(label, setup, pars, partner, rules)[1].E_total
-        except (ParamDomainError, ValueError, FloatingPointError,
-                OverflowError):
-            return 1e6
+        pars = TrialParams(*(float(v) for v in x), p)
+        pars.validate()
+        pars, energy, grad = _evaluate(label, setup, pars, partner, rules)
+        return pars, energy, grad[free]
 
-    x_best, ok = x0, True
-    # the energy the next run starts from; without an exact energy the
-    # seed's is not evaluated, and run 1 always counts as a gain
-    f_start = math.inf if E_exact is None else objective(x0[free])
-    if E_exact is None or (f_start - E_exact
-                           > GAP_TOL * max(1.0, abs(E_exact))):
-        f_best, ok = math.inf, False
-        for step in STEP_LADDER:  # each run starts from the best so far
-            z0 = x_best[free]
-            scales = np.maximum(0.2, 0.15 * np.abs(z0))
-            simplex = np.vstack([z0] + [z0 + step * scales * row
-                                        for row in np.eye(len(free))])
-            res = minimize(objective, z0, method="Nelder-Mead",
-                           options=dict(initial_simplex=simplex, xatol=1e-9,
-                                        fatol=1e-14, maxfev=budget,
-                                        maxiter=10**9))
-            iterations += res.nit
-            if res.fun < f_best:
-                x_best = x_best.copy()
-                x_best[free] = res.x
-                f_best, ok = float(res.fun), bool(res.success)
-            if f_start - f_best <= GAP_TOL * max(1.0, abs(f_best)):
-                break  # an idle run: the later, smaller steps gain nothing
-            f_start = f_best
+    z = x0[free]
+    pars, energy, g = evaluate(z)
+    E, iterations, converged = energy.E_total, 0, True
+    if E_exact is None or E - E_exact > GAP_TOL * max(1.0, abs(E_exact)):
+        while True:  # BFGS runs, each from a fresh model, to an idle one
+            E_run = E
+            H = _initial_inverse_hessian(lambda v: evaluate(v)[2], z, g)
+            while True:
+                d = -H @ g
+                slope = float(g @ d)
+                converged = -0.5 * slope <= GAP_TOL * max(1.0, abs(E))
+                # a step the model deems idle is still taken if it gains
+                step = _armijo(evaluate, z, E, d, slope, not converged)
+                iterations += 1
+                if step is None:
+                    break
+                s, (pars, energy, g_new) = step
+                y, z, E, g = g_new - g, z + s, energy.E_total, g_new
+                sy = float(s @ y)
+                if sy > 0.0:  # BFGS update of the inverse Hessian
+                    Hy = H @ y
+                    H = (H + ((sy + y @ Hy) / sy**2) * np.outer(s, s)
+                         - (np.outer(Hy, s) + np.outer(s, Hy)) / sy)
+            if not converged or E_run - E <= GAP_TOL * max(1.0, abs(E)):
+                break
 
-    pars, energy = _energy(label, setup,
-                           TrialParams(*[float(v) for v in x_best], p),
-                           partner, rules)
     gap = None if E_exact is None else energy.E_total - E_exact
     return OptimizationResult(label, setup, pars, energy, iterations,
-                              evaluations, ok, N, gap)
+                              evaluations, converged, N, gap)
 
 
 # ----------------------------------------------------------------------

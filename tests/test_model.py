@@ -3,11 +3,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twocenter.model import (EnergyPair, PhysicalSetup, StateLabel,
-                             UnboundChannelError, energy_from_p,
+from twocenter.model import (_LAM_GREEK, EnergyPair, PhysicalSetup,
+                             StateLabel, UnboundChannelError, energy_from_p,
                              label_from_designation, limit_constant,
-                             p_from_energy, united_atom_designation,
-                             united_atom_designation_unicode)
+                             p_from_energy, united_atom_designation)
+
+
+def united_atom_designation_unicode(label: StateLabel) -> str | None:
+    """Same as :func:`united_atom_designation` with the Greek Lambda letter."""
+    name = united_atom_designation(label)
+    if name is None:
+        return None
+    return name[:-2] + _LAM_GREEK[label.lam] + name[-1]
 
 
 def test_designations_match_table():

@@ -7,18 +7,32 @@ from twocenter.model import PhysicalSetup, StateLabel, p_from_energy
 from twocenter.nonlinearization import (build_V1_xi, build_W1_eta,
                                         channel_potential_eta,
                                         channel_potential_xi,
-                                        consistency_residual,
                                         first_correction_eta,
                                         first_correction_xi,
                                         next_correction_xi,
                                         residual_custom_phase,
-                                        riccati_residual_xi,
                                         true_potential_xi)
 from twocenter.states import (StateBank, attach_corrections,
                               correction_energy_shift)
 from twocenter.trial import TrialParams
 
 GS = StateLabel(0, 0, 0, +1)
+
+
+def riccati_residual_xi(params: TrialParams, label: StateLabel,
+                        setup: PhysicalSetup, A: float, xi,
+                        p_phys: float | None = None):
+    """Residual of the xi channel equation in Riccati form; zero iff
+    (X0, A) solve the channel ODE with the physical potential."""
+    p = p_phys if p_phys is not None else params.p
+    return channel_potential_xi(params, label, setup, xi) \
+        - (true_potential_xi(setup, p, xi) - A)
+
+
+def consistency_residual(A1_xi: float, A1_eta: float) -> tuple[float, float]:
+    """Absolute and relative spread of the two channel estimates."""
+    d = abs(A1_xi - A1_eta)
+    return d, d / max(abs(A1_xi), abs(A1_eta), 1e-300)
 
 
 def test_true_potential_vanishes_at_origin():

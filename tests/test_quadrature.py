@@ -5,22 +5,85 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twocenter.model import PhysicalSetup, StateLabel
+from twocenter.model import EnergyPair, PhysicalSetup, StateLabel
 from twocenter.presets import seed_for
-from twocenter.quadrature import (ChannelMoments, QuadratureConvergenceError,
-                                  QuadratureError, assemble_energy,
-                                  build_rules, channel_moments, integrate,
-                                  kinetic_energy, norm_from_moments,
-                                  norm_squared, rayleigh_converged,
+from twocenter.quadrature import (ChannelMoments, QuadratureError,
+                                  assemble_energy, build_rules,
+                                  channel_moments, integrate,
+                                  norm_from_moments, norm_squared,
                                   rayleigh_quotient, trial_channels,
                                   trial_moments)
-from twocenter.trial import ChannelArrays, TrialParams, eta_channel, xi_channel
+from twocenter.trial import (ChannelArrays, TrialParams, channel_factor,
+                             eta_channel, xi_channel)
 from twocenter.variational import default_rule_size
 
 GS = StateLabel(0, 0, 0, +1)
 SETUP_EQ = PhysicalSetup(1.997193)
 PARS_EQ = TrialParams(alpha=1.48407, gamma=1.0299, a1=0.9164, a2=0.05384,
                       b2=0.06, b3=0.00011, p=1.483403)
+
+
+# ----------------------------------------------------------------------
+# the plateau check and the strong-form kinetic energy, used only here
+
+
+class QuadratureConvergenceError(QuadratureError):
+    """Doubling the rule moved the result beyond tolerance."""
+
+    def __init__(self, coarse: float, fine: float, rtol: float):
+        self.coarse = coarse
+        self.fine = fine
+        self.rtol = rtol
+        super().__init__(
+            f"no quadrature plateau: N gave {coarse!r}, 2N gave {fine!r} "
+            f"(rtol {rtol:g})"
+        )
+
+
+def rayleigh_converged(params: TrialParams, label: StateLabel,
+                       setup: PhysicalSetup, p_scale: float, N: int,
+                       rtol: float = 1e-11) -> tuple[EnergyPair, float]:
+    """Rayleigh quotient with an (N, 2N) plateau check.
+
+    Returns the fine-rule energy and the relative shift; raises
+    QuadratureConvergenceError when doubling moves E beyond rtol.
+    """
+    coarse = rayleigh_quotient(params, label, setup, build_rules(p_scale, N))
+    fine = rayleigh_quotient(params, label, setup, build_rules(p_scale, 2 * N))
+    shift = abs(fine.E_total - coarse.E_total) / max(1.0, abs(fine.E_total))
+    if shift > rtol:
+        raise QuadratureConvergenceError(coarse.E_total, fine.E_total, rtol)
+    return fine, shift
+
+
+def kinetic_energy(params: TrialParams, label: StateLabel, setup: PhysicalSetup,
+                   rules, form: str = "weak") -> float:
+    """<Psi|-Laplacian|Psi> in Ry; strong form is a cross-check oracle."""
+    rx, re = rules
+    lam = label.lam
+    cx, ce = channels = trial_channels(params, label, setup, rules)
+    mx, me = trial_moments(channels, label, rules)
+    scale = math.exp(-(mx.logscale + me.logscale))
+    if form == "weak":
+        val = (mx.kin + mx.cross + mx.cent) * me.s0 \
+            + (me.kin + me.cross + me.cent) * mx.s0
+        return 2.0 * math.pi * setup.a * val * scale
+    if form != "strong":
+        raise ValueError(f"unknown kinetic form {form!r}")
+
+    xi = rx.nodes
+    ddX = channel_factor(params, label, setup, xi, "xi", cx.logscale)[2]
+    lx = -(xi**2 - 1.0) * ddX - 2.0 * (lam + 1.0) * xi * cx.dvals \
+        - lam * (lam + 1.0) * cx.vals
+    tx = integrate(rx, lx * cx.vals * (xi**2 - 1.0) ** lam)
+
+    eta = re.nodes
+    ddY = channel_factor(params, label, setup, eta, "eta", ce.logscale)[2]
+    ly = -(1.0 - eta**2) * ddY + 2.0 * (lam + 1.0) * eta * ce.dvals \
+        + lam * (lam + 1.0) * ce.vals
+    te = integrate(re, ly * ce.vals * (1.0 - eta**2) ** lam)
+
+    return 2.0 * math.pi * setup.a * (tx * me.s0 + mx.s0 * te) * scale
 
 
 def test_rule_construction_contracts():

@@ -3,12 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from twocenter.model import PhysicalSetup, StateLabel
+from twocenter.model import PhysicalSetup, StateLabel, p_from_energy
 from twocenter.trial import (ParamDomainError, TrialParams, eval_psi,
                              eval_X, eval_Y, phase_of_trial_eta,
-                             phase_of_trial_xi, pt_phase_eta_small,
-                             pt_phase_xi_small, wkb_phase_eta_large,
-                             wkb_phase_xi_large)
+                             phase_of_trial_xi)
 
 # published parameter set at the equilibrium distance
 SETUP_EQ = PhysicalSetup(1.997193)
@@ -92,6 +90,42 @@ def test_param_domain_checks():
 # phase machinery
 
 
+def test_odd_branch_helpers_match_mpmath():
+    # S = coth w - 1/w, S' and log(sinh w / w) on w in [-1, 1] against
+    # 40-digit values: below the series cutoff within 4 ulp of the value;
+    # above it the closed forms lose what their cancelling terms (1/w,
+    # 1/w^2 and order one) carry, within 4 ulp of those
+    import mpmath
+
+    from twocenter.trial import (_SMALL_W, _coth_minus_inv, _dcoth_minus_inv,
+                                 _log_sinh_over_w)
+
+    eps = np.finfo(float).eps
+    half = np.concatenate([np.linspace(0.0, 1.0, 201),
+                           [1e-8, 1e-3, 0.2499, np.nextafter(_SMALL_W, 0.0),
+                            _SMALL_W, 0.2501]])
+    ws = np.concatenate([half, -half[half > 0.0]])
+    with mpmath.workdps(40):
+        def exact(fn, at_zero):
+            return np.array([float(fn(mpmath.mpf(w))) if w else at_zero
+                             for w in ws])
+
+        cases = [
+            (_coth_minus_inv, exact(lambda w: mpmath.coth(w) - 1 / w, 0.0),
+             lambda w: 1.0 / np.abs(w)),
+            (_dcoth_minus_inv,
+             exact(lambda w: 1 / w**2 - 1 / mpmath.sinh(w) ** 2, 1.0 / 3.0),
+             lambda w: 1.0 / w**2),
+            (_log_sinh_over_w, exact(lambda w: mpmath.log(mpmath.sinh(w) / w),
+                                     0.0), np.ones_like),
+        ]
+    small = np.abs(ws) < _SMALL_W
+    for fn, ref, terms in cases:
+        err = np.abs(fn(ws) - ref)
+        assert np.all(err[small] <= 4.0 * eps * np.abs(ref[small])), fn
+        assert np.all(err[~small] <= 4.0 * eps * terms(ws[~small])), fn
+
+
 def test_phase_derivatives_vs_finite_differences():
     # central-difference oracle at xi = 2 with the published parameters;
     # the second derivative gets a larger step to stay above the
@@ -158,6 +192,51 @@ def test_phase_asymptotic_matching_growing_terms():
 
 # ----------------------------------------------------------------------
 # printed asymptotic series
+
+
+def wkb_phase_xi_large(E_total: float, A: float, label: StateLabel,
+                       setup: PhysicalSetup, xi):
+    """Three printed terms of the large-xi WKB phase of X = exp(-phase)."""
+    xi = np.asarray(xi, dtype=float)
+    p = p_from_energy(E_total, setup)
+    kap = (setup.Z1 + setup.Z2) * setup.R / (2.0 * p)
+    lam = label.lam
+    tail = (A + (kap - lam - 1.0) * (kap + lam)) / p - p
+    out = p * xi - (kap - lam - 1.0) * np.log(xi) + tail / (2.0 * xi)
+    return out if out.ndim else float(out)
+
+
+def pt_phase_xi_small(E_total: float, A: float, label: StateLabel,
+                      setup: PhysicalSetup, xi):
+    """Quartic truncation of the small-xi phase series of X = exp(-phase)."""
+    xi = np.asarray(xi, dtype=float)
+    p = p_from_energy(E_total, setup)
+    lam = label.lam
+    c3 = (setup.Z1 + setup.Z2) * setup.R / 6.0
+    c4 = (p * p + A * A - A * (2 * lam + 3)) / 12.0
+    out = -0.5 * A * xi**2 - c3 * xi**3 + c4 * xi**4
+    return out if out.ndim else float(out)
+
+
+def wkb_phase_eta_large(E_total: float, A: float, label: StateLabel,
+                        setup: PhysicalSetup, eta):
+    """Large-argument phase of the analytically continued eta channel."""
+    eta = np.asarray(eta, dtype=float)
+    p = p_from_energy(E_total, setup)
+    lam = label.lam
+    tail = (A - lam * (lam + 1.0)) / p - p
+    out = -p * eta + (lam + 1.0) * np.log(eta) - tail / (2.0 * eta)
+    return out if out.ndim else float(out)
+
+
+def pt_phase_eta_small(E_total: float, A: float, label: StateLabel,
+                       setup: PhysicalSetup, eta):
+    """Quartic truncation of the small-eta phase series of Y = exp(-phase)."""
+    eta = np.asarray(eta, dtype=float)
+    p = p_from_energy(E_total, setup)
+    c4 = (p * p + A * A - A * (2 * label.lam + 3)) / 12.0
+    out = -0.5 * A * eta**2 + c4 * eta**4
+    return out if out.ndim else float(out)
 
 
 def _fit_coefficients(fn, basis, grid):

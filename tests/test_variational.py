@@ -16,9 +16,10 @@ from twocenter.quadrature import (build_rules, channel_moments,
 from twocenter.states import StateBank
 from twocenter.trial import (ParamDomainError, TrialParams, eta_channel,
                              xi_channel)
-from twocenter.variational import (GAP_TOL, OptimizationResult, _energy,
-                                   _partner, default_rule_size, optimize_state,
-                                   save_result, scan_R, solve_node)
+from twocenter.variational import (_SHAPE, GAP_TOL, OptimizationResult,
+                                   _evaluate, _partner, default_rule_size,
+                                   optimize_state, save_result, scan_R,
+                                   solve_node)
 
 GS = StateLabel(0, 0, 0, +1)
 
@@ -131,7 +132,7 @@ def test_closed_form_node_zeroes_overlap(R, parity):
     pars = seed_for(label, R)
     rules = build_rules(pars.p, default_rule_size(pars.p))
     partner = trial_channels(seed_for(glabel, R), glabel, setup, rules)
-    xi0, _ = solve_node(label, setup, pars, partner, rules)
+    xi0 = solve_node(label, setup, pars, partner, rules)[0]
     overlap = _node_overlap(label, setup, pars, partner, rules)
     assert abs(overlap(xi0)) <= 1e-13
     root = brentq(overlap, 1.0 + 1e-9, 60.0, xtol=1e-300,
@@ -146,8 +147,8 @@ def test_node_objective_is_the_rayleigh_quotient(parity, R):
     pars = seed_for(label, R)
     rules = build_rules(pars.p, 64)
     partner = _partner(label, setup, seed_for(glabel, R), rules)
-    xi0, _ = solve_node(label, setup, pars, partner, rules)
-    placed, energy = _energy(label, setup, pars, partner, rules)
+    xi0 = solve_node(label, setup, pars, partner, rules)[0]
+    placed, energy, _ = _evaluate(label, setup, pars, partner, rules)
     assert placed == pars.replace(xi0=xi0)
     plain = rayleigh_quotient(placed, label, setup, rules)
     assert repr(energy) == repr(plain)
@@ -248,58 +249,13 @@ def test_lambda_orthogonality_by_phase_integration(bank):
     assert abs(np.mean(vals)) <= 1e-13 * np.max(np.abs(vals))
 
 
-def _count_runs(monkeypatch) -> list:
-    """The results of every Nelder-Mead run optimize_state makes."""
-    import twocenter.variational as variational
-
-    runs = []
-    real = variational.minimize
-
-    def counted(*args, **kwargs):
-        runs.append(real(*args, **kwargs))
-        return runs[-1]
-
-    monkeypatch.setattr(variational, "minimize", counted)
-    return runs
-
-
-def test_ladder_stops_after_the_first_idle_run(monkeypatch):
-    # run 1 from the 1ssg R = 6 seed reaches the optimum; the three
-    # smaller steps after it would gain 4.4e-16 Ry in 889 evaluations
-    runs = _count_runs(monkeypatch)
-    res = optimize_state(GS, PhysicalSetup(6.0), seed_for(GS, 6.0))
-    assert len(runs) == 1
-    assert res.evaluations <= 500
-    assert res.converged
-    assert abs(res.energy.E_total - -1.023938096795) <= GAP_TOL
-
-
-def test_ladder_goes_on_after_a_run_that_gains(monkeypatch):
-    # run 1 at 2psu R = 20 lowers the seed by 4.1e-9 Ry, run 2 by nothing
-    label = StateLabel(0, 0, 0, -1)
-    runs = _count_runs(monkeypatch)
-    res = optimize_state(label, PhysicalSetup(20.0), seed_for(label, 20.0))
-    assert len(runs) == 2
-    assert res.evaluations == 1 + sum(run.nfev for run in runs)
-    assert res.energy.E_total == runs[-1].fun
-
-
 def test_ladder_reaches_the_table_where_every_run_gains(bank):
-    # 2ppu R = 30: each of the four runs lowers the energy, and run 2
-    # spends its whole budget; run 1 alone stays 5.3e-9 Ry above the row
+    # 2ppu R = 30: the seed sits 6.7e-9 Ry above exact, at the head of a
+    # curved valley that outlasts one quasi-Newton model
     label = StateLabel(0, 0, 1, +1)
     row, = [r for r in energy_table("lam12")
             if r["R"] == 30.0 and r["label"] == label]
     assert abs(bank.get(label, 30.0).energy.E_total - row["E"]) <= 5e-9
-
-
-def test_budget_exhaustion_still_returns(monkeypatch):
-    runs = _count_runs(monkeypatch)
-    seed = seed_for(GS, 6.0)
-    res = optimize_state(GS, PhysicalSetup(6.0), seed, budget=25)
-    assert not res.converged
-    assert runs and all(run.nfev <= 25 for run in runs)
-    assert res.energy.E_total < -1.0  # still a usable variational value
 
 
 def test_scan_raises_a_failed_point(monkeypatch):
@@ -332,7 +288,7 @@ def test_unsupported_label_is_rejected_before_any_evaluation(monkeypatch):
     def evaluated(*args, **kwargs):
         raise AssertionError("objective evaluated")
 
-    monkeypatch.setattr(variational, "_energy", evaluated)
+    monkeypatch.setattr(variational, "_evaluate", evaluated)
     with pytest.raises(UnsupportedStateError, match=r"\(2,0,0,\+\)"):
         optimize_state(StateLabel(2, 0, 0, +1), PhysicalSetup(2.0),
                        seed_for(GS, 2.0))
@@ -419,3 +375,137 @@ def test_store_keys_by_exact_R(tmp_path, bank):
     assert paths[1.997193] != paths[1.9971931]
     for R, alpha in ((1.997193, 1.0), (1.9971931, 2.0)):
         assert json.load(open(paths[R]))["params"]["alpha"] == alpha
+
+
+# ----------------------------------------------------------------------
+# the exact-gradient descent
+
+
+def _objective(label, R):
+    """(energy-and-gradient at a shape vector, seed shape vector) on the
+    rule optimize_state builds, node states against their partner's seed."""
+    setup = PhysicalSetup(R)
+    seed = seed_for(label, R)
+    rules = build_rules(seed.p, default_rule_size(seed.p))
+    glabel = StateLabel(0, label.m, label.lam, label.parity)
+    partner = _partner(label, setup, seed_for(glabel, R), rules)
+
+    def at(x):
+        pars = TrialParams(*x, seed.p)
+        _, energy, grad = _evaluate(label, setup, pars, partner, rules)
+        return energy.E_total, grad
+
+    return at, np.array([getattr(seed, k) for k in _SHAPE])
+
+
+@pytest.mark.parametrize("label,R", [
+    (GS, 2.0), (StateLabel(0, 0, 0, -1), 6.0),
+    (StateLabel(0, 0, 1, +1), 30.0), (StateLabel(0, 0, 2, -1), 6.0),
+    (StateLabel(1, 0, 0, +1), 4.0), (StateLabel(1, 0, 0, -1), 10.0),
+], ids=["1ssg", "2psu", "2ppu", "4fdu", "2ssg", "3psu"])
+def test_exact_gradient_matches_central_differences(label, R):
+    # away from the optimum; each component within 1e-6 of its central
+    # difference, or within ten rounding errors of E over the step.  For
+    # the node states the gradient carries xi0's dependence on the shape
+    at, x = _objective(label, R)
+    x = x * (1.0 + 0.03 * np.array([1, -1, 1, 1, -1, 1])) \
+        + np.array([0.0, 0.0, 0.0, 0.01, 0.01, 0.001])
+    E, grad = at(x)
+    for i in range(6):
+        h = np.zeros(6)
+        h[i] = 1e-5 * max(1.0, abs(x[i]))
+        fd = (at(x + h)[0] - at(x - h)[0]) / (2.0 * h[i])
+        floor = 10.0 * np.finfo(float).eps * max(1.0, abs(E)) / h[i]
+        assert abs(grad[i] - fd) <= 1e-6 * abs(fd) + floor, _SHAPE[i]
+
+
+def test_frozen_solve_is_stationary_in_its_free_coordinates():
+    # the descent sees only the free part of the gradient: at a frozen
+    # solve that part vanishes, the frozen part does not
+    setup = PhysicalSetup(2.0)
+    seed = seed_for(GS, 2.0).replace(a2=0.0, b2=0.0)
+    res = optimize_state(GS, setup, seed, frozen={"a2": 0.0, "b2": 0.0})
+    assert (res.params.a2, res.params.b2) == (0.0, 0.0)
+    assert res.converged and res.iterations > 0
+    rules = build_rules(seed.p, res.rule_N)
+    grad = _evaluate(GS, setup, res.params, None, rules)[2]
+    free, fixed = grad[[0, 1, 2, 5]], grad[[3, 4]]
+    assert np.max(np.abs(free)) <= 1e-3 * np.min(np.abs(fixed))
+
+
+def test_domain_violating_steps_are_rejected_by_type(monkeypatch):
+    # from the detuned 1ssg R = 6 seed a full quasi-Newton step leaves the
+    # domain; it raises ParamDomainError, which shortens the step, and no
+    # stand-in energy enters the descent
+    import inspect
+
+    import twocenter.variational as variational
+
+    rejected, energies = [], []
+    validate = TrialParams.validate
+
+    def watched_validate(self):
+        try:
+            validate(self)
+        except ParamDomainError:
+            rejected.append(self)
+            raise
+
+    real = variational._evaluate
+
+    def watched(*args):
+        out = real(*args)
+        energies.append(out[1].E_total)
+        return out
+
+    monkeypatch.setattr(TrialParams, "validate", watched_validate)
+    monkeypatch.setattr(variational, "_evaluate", watched)
+    seed = seed_for(GS, 6.0).replace(alpha=3.1)
+    res = optimize_state(GS, PhysicalSetup(6.0), seed)
+    assert rejected
+    assert res.evaluations == len(energies) + len(rejected)
+    assert max(energies) < 0.0
+    assert res.energy.E_total in energies[1:]
+    assert res.energy.E_total < energies[0]
+    with pytest.raises(ParamDomainError):
+        _evaluate(StateLabel(0, 0, 0, -1), PhysicalSetup(2.0),
+                  seed.replace(a1=-0.5), None, build_rules(seed.p, 64))
+    assert "1e6" not in inspect.getsource(variational)
+
+
+@pytest.mark.xfail(strict=True, reason="the seed's basin holds a local "
+                   "minimum 2.35e-9 Ry above exact")
+def test_2ppu_gap_at_R_36():
+    # R = 36.0821233, a draw of the gap property: the ladder ended 3.54e-9
+    # above exact, against 3.5e-10 and 1.3e-10 at its neighbours
+    label, R = StateLabel(0, 0, 1, +1), 36.0821233
+    res = optimize_state(label, PhysicalSetup(R), seed_for(label, R))
+    assert res.gap <= 1e-9
+
+
+_DETERMINISM_LABELS = [StateLabel(0, 0, lam, parity) for lam in (0, 1, 2)
+                       for parity in (+1, -1)] + [StateLabel(1, 0, 0, -1)]
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(R=strategies.floats(0.5, 50.0),
+       label=strategies.sampled_from(_DETERMINISM_LABELS))
+def test_optimize_state_is_deterministic(R, label):
+    # the same solve twice in one process, with a solve of another state
+    # between them, gives the same bits; 3psu goes through its partner
+    setup = PhysicalSetup(R)
+
+    def solve(label):
+        ortho = None
+        if label.n == 1:
+            glabel = StateLabel(0, label.m, label.lam, label.parity)
+            ortho = solve(glabel).params
+        return optimize_state(label, setup, seed_for(label, R),
+                              ortho_ref=ortho)
+
+    first = solve(label)
+    solve(StateLabel(0, 0, 1, +1) if label.lam != 1 else GS)
+    second = solve(label)
+    assert repr(first.params) == repr(second.params)
+    assert repr(first.energy) == repr(second.energy)
+    assert first.evaluations == second.evaluations
