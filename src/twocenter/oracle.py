@@ -17,15 +17,16 @@ i.e. a zero in A of the continued fraction F(A) = A + c_0 + alpha_0 r_1,
 r_k = g_k/g_{k-1} = -gamma_k / (A + c_k + alpha_k r_{k+1}), evaluated
 backward as in Leaver (J. Math. Phys. 27, 1238 (1986)).  At fixed p the
 zeros are the radial eigenvalues A_0(p) < A_1(p) < ..., the n-th one with
-n interior nodes: the n-th eigenvalue of a small truncated matrix seeds a
-secant polish on F, and the sign changes of sum g_k t^k verify n.
+n interior nodes: the n-th eigenvalue of a small truncated matrix seeds
+Newton steps on F, whose slopes the backward loop carries beside r_k, and
+the sign changes of sum g_k t^k verify n.
 
-The joint solve is then the single root in p of A_n(p) - A_ang(p), which
-increases with p (its p^2-derivative is <xi^2> - <eta^2> > 0).  This
-solver shares no code path with the trial-function machinery, so it
-serves as the ground truth for the variational results.  At the root,
-exact_channels evaluates the exact eigenfunctions themselves: the series
-above, and the angular eigenvector summed over the Legendre basis.
+The joint solve is the root in p of D(p) = A_n(p) - A_ang(p), which
+increases with p (its p^2-derivative is <xi^2> - <eta^2> > 0), by Newton
+steps on its exact slope.  This solver shares no code path with the
+trial functions, so it is the ground truth for the variational results.
+At the root, exact_channels evaluates the exact eigenfunctions: the
+series above, and the angular eigenvector summed over the Legendre basis.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class RadialRootError(RuntimeError):
 
 
 class OracleConvergenceError(RuntimeError):
-    """The continued fraction or its secant polish failed to settle."""
+    """The continued fraction or its Newton polish failed to settle."""
 
 
 @dataclass(frozen=True)
@@ -63,13 +64,13 @@ class OracleResult:
     p: float
     angular_basis_size: int
     radial_mismatch: float
-    bracket_iterations: int
+    bracket_iterations: int  # Newton steps in p, one D(p) evaluation each
 
 
 _K0 = 24              # angular basis starts at _K0 + lam functions
 _N_ESTIMATE = 48      # truncated recurrence matrix that seeds A_n(p)
 _K_MAX = 1 << 16      # longest continued-fraction tail tried
-_MAX_EXPAND = 40      # p-bracket expansions before find_root gives up
+_MAX_STEPS = 100      # Newton steps before a polish or find_root gives up
 # finest bisection tolerance of the angular eigensolver; LAPACK's default
 # eps*||T||_1 is ragged in p
 _BISECT_TOL = 2.0 * np.finfo(float).tiny
@@ -87,42 +88,45 @@ def _acoef(l, lam: int):
 
 
 def _angular_matrix(p: float, lam: int, parity: int, K: int):
-    """Degrees l = lam + sigma + 2k (k < K) and the symmetric tridiagonal
-    (diag, off) of the eta channel in normalized P_l^lam."""
+    """Degrees l = lam + sigma + 2k (k < K), the symmetric tridiagonal
+    (diag, off) of the eta channel in normalized P_l^lam, and the
+    tridiagonal (diag, off) of S, the part that multiplies -p^2."""
     sigma = 0 if parity == +1 else 1
-    c2 = -p * p
     ls = np.arange(lam + sigma, lam + sigma + 2 * K, 2, dtype=float)
-    a_l = _acoef(ls, lam)
-    a_lm1 = _acoef(ls - 1.0, lam)
-    diag = ls * (ls + 1.0) + c2 * (a_l**2 + np.where(ls > lam, a_lm1**2, 0.0))
-    off = c2 * _acoef(ls[:-1], lam) * _acoef(ls[:-1] + 1.0, lam)
-    return ls, diag, off
+    a_l, a_lp1 = _acoef(ls, lam), _acoef(ls[:-1] + 1.0, lam)
+    s_diag = a_l**2 + np.where(ls > lam, _acoef(ls - 1.0, lam)**2, 0.0)
+    return (ls, ls * (ls + 1.0) - p * p * s_diag, -p * p * a_l[:-1] * a_lp1,
+            s_diag, a_l[:-1] * a_lp1)
 
 
-def angular_eigenvalue(p: float, lam: int, m: int, parity: int,
-                       return_size: bool = False):
-    """Separation constant A(p) of the eta channel.
+def _angular(p: float, lam: int, m: int, parity: int):
+    """A_ang(p), its slope 2p v.S.v (Hellmann-Feynman, v the eigenvector)
+    and the basis size.
 
     Basis: normalized P_l^lam with l = lam + sigma + 2k; the m-th
     eigenvalue within the parity class is selected.  The basis doubles
     until the eigenvalue stops moving at the eigensolver noise floor.
     """
-    K = _K0 + lam
-    prev = None
-    trend = []
+    K, prev, trend = _K0 + lam, None, []
     while K <= 4096:
-        _, diag, off = _angular_matrix(p, lam, parity, K)
-        mu = eigh_tridiagonal(diag, off, select="i", select_range=(m, m),
-                              tol=_BISECT_TOL)[0][0]
-        A = lam * (lam + 1.0) - mu
+        _, diag, off, s_diag, s_off = _angular_matrix(p, lam, parity, K)
+        mu, v = eigh_tridiagonal(diag, off, select="i", select_range=(m, m),
+                                 tol=_BISECT_TOL)
+        A, v = lam * (lam + 1.0) - mu[0], v[:, 0]
         trend.append((K, A))
         tol = max(1e-13 * max(1.0, abs(A)),
                   8e-16 * float(np.max(np.abs(diag))))
         if prev is not None and abs(A - prev) < tol:
-            return (A, K) if return_size else A
+            vSv = s_diag @ (v * v) + 2.0 * s_off @ (v[:-1] * v[1:])
+            return A, 2.0 * p * float(vSv), K
         prev = A
         K *= 2
     raise AngularConvergenceError(trend)
+
+
+def angular_eigenvalue(p: float, lam: int, m: int, parity: int) -> float:
+    """Separation constant A(p) of the eta channel (see _angular)."""
+    return _angular(p, lam, m, parity)[0]
 
 
 # ----------------------------------------------------------------------
@@ -130,7 +134,8 @@ def angular_eigenvalue(p: float, lam: int, m: int, parity: int,
 
 
 def _recurrence(p: float, b: float, lam: int, K: int):
-    """alpha_k, c_k = beta_k - A and gamma_k for k = 0..K."""
+    """alpha_k, c_k = beta_k - A, gamma_k and the p-slopes dc_k, dgamma_k
+    for k = 0..K."""
     k = np.arange(K + 1, dtype=float)
     kap = b / (2.0 * p)
     alpha = (k + 1.0) * (k + lam + 1.0)
@@ -138,47 +143,62 @@ def _recurrence(p: float, b: float, lam: int, K: int):
          - 2.0 * k * lam - 4.0 * k * p - 2.0 * k - (lam + 1.0) ** 2
          - 2.0 * lam * p - p * p - 2.0 * p)
     gamma = (k - kap) * (k + lam - kap)
-    return alpha, c, gamma
+    dc = (-b * (k + 0.5 * (lam + 1.0)) / (p * p) - 4.0 * k - 2.0 * lam
+          - 2.0 * p - 2.0)
+    dgamma = kap / p * (2.0 * k + lam - 2.0 * kap)
+    return alpha, c, gamma, dc, dgamma
 
 
 def _fraction(A: float, p: float, b: float, lam: int, K: int = 64):
-    """Scaled F(A) and the ratios r_0..r_K (r_0 = 1), the tail doubled
-    from K terms until F settles at the rounding level of its terms."""
+    """Scaled F(A), its slopes (F_A, F_p) on the same scale, and the ratios
+    r_0..r_K (r_0 = 1), the tail doubled from K terms until F settles at
+    the rounding level of its terms.  The slopes run backward beside r_k:
+    dr_k = -(dgamma_k + r_k (dc_k + alpha_k dr_(k+1))) / den_k."""
     prev = None
     while K <= _K_MAX:
-        alpha, c, gamma = (a.tolist() for a in _recurrence(p, b, lam, K))
+        alpha, c, gamma, dc, dgamma = (
+            a.tolist() for a in _recurrence(p, b, lam, K))
         r = [1.0] * (K + 1)
-        rk = 0.0
+        rk = rA = rp = 0.0
         for k in range(K, 0, -1):
-            rk = r[k] = -gamma[k] / (A + c[k] + alpha[k] * rk)
+            den = A + c[k] + alpha[k] * rk
+            rk = r[k] = -gamma[k] / den
+            rA = -rk * (1.0 + alpha[k] * rA) / den
+            rp = -(dgamma[k] + rk * (dc[k] + alpha[k] * rp)) / den
         F = A + c[0] + alpha[0] * rk
         scale = abs(A) + abs(c[0]) + abs(alpha[0] * rk)
         if prev is not None and abs(F - prev) <= 1e-15 * scale:
-            return F / scale, r
+            slopes = (1.0 + alpha[0] * rA, dc[0] + alpha[0] * rp)
+            return F / scale, tuple(d / scale for d in slopes), r
         prev = F
         K *= 2
     raise OracleConvergenceError(
         f"continued fraction unsettled after {_K_MAX} terms (p={p}, A={A})")
 
 
-def _radial_eigenvalue(p: float, b: float, lam: int, n: int) -> float:
-    """A_n(p): n-th eigenvalue of the truncated recurrence, polished by
-    secant steps on the continued fraction."""
-    alpha, c, gamma = _recurrence(p, b, lam, _N_ESTIMATE - 1)
+def _settled(step: float, prev: float, x: float) -> bool:
+    """A step within 4 ulp of x > 0, or within 1e-12 x and not halving."""
+    return (abs(step) <= 4.0 * math.ulp(x)
+            or abs(step) <= 1e-12 * x and abs(step) > 0.5 * abs(prev))
+
+
+def _radial_eigenvalue(p: float, b: float, lam: int, n: int):
+    """A_n(p), its slope dA_n/dp = -F_p/F_A and the settled tail length:
+    the n-th eigenvalue of the truncated recurrence, polished by Newton
+    steps on the continued fraction."""
+    alpha, c, gamma = _recurrence(p, b, lam, _N_ESTIMATE - 1)[:3]
     M = -(np.diag(c) + np.diag(alpha[:-1], 1) + np.diag(gamma[1:], -1))
-    A1 = float(np.sort(np.linalg.eigvals(M).real)[n])
-    F1, r = _fraction(A1, p, b, lam)
-    K = len(r) - 1
-    A0 = A1 + 1e-7 * (1.0 + abs(A1))
-    F0 = _fraction(A0, p, b, lam, K)[0]
-    for _ in range(50):
-        if F1 == 0.0 or F1 == F0:
-            return A1
-        A0, F0, A1 = A1, F1, A1 - F1 * (A1 - A0) / (F1 - F0)
-        if abs(A1 - A0) <= 4e-16 * max(1.0, abs(A1)):
-            return A1
-        F1 = _fraction(A1, p, b, lam, K)[0]
-    raise OracleConvergenceError(f"secant on A_{n}(p={p}) did not settle")
+    A = float(np.sort(np.linalg.eigvals(M).real)[n])
+    K, step = 128, math.inf
+    for _ in range(_MAX_STEPS):
+        F, (F_A, F_p), r = _fraction(A, p, b, lam, K // 2)
+        if F_A == 0.0:
+            break
+        K, prev, step = len(r) - 1, step, F / F_A
+        A -= step
+        if _settled(step, prev, max(1.0, abs(A))):
+            return A, -F_p / F_A, K
+    raise OracleConvergenceError(f"Newton on A_{n}(p={p}) did not settle")
 
 
 def _node_grid(A: float, p: float, b: float) -> np.ndarray:
@@ -189,25 +209,26 @@ def _node_grid(A: float, p: float, b: float) -> np.ndarray:
     return np.linspace(0.0, 1.0, 1400)[1:] * (xi_far - 1.0) / (xi_far + 1.0)
 
 
-def radial_solution(E_total: float, A: float, setup: PhysicalSetup, lam: int):
+def radial_solution(E_total: float, A: float, setup: PhysicalSetup, lam: int,
+                    K: int = 64):
     """Scaled continued-fraction defect F(A)/(|A|+|c_0|+|alpha_0 r_1|) at
     p(E_total), and the interior node count of the minimal solution: the
     sign changes of Jaffe's series on the node grid, as exact_node finds
-    them."""
+    them.  The fraction's tail doubles from K terms."""
     E_prime = E_total - setup.repulsion
     if E_prime >= 0.0:
         raise ValueError("radial solution needs a bound channel (E' < 0)")
     p = math.sqrt(-E_prime) * setup.R / 2.0
     b = (setup.Z1 + setup.Z2) * setup.R
-    defect = _fraction(A, p, b, lam)[0]
-    return defect, _sign_changes(A, p, b, lam)[2].size
+    defect, _, r = _fraction(A, p, b, lam, K)
+    return defect, _sign_changes(A, p, b, lam, r)[2].size
 
 
 def radial_mismatch(E_total: float, A: float, setup: PhysicalSetup, lam: int,
-                    n: int) -> float:
+                    n: int, K: int = 64) -> float:
     """Continued-fraction defect; raises when the interior node count
     differs from n."""
-    mism, nodes = radial_solution(E_total, A, setup, lam)
+    mism, nodes = radial_solution(E_total, A, setup, lam, K)
     if nodes != n:
         raise RadialRootError(
             f"node count {nodes} != {n} at E={E_total} (A={A})")
@@ -218,43 +239,39 @@ def radial_mismatch(E_total: float, A: float, setup: PhysicalSetup, lam: int,
 # joint solve
 
 
-def find_root(label: StateLabel, setup: PhysicalSetup, E_seed: float,
-              window: float = 2e-4) -> tuple[float, int]:
-    """Bispectral root of A_n(p) = A_ang(p), and the bracket expansions.
+def find_root(label: StateLabel, setup: PhysicalSetup, E_seed: float):
+    """Bispectral root of D(p) = A_n(p) - A_ang(p) by safeguarded Newton
+    steps on its exact slope dA_n/dp - dA_ang/dp.
 
-    E_seed and window only place the first p-bracket, p(E_seed +- window);
-    the radial node count n selects the root, which is unique because the
-    difference increases with p.  The bracket walks toward the sign
-    change, doubling its width per expansion.
+    E_seed only places the first p; the radial node count n selects the
+    root, which is unique because D increases with p.  The sign of D(p)
+    narrows a bracket (lo, hi); a step that leaves it bisects, or doubles
+    p while no upper bound is known.  The last p evaluated is the root
+    once a step is within 4 ulp of it, or within 1e-12 p and no longer
+    halving (the noise floor of D).  Returns E there, A_ang at p(E) with
+    its basis size, the radial tail length and the number of p-steps.
     """
     b = (setup.Z1 + setup.Z2) * setup.R
-
-    def D(p):
-        return (_radial_eigenvalue(p, b, label.lam, label.n)
-                - angular_eigenvalue(p, label.lam, label.m, label.parity))
-
-    p0 = p_from_energy(E_seed, setup)
-    dp2 = window * setup.R ** 2 / 4.0
-    lo = math.sqrt(max(p0 * p0 - dp2, 0.25 * p0 * p0))
-    hi = math.sqrt(p0 * p0 + dp2)
-    D_lo, D_hi = D(lo), D(hi)
-    expansions = 0
-    while D_lo > 0.0 or D_hi < 0.0:
-        if expansions == _MAX_EXPAND:
-            raise RadialRootError(
-                f"no bispectral root with n={label.n} near E={E_seed}")
-        width = 2.0 * (hi - lo)
-        if D_lo > 0.0:
-            hi, D_hi = lo, D_lo
-            lo = max(lo - width, 0.5 * lo)
-            D_lo = D(lo)
-        else:
-            lo, D_lo = hi, D_hi
-            hi += width
-            D_hi = D(hi)
-        expansions += 1
-    p = brentq(D, lo, hi, xtol=1e-16, rtol=8.9e-16)
-    return energy_from_p(p, setup), expansions
+    p = p_from_energy(E_seed, setup)
+    lo, hi, step = 0.0, math.inf, math.inf
+    for steps in range(1, _MAX_STEPS + 1):
+        A_n, dA_n, K_rad = _radial_eigenvalue(p, b, label.lam, label.n)
+        A, dA, K = _angular(p, label.lam, label.m, label.parity)
+        D, slope = A_n - A, dA_n - dA
+        lo, hi = (p, hi) if D < 0.0 else (lo, p)
+        new = p - D / slope if slope > 0.0 else math.nan
+        if not lo <= new <= hi:  # also a step below half an ulp
+            new = 2.0 * p if hi == math.inf else 0.5 * (lo + hi)
+        prev, step = step, new - p
+        if _settled(step, prev, p):
+            E = energy_from_p(p, setup)
+            p_E = p_from_energy(E, setup)
+            if p_E != p:  # the result's A is taken at E's own p
+                A, _, K = _angular(p_E, label.lam, label.m, label.parity)
+            return E, A, K, K_rad, steps
+        p = new
+    raise RadialRootError(
+        f"no bispectral root with n={label.n} near E={E_seed}")
 
 
 def hydrogenic_seed(label: StateLabel, setup: PhysicalSetup) -> float:
@@ -267,33 +284,29 @@ def solve_bispectral(label: StateLabel, setup: PhysicalSetup,
                      E_seed: float | None = None) -> OracleResult:
     """Joint (E, A) solve; E_seed defaults to the one-center estimate.
 
-    The seed and its window (2e-4 Ry, or 5% of |E| for the one-center
-    estimate) only place the first p-bracket: the root is the one with
+    The seed only places find_root's first p: the root is the one with
     label.n radial nodes, verified through radial_mismatch.
     """
     E = E_seed if E_seed is not None else hydrogenic_seed(label, setup)
-    window = 2e-4 if E_seed is not None else 0.05 * max(1.0, abs(E))
-    E, expansions = find_root(label, setup, E, window=window)
-    p = p_from_energy(E, setup)
-    A, K = angular_eigenvalue(p, label.lam, label.m, label.parity,
-                              return_size=True)
-    mism = radial_mismatch(E, A, setup, label.lam, label.n)
-    return OracleResult(label, setup, E, A, p, K, mism, expansions + 1)
+    E, A, K, K_rad, steps = find_root(label, setup, E)
+    mism = radial_mismatch(E, A, setup, label.lam, label.n, K_rad // 2)
+    return OracleResult(label, setup, E, A, p_from_energy(E, setup), K,
+                        mism, steps)
 
 
 # ----------------------------------------------------------------------
 # exact eigenfunctions
 
 
-def _series(A: float, p: float, b: float, lam: int, t_max: float):
+def _series(A: float, p: float, b: float, lam: int, t_max: float, r):
     """Coefficients g_k of the radial series sum g_k t^k, scaled so that
-    max |g_k| = 1, and the log of that scale.  The tail doubles until the
-    terms past its first half fall below 1e-18 of the largest on
-    t <= t_max; those are dropped."""
+    max |g_k| = 1, and the log of that scale, from the ratios r of a
+    settled fraction.  The tail doubles until the terms past its first
+    half fall below 1e-18 of the largest on t <= t_max; those are
+    dropped."""
     log_t = math.log(max(t_max, 1e-3))
-    K = 64
-    while K <= _K_MAX:
-        r = np.array(_fraction(A, p, b, lam, K)[1])
+    r = np.array(r)
+    while True:
         K = r.size - 1
         with np.errstate(divide="ignore"):
             log_g = np.cumsum(np.log(np.abs(r)))
@@ -304,16 +317,18 @@ def _series(A: float, p: float, b: float, lam: int, t_max: float):
             scale = log_g[:keep].max()
             return (np.cumprod(np.sign(r[:keep]))
                     * np.exp(log_g[:keep] - scale)), scale
-        K *= 2
-    raise OracleConvergenceError(
-        f"radial series unsettled after {_K_MAX} terms at t={t_max}")
+        if K >= _K_MAX:
+            raise OracleConvergenceError(
+                f"radial series unsettled after {K} terms at t={t_max}")
+        r = np.array(_fraction(A, p, b, lam, K)[2])
 
 
-def _sign_changes(A: float, p: float, b: float, lam: int):
-    """The node grid t, the series coefficients g on it, and the indices i
-    where sum g_k t^k changes sign between t[i] and t[i+1]."""
+def _sign_changes(A: float, p: float, b: float, lam: int, r):
+    """The node grid t, the series coefficients g on it (from the ratios
+    r), and the indices i where sum g_k t^k changes sign between t[i] and
+    t[i+1]."""
     t = _node_grid(A, p, b)
-    g, _ = _series(A, p, b, lam, t[-1])
+    g, _ = _series(A, p, b, lam, t[-1], r)
     s = np.sign(np.polynomial.polynomial.polyval(t, g))
     return t, g, np.flatnonzero(s[:-1] * s[1:] < 0.0)
 
@@ -348,10 +363,11 @@ def exact_channels(result: OracleResult, xi, eta):
     kap = b / (2.0 * p)
     t = (xi - 1.0) / (xi + 1.0)
     g, scale = _series(result.A, p, b, label.lam,
-                       float(np.max(t, initial=0.0)))
+                       float(np.max(t, initial=0.0)),
+                       _fraction(result.A, p, b, label.lam)[2])
     S = np.polynomial.polynomial.polyval(t, g)
     ls, diag, off = _angular_matrix(p, label.lam, label.parity,
-                                    result.angular_basis_size)
+                                    result.angular_basis_size)[:3]
     v = eigh_tridiagonal(diag, off, eigvals_only=False, select="i",
                          select_range=(label.m, label.m),
                          tol=_BISECT_TOL)[1][:, 0]
@@ -365,10 +381,9 @@ def exact_channels(result: OracleResult, xi, eta):
 
 def exact_node(result: OracleResult) -> float:
     """xi of the first interior node of the exact radial function."""
-    setup = result.setup
-    t, g, change = _sign_changes(result.A, result.p,
-                                 (setup.Z1 + setup.Z2) * setup.R,
-                                 result.label.lam)
+    setup, A, p, lam = result.setup, result.A, result.p, result.label.lam
+    b = (setup.Z1 + setup.Z2) * setup.R
+    t, g, change = _sign_changes(A, p, b, lam, _fraction(A, p, b, lam)[2])
     if change.size == 0:
         raise RadialRootError(f"no radial node for {result.label}")
     i = change[0]

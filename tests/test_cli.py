@@ -70,6 +70,16 @@ def test_oracle_subcommand(tmp_path):
     assert abs(float(vals["radial_mismatch"])) <= 1e-12
 
 
+def test_oracle_near_the_united_atom(tmp_path, capsys):
+    # 3psu at R = 0.02 once exited 3: "node count 0 != 1"
+    out = tmp_path / "o.csv"
+    assert main(["oracle", "--state", "3psu", "--R", "0.02",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    header, row = out.read_text().strip().split("\n")
+    assert dict(zip(header.split(","), row.split(",")))["state"] == "3psu"
+
+
 def test_pt_subcommand_and_tables(tmp_path):
     prefix = str(tmp_path / "corr")
     out = tmp_path / "pt.csv"

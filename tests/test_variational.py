@@ -434,9 +434,12 @@ def test_frozen_solve_is_stationary_in_its_free_coordinates():
 
 
 def test_domain_violating_steps_are_rejected_by_type(monkeypatch):
-    # from the detuned 1ssg R = 6 seed a full quasi-Newton step leaves the
-    # domain; it raises ParamDomainError, which shortens the step, and no
-    # stand-in energy enters the descent
+    # a descent in gamma alone, from gamma = 0.5 with alpha held at -3:
+    # the energy's curvature there (0.04) is far above the difference
+    # Hessian's rounding, and the model's first full step aims at
+    # gamma = -1.78, past the domain's gamma > -1 by 0.78, so the
+    # rejection does not hang on last bits; it raises ParamDomainError,
+    # which shortens the step, and no stand-in energy enters the descent
     import inspect
 
     import twocenter.variational as variational
@@ -460,8 +463,9 @@ def test_domain_violating_steps_are_rejected_by_type(monkeypatch):
 
     monkeypatch.setattr(TrialParams, "validate", watched_validate)
     monkeypatch.setattr(variational, "_evaluate", watched)
-    seed = seed_for(GS, 6.0).replace(alpha=3.1)
-    res = optimize_state(GS, PhysicalSetup(6.0), seed)
+    seed = TrialParams(-3.0, 0.5, 2.6, 0.54, 0.59, 0.006, 3.5)
+    res = optimize_state(GS, PhysicalSetup(6.0), seed, frozen={
+        k: getattr(seed, k) for k in ("alpha", "a1", "a2", "b2", "b3")})
     assert rejected
     assert res.evaluations == len(energies) + len(rejected)
     assert max(energies) < 0.0
