@@ -18,7 +18,8 @@ density w X_ex^2 of its channel:
   w D = eta N (IRE Trans. Autom. Control 4, 37 (1959)), iterated as
   Sanathanan and Koerner do (IEEE Trans. Autom. Control 8, 56 (1963));
   the odd branch from sinh(p eta), the shape the channel takes as R
-  grows.
+  grows.  The fit rejects a start or step outside the shape's domain by
+  the ParamDomainError of trial.check_eta_shape.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from scipy.optimize import minimize_scalar
 from .model import PhysicalSetup, StateLabel, require_supported
 from .oracle import exact_channels, exact_node, solve_bispectral
 from .quadrature import build_rules
-from .trial import TrialParams
+from .trial import (ParamDomainError, TrialParams, check_eta_shape,
+                    eta_exponent, xi_exponent)
 
 _FIT_N = 64          # Gauss rule size of the projection
 _ETA_EVALS = 120     # cap on each eta fit's residual evaluations
@@ -63,22 +65,6 @@ def _fit_xi(x, log_x, weights, p: float, q: float):
     return fit(best.x)[0][0], float(best.x)
 
 
-def _positive_on_unit(c0: float, c1: float, c2: float) -> bool:
-    """Whether c0 + c1 s + c2 s^2 > 0 for every s in [0, 1]."""
-    low = min(c0, c0 + c1 + c2)
-    if c2 != 0.0 and 0.0 < -0.5 * c1 / c2 < 1.0:
-        low = min(low, c0 - 0.25 * c1 * c1 / c2)
-    return low > 0.0
-
-
-def _in_domain(theta, p: float, odd: bool) -> bool:
-    """Whether the eta shape keeps D, and on the odd branch the sinh
-    argument's N, positive on s = eta^2 in [0, 1]."""
-    a1, a2, b2, b3 = theta[:4]
-    return (_positive_on_unit(1.0, b2, b3)
-            and (not odd or _positive_on_unit(a1, p * a2, p * b3)))
-
-
 def _fit_eta(starts, eta, log_y, weights, p: float, nu: float, odd: bool):
     """Of weighted least-squares fits of log|Y_ex| from each start shape
     (a1, a2, b2, b3), with log C at its weighted mean offset, the one of
@@ -91,6 +77,7 @@ def _fit_eta(starts, eta, log_y, weights, p: float, nu: float, odd: bool):
 
     def parts(theta):
         a1, a2, b2, b3 = theta[:4]
+        check_eta_shape(a1, a2, b2, b3, p, odd)
         D = 1.0 + (b2 + b3 * e2) * e2
         w = eta * (a1 + p * (a2 + b3 * e2) * e2) / D
         # log|cosh or sinh w| up to the constant log 2; w > 0 when odd
@@ -99,8 +86,6 @@ def _fit_eta(starts, eta, log_y, weights, p: float, nu: float, odd: bool):
         return D, w, branch - nu * np.log(D)
 
     def residual(theta):
-        if not _in_domain(theta, p, odd):
-            return np.full_like(eta, 1e6)
         return sw * (theta[4] + parts(theta)[2] - log_y)
 
     def jacobian(theta):
@@ -112,9 +97,10 @@ def _fit_eta(starts, eta, log_y, weights, p: float, nu: float, odd: bool):
 
     best = None
     for start in starts:
-        if start is None or not _in_domain(start, p, odd):
+        try:
+            offset = np.average(log_y - parts(start)[2], weights=weights)
+        except ParamDomainError:
             continue
-        offset = np.sum(weights * (log_y - parts(start)[2])) / np.sum(weights)
         fit = _levenberg_marquardt(residual, jacobian,
                                    np.append(start, offset))
         if best is None or fit[1] < best[1]:
@@ -125,9 +111,10 @@ def _fit_eta(starts, eta, log_y, weights, p: float, nu: float, odd: bool):
 def _levenberg_marquardt(residual, jacobian, x):
     """(x, cost) of a least-squares minimum of residual(x) near x, by
     Levenberg-Marquardt steps scaled by the Jacobian's row norms (jacobian
-    gives the transpose), within _ETA_EVALS residual evaluations.  Written
-    out rather than taken from MINPACK, whose result varies in the last
-    bits with the heap addresses of its work arrays."""
+    gives the transpose), within _ETA_EVALS residual evaluations, a step
+    off the domain (ParamDomainError) or of a singular system rejected.
+    Written out rather than taken from MINPACK, whose result varies in the
+    last bits with the heap addresses of its work arrays."""
     r = residual(x)
     cost, mu, scale = float(r @ r), 1e-3, np.zeros_like(x)
     Jt = jacobian(x)
@@ -138,7 +125,7 @@ def _levenberg_marquardt(residual, jacobian, x):
                                    -(Jt @ r))
             r_try = residual(x + step)
             cost_try = float(r_try @ r_try)
-        except np.linalg.LinAlgError:
+        except (np.linalg.LinAlgError, ParamDomainError):
             cost_try = math.inf
         if cost_try < cost:
             done = cost - cost_try <= _ETA_FTOL * cost
@@ -167,9 +154,11 @@ def _levy_start(eta, log_y, log_y0, weights, p: float, nu: float):
                              (p * eta - w) * e2 * e2])
         sw = np.sqrt(weights) / D
         theta, *_ = np.linalg.lstsq(M * sw[:, None], w * sw, rcond=None)
+        try:
+            check_eta_shape(*theta, p)
+        except ParamDomainError:
+            break  # _fit_eta skips the start
         D = 1.0 + theta[2] * e2 + theta[3] * e2 * e2
-        if not np.all(D > 0.0):
-            return None
     return theta
 
 
@@ -193,13 +182,12 @@ def seed_for(label: StateLabel, R: float) -> TrialParams:
     log_x = log_x[keep]
     if label.n == 1:
         log_x = log_x - np.log(np.abs(x - exact_node(res)))
-    kappa = (setup.Z1 + setup.Z2) * R / (2.0 * p)
-    alpha, gamma = _fit_xi(x, log_x, wx, p, 1.0 + label.n + lam - kappa)
+    alpha, gamma = _fit_xi(x, log_x, wx, p, xi_exponent(label, setup, p))
 
     eta = eta[:-1]
     we, keep = _density(np.log(re.weights[half]), log_y, 1.0 - eta ** 2, lam)
     eta, log_y = eta[keep], log_y[keep]
-    nu = (1.0 + 2 * label.m + lam) / 4.0
+    nu = eta_exponent(label)
     odd = label.parity == -1
     # a generic shape, and the branch's own start
     starts = [(0.8 * p, 0.015 * R * R, 0.015 * R * R, 0.0),

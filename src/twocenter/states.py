@@ -79,7 +79,10 @@ class SolvedState:
                                     self.setup, rules)
 
     def rules(self):
-        return build_rules(self.params.p, default_rule_size(self.params.p))
+        """The rule pair of the solve: its size, or the default at p."""
+        N = (self.result.rule_N if self.result is not None
+             else default_rule_size(self.params.p))
+        return build_rules(self.params.p, N)
 
 
 def _damped(ca: ChannelArrays, pt: ChannelPT | None) -> ChannelArrays:

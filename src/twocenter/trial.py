@@ -67,16 +67,7 @@ class TrialParams:
             raise ParamDomainError(
                 f"gamma must exceed -1 so gamma+xi > 0 on xi >= 1, got {self.gamma}"
             )
-        # 1 + b2 s + b3 s^2 > 0 on s = eta^2 in [0, 1]
-        ends = min(1.0, 1.0 + self.b2 + self.b3)
-        if self.b3 != 0.0:
-            s_star = -0.5 * self.b2 / self.b3
-            if 0.0 < s_star < 1.0:
-                ends = min(ends, 1.0 + self.b2 * s_star + self.b3 * s_star**2)
-        if not ends > 0.0:
-            raise ParamDomainError(
-                f"eta denominator not positive on [-1,1]: b2={self.b2}, b3={self.b3}"
-            )
+        check_eta_shape(self.a1, self.a2, self.b2, self.b3, self.p)
         if self.xi0 is not None and not self.xi0 > 1.0:
             raise ParamDomainError(f"node position must satisfy xi0 > 1, got {self.xi0}")
 
@@ -86,9 +77,31 @@ class TrialParams:
         return _replace(self, **kw)
 
 
-def effective_kappa(params: TrialParams, setup: PhysicalSetup) -> float:
-    """(Z1+Z2) R / (2p): equals R/p for the symmetric singly-charged pair."""
-    return (setup.Z1 + setup.Z2) * setup.R / (2.0 * params.p)
+def check_eta_shape(a1: float, a2: float, b2: float, b3: float, p: float,
+                    odd: bool = False) -> None:
+    """The eta shape's one domain rule, exact rather than sampled: for all
+    s = eta^2 in [0, 1] the denominator D = 1 + b2 s + b3 s^2 of w = eta N/D
+    is positive, and on the odd branch, whose phase takes log(N/D), so is
+    N = a1 + p a2 s + p b3 s^2.  Raises ParamDomainError."""
+    for name, c0, c1, c2 in (("denominator", 1.0, b2, b3),
+                             ("sinh argument", a1, p * a2, p * b3))[:1 + odd]:
+        low = min(c0 + c1 + c2, c0)  # a NaN coefficient stays in low
+        if c2 != 0.0 and 0.0 < -0.5 * c1 / c2 < 1.0:
+            low = min(low, c0 - 0.25 * c1 * c1 / c2)
+        if not low > 0.0:
+            raise ParamDomainError(f"eta {name} not positive on [-1,1] at "
+                                   f"(a1, a2, b2, b3, p) = {a1, a2, b2, b3, p}")
+
+
+def xi_exponent(label: StateLabel, setup: PhysicalSetup, p: float) -> float:
+    """q of X's (gamma+xi)^(-q): 1 + n + L - kappa, kappa = (Z1+Z2) R/(2p)."""
+    return (1.0 + label.n + label.lam
+            - (setup.Z1 + setup.Z2) * setup.R / (2.0 * p))
+
+
+def eta_exponent(label: StateLabel) -> float:
+    """nu of Y's (1 + b2 eta^2 + b3 eta^4)^(-nu): (1 + 2m + L)/4."""
+    return (1.0 + 2 * label.m + label.lam) / 4.0
 
 
 # ----------------------------------------------------------------------
@@ -102,8 +115,8 @@ def _xi_terms(params: TrialParams, label: StateLabel, setup: PhysicalSetup,
     xi = np.asarray(xi, dtype=float)
     al, g, p = params.alpha, params.gamma, params.p
     gx = g + xi
-    return (1.0 + label.n + label.lam - effective_kappa(params, setup), gx,
-            xi * (al + p * xi) / gx, g * (p * g - al))
+    return (xi_exponent(label, setup, p), gx, xi * (al + p * xi) / gx,
+            g * (p * g - al))
 
 
 def phase_of_trial_xi(params: TrialParams, label: StateLabel,
@@ -193,7 +206,9 @@ def _eta_slope(params: TrialParams, label: StateLabel, eta):
     """rho0, rho0' and the terms that rho0'' and the gradient reuse:
     (nu, N, D, dN, dD, ddN, ddD, w, w', T) with T = d lt/dw, where lt is
     log cosh w (even branch) or log(sinh w / w) + log(N/D) (odd)."""
-    nu = (1.0 + 2 * label.m + label.lam) / 4.0
+    check_eta_shape(params.a1, params.a2, params.b2, params.b3, params.p,
+                    odd=label.parity == -1)
+    nu = eta_exponent(label)
     N, D, dN, dD, ddN, ddD = _eta_rationals(params, eta)
     P = eta * N
     w = P / D
@@ -203,10 +218,6 @@ def _eta_slope(params: TrialParams, label: StateLabel, eta):
         lt = _log_cosh(w)
         dlt = T * dw
     else:
-        if not params.a1 > 0.0:
-            raise ParamDomainError("odd-branch phase requires a1 > 0")
-        if np.any(N <= 0.0):
-            raise ParamDomainError("odd-branch phase requires a positive sinh argument")
         T = _coth_minus_inv(w)
         lt = _log_sinh_over_w(w) + np.log(N / D)
         dlt = T * dw + (dN / N - dD / D)
@@ -218,8 +229,7 @@ def phase_of_trial_eta(params: TrialParams, label: StateLabel, eta):
     """Phase rho0 of Y = g exp(-rho0) with its first two derivatives.
 
     g = 1 on the even branch and eta on the odd one, so rho0 is smooth
-    and even; the odd branch requires the cosh/sinh argument to stay
-    positive for eta > 0 (a1 > 0 for the seeds).
+    and even; check_eta_shape holds the shape's domain.
     """
     eta = np.asarray(eta, dtype=float)
     rho, drho, (nu, N, D, dN, dD, ddN, ddD, w, dw, T) = \
@@ -378,10 +388,9 @@ def eval_X(params: TrialParams, label: StateLabel, setup: PhysicalSetup, xi):
     xi = np.asarray(xi, dtype=float)
     if np.any(xi < 1.0):
         raise ParamDomainError("xi must be >= 1")
-    phi, _, _ = phase_of_trial_xi(params, label, setup, xi)
-    f = prefactor(params, label, xi, "xi")[0]
     with np.errstate(under="ignore"):
-        out = (xi**2 - 1.0) ** (label.lam / 2.0) * f * np.exp(-phi)
+        out = (xi**2 - 1.0) ** (label.lam / 2.0) * channel_factor(
+            params, label, setup, xi, "xi", 0.0)[0]
     return out if out.ndim else float(out)
 
 
@@ -391,12 +400,8 @@ def eval_Y(params: TrialParams, label: StateLabel, eta):
     eta = np.asarray(eta, dtype=float)
     if np.any(np.abs(eta) > 1.0):
         raise ParamDomainError("eta must lie in [-1, 1]")
-    e2 = eta * eta
-    N, D, *_ = _eta_rationals(params, eta)
-    w = eta * N / D
-    nu = (1.0 + 2 * label.m + label.lam) / 4.0
-    branch = np.cosh(w) if label.parity == +1 else np.sinh(w)
-    out = (1.0 - e2) ** (label.lam / 2.0) * D ** (-nu) * branch
+    out = (1.0 - eta**2) ** (label.lam / 2.0) * channel_factor(
+        params, label, None, eta, "eta", 0.0)[0]
     return out if out.ndim else float(out)
 
 

@@ -53,9 +53,8 @@ class LimitProbePoint:
     A: float
 
 
-def limit_convergence_probe(label: StateLabel, R_sequence=None,
-                            Z: float = 2.0) -> dict:
-    """Track R/p -> n and E' -> -Z^2/n^2 along a sequence R -> 0."""
+def limit_convergence_probe(label: StateLabel, R_sequence=None) -> dict:
+    """Track R/p -> n and E' -> -(Z1+Z2)^2/n^2 along a sequence R -> 0."""
     if R_sequence is None:
         R_sequence = [0.5 * 2.0**-k for k in range(5)]
     form = limit_form(label)
@@ -66,7 +65,9 @@ def limit_convergence_probe(label: StateLabel, R_sequence=None,
         E_prime = res.E_total - res.setup.repulsion
         points.append(LimitProbePoint(R, res.E_total, E_prime,
                                       R / res.p, res.A))
-    E_lim = -(Z / n_atomic) ** 2
+    if not points:
+        raise ValueError("the probe needs at least one R")
+    E_lim = -((res.setup.Z1 + res.setup.Z2) / n_atomic) ** 2
     return {
         "points": points,
         "n_atomic": n_atomic,

@@ -1,12 +1,19 @@
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 
-from twocenter.model import StateLabel
+from twocenter.model import EnergyPair, PhysicalSetup, StateLabel
+from twocenter.oracle import OracleResult, exact_channels, solve_bispectral
+from twocenter.reference import oscillator_table
+from twocenter.states import SolvedState
 from twocenter.transitions import (TransitionOrderingError,
                                    dipole_matrix_element,
                                    magnetic_matrix_element,
                                    oscillator_strength,
                                    quadrupole_matrix_element)
+from twocenter.trial import ChannelArrays, TrialParams
 
 GS = StateLabel(0, 0, 0, +1)
 
@@ -155,3 +162,72 @@ def test_kind_dispatch(bank):
     assert rec.kind == "E1"
     with pytest.raises(ValueError):
         oscillator_strength("M9", g, f)
+
+
+# ----------------------------------------------------------------------
+# E1 1ssg -> 3psu against the exact eigenfunctions
+
+
+@dataclasses.dataclass
+class _ExactState(SolvedState):
+    """A state whose channels are the oracle's exact functions, on the
+    default rule at the oracle's p; only p is read from params, and the
+    E1 element and the norm read no channel derivative (dvals are 0)."""
+
+    oracle: OracleResult | None = None
+
+    @classmethod
+    def solve(cls, label, R):
+        setup = PhysicalSetup(R)
+        res = solve_bispectral(label, setup)
+        return cls(label, setup, TrialParams(0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+                                             res.p),
+                   EnergyPair(res.E_total, res.E_total - setup.repulsion,
+                              res.p), oracle=res)
+
+    def _arrays(self, nodes, channel):
+        nodes = np.asarray(nodes, dtype=float)
+        other = np.zeros(1) if channel == 0 else np.full(1, 2.0)
+        xi, eta = (nodes, other) if channel == 0 else (other, nodes)
+        log, sign = exact_channels(self.oracle, xi, eta)[channel]
+        top = float(np.max(log))
+        return ChannelArrays(sign * np.exp(log - top), np.zeros_like(nodes),
+                             -top, nodes)
+
+    def xi_arrays(self, nodes):
+        return self._arrays(nodes, 0)
+
+    def eta_arrays(self, nodes):
+        return self._arrays(nodes, 1)
+
+
+_SU = StateLabel(1, 0, 0, -1)
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_f_3psu(R):
+    return oscillator_strength("E1", _ExactState.solve(GS, R),
+                               _ExactState.solve(_SU, R)).f
+
+
+@pytest.mark.parametrize("R", [2.0, 4.0])
+def test_f_3psu_matches_the_exact_functions(bank, R):
+    # the corrected E1 strength to 3psu within 1e-8 of the one the exact
+    # eigenfunctions give (8.24920180033e-4 at R = 2, 1.61436314667e-2 at
+    # R = 4), far inside criterion 8's 2e-6
+    f = oscillator_strength("E1", bank.get(GS, R, corrected=True),
+                            bank.get(_SU, R, corrected=True)).f
+    assert f == pytest.approx(_exact_f_3psu(R), rel=1e-8)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="The f_3psu reference column is off the exact-function strength "
+           "by -1.63e-5 (R = 2) and +1.01e-5 (R = 4), relative, while the "
+           "package is within 1.9e-9 of it: the reference's own error "
+           "exceeds a 2e-6 match there, as at the R = 1 quadrupole row.")
+@pytest.mark.parametrize("R", [2.0, 4.0])
+def test_f_3psu_reference_column_meets_the_exact_functions(R):
+    ref = {r["R"]: r for r in oscillator_table("e1")}[R]["f_3psu"]
+    exact = _exact_f_3psu(R)
+    assert abs(ref - exact) <= 2e-6 * exact

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from twocenter.model import PhysicalSetup, StateLabel, p_from_energy
-from twocenter.trial import (ParamDomainError, TrialParams, eval_psi,
-                             eval_X, eval_Y, phase_of_trial_eta,
+from twocenter.quadrature import build_rules
+from twocenter.trial import (ParamDomainError, TrialParams, eta_channel,
+                             eval_psi, eval_X, eval_Y, phase_of_trial_eta,
                              phase_of_trial_xi)
 
 # published parameter set at the equilibrium distance
@@ -84,6 +85,32 @@ def test_param_domain_checks():
         TrialParams(1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0, xi0=0.8).validate()
     with pytest.raises(ParamDomainError):
         eval_X(PARS_EQ, GS, SETUP_EQ, 0.5)
+
+
+def test_eta_shape_domain_holds_between_rule_nodes():
+    # an odd-branch shape whose sinh argument N = a1 + p a2 s + p b3 s^2,
+    # s = eta^2, dips below zero at s = 0.49375, strictly between two
+    # 64-point rule nodes, and stays positive at every node: the domain
+    # rule covers all of [0, 1], not the rule's nodes
+    pars = TrialParams(1.0, 1.0, 9.75, -39.5, 0.0, 40.0, 1.0)
+    lab = StateLabel(0, 0, 0, -1)
+    nodes = build_rules(pars.p, 64)[1].nodes
+
+    def N(s):
+        return pars.a1 + pars.p * (pars.a2 * s + pars.b3 * s * s)
+
+    assert np.min(N(nodes**2)) > 0.02 and N(0.49375) < 0.0
+    pars.validate()  # D = 1 + 40 s^2 is positive; the label adds N's rule
+    with pytest.raises(ParamDomainError, match="sinh argument"):
+        eta_channel(pars, lab, nodes)
+    with pytest.raises(ParamDomainError, match="sinh argument"):
+        eval_Y(pars, lab, 0.5)
+
+
+def test_eta_shape_domain_rejects_nan():
+    for b2, b3 in ((math.nan, 0.0), (0.0, math.nan)):
+        with pytest.raises(ParamDomainError, match="denominator"):
+            PARS_EQ.replace(b2=b2, b3=b3).validate()
 
 
 # ----------------------------------------------------------------------

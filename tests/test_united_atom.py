@@ -139,6 +139,12 @@ def test_probe_delta_state_energy():
     assert probe["E_prime_limit"] == pytest.approx(-4.0 / 9.0)
 
 
+def test_probe_needs_a_point():
+    # the limit's charge Z1 + Z2 is read from the solved setups
+    with pytest.raises(ValueError, match="at least one R"):
+        limit_convergence_probe(StateLabel(0, 0, 0, +1), R_sequence=[])
+
+
 def test_limit_nodal_structure_counts():
     # the label algebra reproduces the (n-l-1, l-m) one-center node counts
     for lab in (StateLabel(0, 0, 0, +1), StateLabel(1, 0, 0, -1),

@@ -439,8 +439,9 @@ def test_domain_violating_steps_are_rejected_by_type(monkeypatch):
     # Hessian's rounding, and the model's first full step aims at
     # gamma = -1.78, past the domain's gamma > -1 by 0.78, so the
     # rejection does not hang on last bits; it raises ParamDomainError,
-    # which shortens the step, and no stand-in energy enters the descent
-    import inspect
+    # which shortens the step, and no stand-in energy or residual is left
+    # in any module
+    import pathlib
 
     import twocenter.variational as variational
 
@@ -474,7 +475,39 @@ def test_domain_violating_steps_are_rejected_by_type(monkeypatch):
     with pytest.raises(ParamDomainError):
         _evaluate(StateLabel(0, 0, 0, -1), PhysicalSetup(2.0),
                   seed.replace(a1=-0.5), None, build_rules(seed.p, 64))
-    assert "1e6" not in inspect.getsource(variational)
+    for path in sorted(pathlib.Path(variational.__file__).parent.rglob("*.py")):
+        assert "1e6" not in path.read_text(), path.name
+
+
+def test_seed_fit_rejects_out_of_domain_shapes_by_type(monkeypatch):
+    # the eta fit's residual raises ParamDomainError off the domain, by
+    # the trial's own rule, rather than returning a stand-in residual
+    import twocenter.presets as presets
+
+    residuals = []
+    fit = presets._levenberg_marquardt
+
+    def watched(residual, jacobian, x):
+        residuals.append(residual)
+        return fit(residual, jacobian, x)
+
+    monkeypatch.setattr(presets, "_levenberg_marquardt", watched)
+    seed_for(StateLabel(0, 0, 0, -1), 2.0)
+    assert residuals
+    for residual in residuals:
+        # (a1, a2, b2, b3, log C): N(0) = a1 < 0, then D(1) = 1 + b2 + b3 < 0
+        for theta in ([-0.5, 0.0, 0.0, 0.0, 0.0], [1.0, 0.0, -2.0, 0.5, 0.0]):
+            with pytest.raises(ParamDomainError):
+                residual(np.array(theta))
+
+
+@pytest.mark.parametrize("rule_N", [24, 128])
+def test_solved_state_keeps_its_rule_size(rule_N):
+    # a state solved under StateBank(rule_N=...) is evaluated on that
+    # rule: its Rayleigh quotient is the solve's energy, to the bit
+    plain = StateBank(rule_N=rule_N).get(GS, 2.0)
+    assert plain.rayleigh().E_total == plain.energy.E_total
+    assert plain.rules()[0].count == rule_N
 
 
 @pytest.mark.xfail(strict=True, reason="the seed's basin holds a local "
