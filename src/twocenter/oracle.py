@@ -68,7 +68,8 @@ class OracleResult:
 
 
 _K0 = 24              # angular basis starts at _K0 + lam functions
-_N_ESTIMATE = 48      # truncated recurrence matrix that seeds A_n(p)
+# 6..48 terms give cold solves the same roots to 4 ulp; 24 polishes least
+_N_ESTIMATE = 24      # truncated recurrence whose n-th eigenvalue seeds A_n(p)
 _K_MAX = 1 << 16      # longest continued-fraction tail tried
 _MAX_STEPS = 100      # Newton steps before a polish or find_root gives up
 # finest bisection tolerance of the angular eigensolver; LAPACK's default

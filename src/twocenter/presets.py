@@ -12,14 +12,17 @@ density w X_ex^2 of its channel:
   (alpha, c), so gamma in (-1, 20] is a bounded 1-D search over weighted
   linear fits; P_1 = xi - xi0 at the exact node;
 - eta: log|Y_ex| = log C + log|cosh or sinh w| - nu log D is a weighted
-  Levenberg-Marquardt fit over (a1, a2, b2, b3, log C) from two starts,
-  a generic shape and one of the branch's own, and the lower residual
-  wins.  The even branch starts from Levy's linearized rational fit of
-  w D = eta N (IRE Trans. Autom. Control 4, 37 (1959)), iterated as
-  Sanathanan and Koerner do (IEEE Trans. Autom. Control 8, 56 (1963));
-  the odd branch from sinh(p eta), the shape the channel takes as R
-  grows.  The fit rejects a start or step outside the shape's domain by
-  the ParamDomainError of trial.check_eta_shape.
+  least-squares fit over the shape (a1, a2, b2, b3) from two starts, a
+  generic shape and one of the branch's own, and the lower residual
+  wins.  log C enters linearly, so it is projected out (variable
+  projection: Golub and Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)),
+  and Levenberg-Marquardt runs over the shape alone, within 50 evaluations.
+  The even branch starts from Levy's linearized rational fit of w D = eta N
+  (IRE Trans. Autom. Control 4, 37 (1959)), iterated as Sanathanan and
+  Koerner do (IEEE Trans. Autom. Control 8, 56 (1963)); the odd branch
+  from sinh(p eta), the shape the channel takes as R grows.  The fit
+  rejects a start or step outside the shape's domain by the
+  ParamDomainError of trial.check_eta_shape.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .trial import (ParamDomainError, TrialParams, check_eta_shape,
                     eta_exponent, xi_exponent)
 
 _FIT_N = 64          # Gauss rule size of the projection
-_ETA_EVALS = 120     # cap on each eta fit's residual evaluations
+_ETA_EVALS = 50      # cap on each eta fit's model evaluations
 _ETA_FTOL = 1e-9     # an eta fit stops on a smaller relative decrease
 _SK_PASSES = 6       # Sanathanan-Koerner reweightings of Levy's fit
 
@@ -65,77 +68,83 @@ def _fit_xi(x, log_x, weights, p: float, q: float):
     return fit(best.x)[0][0], float(best.x)
 
 
-def _fit_eta(starts, eta, log_y, weights, p: float, nu: float, odd: bool):
-    """Of weighted least-squares fits of log|Y_ex| from each start shape
-    (a1, a2, b2, b3), with log C at its weighted mean offset, the one of
-    lower residual: (a1, a2, b2, b3)."""
+def _eta_model(eta, log_y, weights, p: float, nu: float, odd: bool):
+    """theta = (a1, a2, b2, b3) -> (r, jacobian): r = sw (log C + log|cosh
+    or sinh w| - nu log D - log|Y_ex|) at the log C that minimizes |r|, the
+    weighted mean offset, i.e. projected off sw; jacobian() gives r's
+    transposed Jacobian, projected alike, from the same D and w."""
     sw = np.sqrt(weights)
+    u = sw / math.sqrt(weights.sum())
     e2 = eta * eta
     # d(w D)/d(a1, a2, b2, b3) at fixed w is rows - w * dD, dD = dD/d(...)
     rows = np.array([eta, p * eta * e2, 0.0 * eta, p * eta * e2 * e2])
     dD = np.array([0.0 * eta, 0.0 * eta, e2, e2 * e2])
 
-    def parts(theta):
-        a1, a2, b2, b3 = theta[:4]
+    def model(theta):
+        a1, a2, b2, b3 = theta
         check_eta_shape(a1, a2, b2, b3, p, odd)
         D = 1.0 + (b2 + b3 * e2) * e2
         w = eta * (a1 + p * (a2 + b3 * e2) * e2) / D
         # log|cosh or sinh w| up to the constant log 2; w > 0 when odd
         branch = (w + np.log(-np.expm1(-2.0 * w)) if odd
                   else np.abs(w) + np.log1p(np.exp(-2.0 * np.abs(w))))
-        return D, w, branch - nu * np.log(D)
+        r = sw * (branch - nu * np.log(D) - log_y)
 
-    def residual(theta):
-        return sw * (theta[4] + parts(theta)[2] - log_y)
+        def jacobian():
+            slope = 1.0 / np.tanh(w) if odd else np.tanh(w)
+            Jt = (slope * (rows - w * dD) - nu * dD) * (sw / D)
+            return Jt - np.outer(Jt @ u, u)
+        return r - u * (u @ r), jacobian
+    return model
 
-    def jacobian(theta):
-        """The transposed Jacobian, one row per parameter."""
-        D, w, _ = parts(theta)
-        slope = 1.0 / np.tanh(w) if odd else np.tanh(w)
-        J = (slope * (rows - w * dD) - nu * dD) / D
-        return np.vstack([J, np.ones_like(eta)]) * sw
 
+def _fit_eta(starts, eta, log_y, weights, p: float, nu: float, odd: bool):
+    """The best fit of _eta_model from the start shapes in its domain."""
+    model = _eta_model(eta, log_y, weights, p, nu, odd)
     best = None
     for start in starts:
         try:
-            offset = np.average(log_y - parts(start)[2], weights=weights)
-        except ParamDomainError:
+            fit = _levenberg_marquardt(model, np.array(start, dtype=float))
+        except ParamDomainError:  # a start off the domain
             continue
-        fit = _levenberg_marquardt(residual, jacobian,
-                                   np.append(start, offset))
         if best is None or fit[1] < best[1]:
             best = fit
-    return best[0][:4]
+    return best[0]
 
 
-def _levenberg_marquardt(residual, jacobian, x):
-    """(x, cost) of a least-squares minimum of residual(x) near x, by
-    Levenberg-Marquardt steps scaled by the Jacobian's row norms (jacobian
-    gives the transpose), within _ETA_EVALS residual evaluations, a step
-    off the domain (ParamDomainError) or of a singular system rejected.
-    Written out rather than taken from MINPACK, whose result varies in the
-    last bits with the heap addresses of its work arrays."""
-    r = residual(x)
-    cost, mu, scale = float(r @ r), 1e-3, np.zeros_like(x)
-    Jt = jacobian(x)
+def _levenberg_marquardt(model, x):
+    """(x, cost) of a least-squares minimum of model(x)[0] near x, by
+    Levenberg-Marquardt steps scaled by the Jacobian's row norms, within
+    _ETA_EVALS evaluations, a step off the domain (ParamDomainError) or of
+    a singular system rejected.  A rejected step only raises mu; mu follows
+    the gain ratio by Nielsen's rule (IMM-REP-1999-05), which stops it
+    see-sawing along curved valleys.  Written out rather than taken from
+    MINPACK, whose result varies in the last bits with the heap addresses
+    of its work arrays."""
+    r, jacobian = model(x)
+    cost, mu, grow, scale, moved = float(r @ r), 1e-3, 2.0, 0.0, True
     for _ in range(_ETA_EVALS - 1):
-        scale = np.maximum(scale, np.sqrt(np.sum(Jt * Jt, axis=1)))
+        if moved:
+            Jt = jacobian()
+            scale = np.maximum(scale, np.sqrt(np.sum(Jt * Jt, axis=1)))
+            JtJ, g = Jt @ Jt.T, Jt @ r
         try:
-            step = np.linalg.solve(Jt @ Jt.T + np.diag(mu * scale * scale),
-                                   -(Jt @ r))
-            r_try = residual(x + step)
+            damp = mu * scale * scale
+            step = np.linalg.solve(JtJ + np.diag(damp), -g)
+            r_try, jacobian_try = model(x + step)
             cost_try = float(r_try @ r_try)
         except (np.linalg.LinAlgError, ParamDomainError):
             cost_try = math.inf
-        if cost_try < cost:
+        moved = cost_try < cost
+        if moved:
+            rho = (cost - cost_try) / (step @ (damp * step) - g @ step)
             done = cost - cost_try <= _ETA_FTOL * cost
-            x, r, cost = x + step, r_try, cost_try
+            x, r, cost, jacobian = x + step, r_try, cost_try, jacobian_try
             if done:
                 break
-            Jt = jacobian(x)
-            mu = max(mu / 3.0, 1e-12)
+            mu, grow = max(mu * max(1 / 3, 1 - (2 * rho - 1) ** 3), 1e-12), 2.0
         else:
-            mu *= 4.0
+            mu, grow = mu * grow, 2.0 * grow
             if mu > 1e12:
                 break
     return x, cost

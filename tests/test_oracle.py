@@ -168,6 +168,27 @@ def test_cold_solves_toward_the_united_atom(label):
             assert abs(r_node - N * (l + 1) / 2.0) <= 2.0 * R * R
 
 
+@pytest.mark.parametrize("label", SUPPORTED_LABELS, ids=str)
+def test_small_seed_truncation_lands_on_the_same_roots(label, monkeypatch):
+    # the n-th eigenvalue of the truncated recurrence only seeds the Newton
+    # polish of A_n(p): cold solves from the 24-term truncation and from
+    # the 48-term one agree in node count and to 8e-15 relative
+    import twocenter.oracle as oracle
+
+    setups = [PhysicalSetup(float(R)) for R in np.geomspace(0.05, 50.0, 10)]
+    small = [solve_bispectral(label, setup) for setup in setups]
+    monkeypatch.setattr(oracle, "_N_ESTIMATE", 48)
+    for res, setup in zip(small, setups):
+        ref = solve_bispectral(label, setup)
+        assert radial_solution(res.E_total, res.A, setup, label.lam)[1] \
+            == radial_solution(ref.E_total, ref.A, setup, label.lam)[1] \
+            == label.n
+        E_prime = abs(ref.E_total - setup.repulsion)
+        assert abs(res.E_total - ref.E_total) <= 8e-15 * E_prime
+        assert abs(res.A - ref.A) <= 8e-15 * max(1.0, abs(ref.A))
+        assert abs(res.p - ref.p) <= 8e-15 * ref.p
+
+
 def _fraction_30_digits(A, p, b, lam, K):
     """k = 0 row of the radial recurrence with its ratio tail, at the
     working precision of mpmath."""

@@ -348,7 +348,7 @@ def test_solve_never_widens_the_seed_gap(R, label):
     rules = build_rules(seed.p, res.rule_N)
     seed_gap = (rayleigh_quotient(seed, label, setup, rules).E_total
                 - seed.origin.E_total)
-    assert res.gap <= seed_gap
+    assert -1e-11 <= res.gap <= seed_gap
     if res.evaluations == 1:
         assert res.gap <= GAP_TOL * max(1.0, abs(res.energy.E_total))
 
@@ -487,18 +487,93 @@ def test_seed_fit_rejects_out_of_domain_shapes_by_type(monkeypatch):
     residuals = []
     fit = presets._levenberg_marquardt
 
-    def watched(residual, jacobian, x):
+    def watched(residual, x):
         residuals.append(residual)
-        return fit(residual, jacobian, x)
+        return fit(residual, x)
 
     monkeypatch.setattr(presets, "_levenberg_marquardt", watched)
     seed_for(StateLabel(0, 0, 0, -1), 2.0)
     assert residuals
     for residual in residuals:
-        # (a1, a2, b2, b3, log C): N(0) = a1 < 0, then D(1) = 1 + b2 + b3 < 0
-        for theta in ([-0.5, 0.0, 0.0, 0.0, 0.0], [1.0, 0.0, -2.0, 0.5, 0.0]):
+        # (a1, a2, b2, b3): N(0) = a1 < 0, then D(1) = 1 + b2 + b3 < 0
+        for theta in ([-0.5, 0.0, 0.0, 0.0], [1.0, 0.0, -2.0, 0.5]):
             with pytest.raises(ParamDomainError):
                 residual(np.array(theta))
+
+
+def _eta_fit_inputs(monkeypatch, label, R):
+    """seed_for(label, R), and the (eta, log|Y_ex|, weights, p, nu, odd)
+    its eta fit was given."""
+    import twocenter.presets as presets
+
+    calls = []
+    fit = presets._fit_eta
+
+    def watched(starts, *inputs):
+        calls.append(inputs)
+        return fit(starts, *inputs)
+
+    monkeypatch.setattr(presets, "_fit_eta", watched)
+    seed = seed_for(label, R)
+    (inputs,) = calls
+    return seed, inputs
+
+
+_EVEN_ODD_SEEDS = [(GS, 6.0), (StateLabel(0, 0, 0, -1), 2.0)]
+
+
+@pytest.mark.parametrize("label,R", _EVEN_ODD_SEEDS)
+def test_eta_fit_jacobian_matches_central_differences(monkeypatch, label, R):
+    # the projected Jacobian rows against central differences of the
+    # projected residual, at the fitted shape and at a detuned one
+    from twocenter.presets import _eta_model
+
+    seed, inputs = _eta_fit_inputs(monkeypatch, label, R)
+    model = _eta_model(*inputs)
+    fitted = np.array([seed.a1, seed.a2, seed.b2, seed.b3])
+    for theta in (fitted, fitted * np.array([1.05, 0.9, 0.95, 1.1])):
+        jacobian = model(theta)[1]()
+        central = np.empty_like(jacobian)
+        for i in range(4):
+            h = 1e-6 * max(1.0, abs(theta[i]))
+            step = np.zeros(4)
+            step[i] = h
+            central[i] = (model(theta + step)[0]
+                          - model(theta - step)[0]) / (2.0 * h)
+        assert np.abs(jacobian - central).max() \
+            <= 1e-6 * np.abs(jacobian).max()
+
+
+@pytest.mark.parametrize("label,R", _EVEN_ODD_SEEDS)
+def test_eta_fit_projects_out_log_c(monkeypatch, label, R):
+    # the projected residual is the five-parameter one at log C = the
+    # weighted mean of log|Y_ex| - model, the offset that minimizes it
+    from twocenter.presets import _eta_model
+
+    seed, (eta, log_y, weights, p, nu, odd) = _eta_fit_inputs(
+        monkeypatch, label, R)
+    a1, a2, b2, b3 = seed.a1, seed.a2, seed.b2, seed.b3
+    r, jacobian = _eta_model(eta, log_y, weights, p, nu, odd)(
+        np.array([a1, a2, b2, b3]))
+    e2 = eta * eta
+    D = 1.0 + b2 * e2 + b3 * e2 * e2
+    w = eta * (a1 + p * a2 * e2 + p * b3 * e2 * e2) / D
+    model = np.log(np.sinh(w) if odd else np.cosh(w)) - nu * np.log(D)
+    log_C = np.average(log_y - model, weights=weights)
+    sw = np.sqrt(weights)
+    assert r == pytest.approx(sw * (log_C + model - log_y), abs=1e-12)
+    assert abs(sw @ r) <= 1e-12
+    assert np.abs(jacobian() @ sw).max() <= 1e-12
+
+
+def test_seed_is_reproducible_around_another_seed():
+    # the fit's reuse of J^T J and of the model's D and w stays inside
+    # one call: the same seed twice, with another label's seed between
+    for label, other in ((StateLabel(0, 0, 1, -1), GS),
+                         (GS, StateLabel(0, 0, 2, +1))):
+        first = seed_for(label, 7.3)
+        seed_for(other, 7.3)
+        assert repr(seed_for(label, 7.3)) == repr(first)
 
 
 @pytest.mark.parametrize("rule_N", [24, 128])
@@ -518,6 +593,25 @@ def test_2ppu_gap_at_R_36():
     label, R = StateLabel(0, 0, 1, +1), 36.0821233
     res = optimize_state(label, PhysicalSetup(R), seed_for(label, R))
     assert res.gap <= 1e-9
+
+
+@pytest.mark.xfail(strict=True, reason="numpy's Gauss-Legendre weights are "
+                   "off by up to 4e-11 relative near eta = +-1, which moves "
+                   "the Rayleigh quotient by up to 5e-13 Ry at R >= 40")
+def test_seed_lower_gap_within_its_floor_at_R_50():
+    # the lower half of the seed's Rayleigh-Ritz bound, g >= -floor with
+    # floor = |E_N - E_2N| + 8 ulp of E: 1ssg and 2psu seeds at R = 50 sit
+    # 2.2e-13 below exact against floors of 1.3e-13; on last-bit weights
+    # they sit 2e-14 above it
+    setup = PhysicalSetup(50.0)
+    for label in (GS, StateLabel(0, 0, 0, -1)):
+        seed = seed_for(label, 50.0)
+        N = default_rule_size(seed.p)
+        E_N, E_2N = (rayleigh_quotient(seed, label, setup,
+                                       build_rules(seed.p, n)).E_total
+                     for n in (N, 2 * N))
+        floor = abs(E_N - E_2N) + 8.0 * math.ulp(E_N)
+        assert E_N - seed.origin.E_total >= -floor
 
 
 _DETERMINISM_LABELS = [StateLabel(0, 0, lam, parity) for lam in (0, 1, 2)
