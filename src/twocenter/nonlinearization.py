@@ -16,9 +16,11 @@ Q_n = -(xi^2-1) sum x_i x_{n-i} in place of V1.  Both channels and every
 order run one shared pass: A from the channel's quadrature rule, then F
 and G = int_1^xi w X0^2 accumulated on the tabulation grid, and a single
 consistency pass A -> A - F(end)/G(end) that makes F vanish at the grid
-end before the division by (x^2-1)^(L+1) X0^2.  The channel builders keep
-only what differs: the xi tail cut and spline, the eta mirror, and the
-node's log-regular split.
+end before the division by (x^2-1)^(L+1) X0^2.  Each tabulated quantity
+is interpolated by cubic Hermite pieces on its grid values and the exact
+slopes the pass forms beside them (F' is the integrand of F), with an
+exact antiderivative.  The channel builders keep only what differs: the
+xi tail cut, the eta mirror, and the node's log-regular split.
 The physical p entering V and W comes from the variational energy, not
 from the shape parameter p; with that choice the two channel estimates
 A1_xi and A1_eta coincide identically for equal charges, so their spread
@@ -40,14 +42,13 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .model import PhysicalSetup, StateLabel
 from .quadrature import build_rules, integrate
 from .trial import (TrialParams, channel_factor, channel_phase, prefactor,
                     phase_of_trial_eta, phase_of_trial_xi)
 
-_GL8 = np.polynomial.legendre.leggauss(8)
+_GL8 = build_rules(1.0, 8)[1]  # the Gauss-Legendre rule of each interval
 
 
 @dataclass
@@ -132,7 +133,7 @@ _ETA_PTS = 1601       # eta tabulation points on [-1, 0]
 
 
 def _parts(params, label, setup, p_phys, x, scale, channel):
-    """(w X0^2, pole-free V1 w X0^2 without its A term) on x."""
+    """(w X0^2, pole-free V1 w X0^2 without its A term, w X0 X0') on x."""
     lam = label.lam
     X, dX, ddX = channel_factor(params, label, setup, x, channel, scale)
     w = (x * x - 1.0) ** lam
@@ -140,13 +141,13 @@ def _parts(params, label, setup, p_phys, x, scale, channel):
     lhs = ((x * x - 1.0) * ddX + 2.0 * (lam + 1.0) * x * dX) * X * w
     V = (true_potential_xi(setup, p_phys, x) if channel == "xi"
          else true_potential_eta(p_phys, x))
-    return wX2, V * wX2 - lhs
+    return wX2, V * wX2 - lhs, w * X * dX
 
 
 def _cumulative(fn, grid):
     """Cumulative integrals int_{grid_0}^{grid_j} of each array that fn
     returns, from one evaluation on the per-interval 8-point Gauss nodes."""
-    gl_x, gl_w = _GL8
+    gl_x, gl_w = _GL8.nodes, _GL8.weights
     a = grid[:-1]
     b = grid[1:]
     half = 0.5 * (b - a)
@@ -157,20 +158,61 @@ def _cumulative(fn, grid):
             for v in fn(pts.ravel())]
 
 
+def _hermite(x, y, dy):
+    """The piecewise cubic Hermite interpolant of the values y and slopes
+    dy on the knots x, and its exact antiderivative from x[0]: two
+    vectorized callables, constant beyond the knots."""
+    h = np.diff(x)
+    y0, m0, m1 = y[:-1], h * dy[:-1], h * dy[1:]
+    c2 = 3.0 * (y[1:] - y0) - 2.0 * m0 - m1
+    c3 = 2.0 * (y0 - y[1:]) + m0 + m1
+    a1, a2, a3, a4 = h * y0, h * m0 / 2.0, h * c2 / 3.0, h * c3 / 4.0
+    cum = np.concatenate([[0.0], np.cumsum(a1 + a2 + a3 + a4)])
+    inner = x[1:-1]
+
+    def locate(u):
+        i = np.searchsorted(inner, u, side="right")
+        return i, np.minimum(np.maximum((u - x[i]) / h[i], 0.0), 1.0)
+
+    def value(u):
+        i, s = locate(u)
+        return y0[i] + s * (m0[i] + s * (c2[i] + s * c3[i]))
+
+    def integral(u):
+        i, s = locate(u)
+        return cum[i] + s * (a1[i] + s * (a2[i] + s * (a3[i] + s * a4[i])))
+    return value, integral
+
+
+def _end_slope(x, y):
+    """Slope at x[0] of the cubic through the first four points: the
+    derivatives of its Lagrange basis there, with d_k = x_k - x_0."""
+    d = [float(x[k] - x[0]) for k in (1, 2, 3)]
+    slope = -float(y[0]) * sum(1.0 / dk for dk in d)
+    for j in range(3):
+        a, b = (d[k] for k in range(3) if k != j)
+        slope += float(y[j + 1]) * a * b / (d[j] * (d[j] - a) * (d[j] - b))
+    return slope
+
+
 def _xi_grid(p_scale: float):
     u = np.linspace(0.0, 1.0, _XI_PTS)
     return 1.0 + (_TAU_CUT / (2.0 * p_scale)) * u * u
 
 
 def _first_order(params, label, setup, p_phys, channel, q=None):
-    """(A, grid, F, scale) of one channel: the first-order pass.
+    """(A, grid, (F, F', D, D'/D), scale) of one channel: the first-order
+    pass.
 
     A = int Q w X0^2 / int w X0^2 on the channel rule, where Q is the
     pole-free V1, or the callable q at higher orders.  F = int (A-Q) w X0^2
     and G = int w X0^2 accumulate on the tabulation grid from one parts
-    evaluation per node; one consistency pass then makes F vanish exactly
-    at the grid end, so the exponentially growing division by the slope
-    denominator cannot amplify the quadrature floor."""
+    evaluation; one consistency pass then makes F vanish exactly at the
+    grid end, so the exponentially growing division by the slope
+    denominator D = (x^2-1)^(L+1) X0^2 cannot amplify the quadrature
+    floor.  F' = (A-Q) w X0^2, D and D'/D come from one parts evaluation
+    on the grid."""
+    lam = label.lam
     if channel == "xi":
         rule = build_rules(params.p, _RULE_N)[0]
         grid = _xi_grid(params.p)
@@ -181,32 +223,42 @@ def _first_order(params, label, setup, p_phys, channel, q=None):
                                        channel)[0]))
 
     def parts(x):
-        wX2, VwX2 = _parts(params, label, setup, p_phys, x, scale, channel)
-        return wX2, (VwX2 if q is None else q(x) * wX2)
+        wX2, VwX2, wXdX = _parts(params, label, setup, p_phys, x, scale,
+                                 channel)
+        return wX2, (VwX2 if q is None else q(x) * wX2), wXdX
 
-    wX2, QwX2 = parts(rule.nodes)
+    wX2, QwX2, _ = parts(rule.nodes)
     num, den = integrate(rule, np.array([QwX2, wX2]))
     A = num / den
 
     def integrands(x):
-        wX2, QwX2 = parts(x)
+        wX2, QwX2, _ = parts(x)
         return A * wX2 - QwX2, wX2
 
     F, G = _cumulative(integrands, grid)
-    return A - F[-1] / G[-1], grid, F - F[-1] * (G / G[-1]), scale
-
-
-def _slope(params, label, setup, channel, grid, F, scale, A, Q):
-    """x1 = F / [(x^2-1)^(L+1) X0^2] on the grid; at its first point
-    x = +-1 the regular limit (A - Q) / (2 (L+1) x)."""
-    lam = label.lam
-    phi = channel_phase(params, label, setup, grid, channel)[0]
-    f = prefactor(params, label, grid, channel)[0]
-    denom = (grid**2 - 1.0) ** (lam + 1) * f * f * np.exp(-2.0 * (phi - scale))
+    A, F = A - F[-1] / G[-1], F - F[-1] * (G / G[-1])
+    wX2, QwX2, wXdX = parts(grid)
+    base = grid * grid - 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        x1 = np.where(denom != 0.0, F / denom, 0.0)
+        dlog = 2.0 * (lam + 1.0) * grid / base + 2.0 * wXdX / wX2
+    return A, grid, (F, A * wX2 - QwX2, base * wX2, dlog), scale
+
+
+def _slope(lam, grid, tab, A, Q):
+    """x1 = F / D on the grid and its slope x1' = F'/D - x1 D'/D, from the
+    pass's tabulation (F, F', D, D'/D).  At the first point x = +-1, x1
+    takes the regular limit (A - Q) / (2 (L+1) x); there, and wherever
+    else D vanishes, the slope is that of the cubic through the four
+    nearest points."""
+    F, dF, D, dlog = tab
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x1 = np.where(D != 0.0, F / D, 0.0)
+        dx1 = dF / D - x1 * dlog
     x1[0] = (A - float(Q(grid[:1])[0])) / (2.0 * (lam + 1.0)) * grid[0]
-    return x1
+    for i in np.flatnonzero(D == 0.0):
+        side = slice(i, None) if i == 0 else slice(i, None, -1)
+        dx1[i] = _end_slope(grid[side], x1[side])
+    return x1, dx1
 
 
 # ----------------------------------------------------------------------
@@ -238,34 +290,31 @@ def first_correction_xi(params: TrialParams, label: StateLabel,
     channel (single-node states go through node_correction_xi)."""
     if label.n != 0:
         raise ValueError("first_correction_xi needs a nodeless state")
-    A1, grid, F, scale = _first_order(params, label, setup, p_phys, "xi")
+    A1, grid, tab, _ = _first_order(params, label, setup, p_phys, "xi")
     V1, bound, _ = build_V1_xi(params, label, setup, p_phys)
-    x1 = _slope(params, label, setup, "xi", grid, F, scale, A1, V1)
-    return _package_xi(grid, x1, A1, bound, params.p)
+    x1, dx1 = _slope(label.lam, grid, tab, A1, V1)
+    return _package_xi(grid, x1, dx1, A1, bound, params.p)
 
 
-def _package_xi(grid, x1, A1, bound, p_scale) -> ChannelPT:
+def _package_xi(grid, x1, dx1, A1, bound, p_scale) -> ChannelPT:
     # the slope is cut beyond _TAU_KEEP, where the exponentially growing
-    # division has nothing left to resolve; the slope spline and its
-    # antiderivative give an exact, C2-smooth (function, derivative)
+    # division has nothing left to resolve; the slope's Hermite cubics and
+    # their antiderivative give an exact, C1-smooth (function, derivative)
     # pair: smooth enough for the spectral rules and derivative-consistent
     # so the corrected state stays variational
     tail = int(np.searchsorted(grid, 1.0 + _TAU_KEEP / (2.0 * p_scale)))
-    x1[tail:] = 0.0
+    x1[tail:] = dx1[tail:] = 0.0
     sl = slice(0, max(tail, 8))
-    x1_ip = CubicSpline(grid[sl], x1[sl])
-    phi1_ip = x1_ip.antiderivative()
+    x1_ip, phi1_ip = _hermite(grid[sl], x1[sl], dx1[sl])
     hi = grid[sl][-1]
-    phi1_end = float(phi1_ip(hi))
 
     def phi1(x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(x >= hi, phi1_end, phi1_ip(np.clip(x, grid[0], hi)))
+        out = phi1_ip(np.asarray(x, dtype=float))
         return out if out.ndim else float(out)
 
     def slope(x):
         x = np.asarray(x, dtype=float)
-        out = np.where(x >= hi, 0.0, x1_ip(np.clip(x, grid[0], hi)))
+        out = np.where(x >= hi, 0.0, x1_ip(x))
         return out if out.ndim else float(out)
 
     return ChannelPT("xi", A1, phi1, slope, bound)
@@ -290,24 +339,23 @@ def build_W1_eta(params: TrialParams, label: StateLabel, p_phys: float):
 def first_correction_eta(params: TrialParams, label: StateLabel,
                          p_phys: float) -> ChannelPT:
     """A1_eta and the tabulated phase correction rho1 (even in eta)."""
-    A1, grid, F, scale = _first_order(params, label, None, p_phys, "eta")
+    A1, grid, tab, _ = _first_order(params, label, None, p_phys, "eta")
     W1, bound = build_W1_eta(params, label, p_phys)
     # computed on [-1, 0] and mirrored: y1 is odd, rho1 even
-    y1 = _slope(params, label, None, "eta", grid, F, scale, A1, W1)
+    y1, dy1 = _slope(label.lam, grid, tab, A1, W1)
     y1[-1] = 0.0
 
     full = np.concatenate([grid, -grid[-2::-1]])
-    y1_full = np.concatenate([y1, -y1[-2::-1]])
-    y1_ip = CubicSpline(full, y1_full)
-    rho1_anti = y1_ip.antiderivative()
+    y1_ip, rho1_anti = _hermite(full, np.concatenate([y1, -y1[-2::-1]]),
+                                np.concatenate([dy1, dy1[-2::-1]]))
     rho1_mid = float(rho1_anti(0.0))  # gauge rho1(0) = 0
 
     def rho1(x):
-        out = rho1_anti(np.clip(np.asarray(x, dtype=float), -1.0, 1.0)) - rho1_mid
+        out = rho1_anti(np.asarray(x, dtype=float)) - rho1_mid
         return out if out.ndim else float(out)
 
     def slope(x):
-        out = y1_ip(np.clip(np.asarray(x, dtype=float), -1.0, 1.0))
+        out = y1_ip(np.asarray(x, dtype=float))
         return out if out.ndim else float(out)
 
     return ChannelPT("eta", A1, rho1, slope, bound)
@@ -342,8 +390,9 @@ def node_correction_xi(params: TrialParams, label: StateLabel,
     lam = label.lam
     xi0 = params.xi0
     # h' = -F/denom has a double pole at xi0: split off its log-regular part
-    A1, grid, F, scale0 = _first_order(params, label, setup, p_phys, "xi")
-    Fip = CubicSpline(grid, F)
+    A1, grid, (F, dF, _, _), scale0 = _first_order(params, label, setup,
+                                                   p_phys, "xi")
+    Fip = _hermite(grid, F, dF)[0]
 
     phi0_0, dphi0_0, _ = phase_of_trial_xi(params, label, setup,
                                            np.array([xi0]))
@@ -359,7 +408,7 @@ def node_correction_xi(params: TrialParams, label: StateLabel,
         d = x - xi0
         denom = (x * x - 1.0) ** (lam + 1) * d * d * np.exp(-2.0 * (phi - scale0))
         with np.errstate(divide="ignore", invalid="ignore"):
-            hp = -Fip(np.clip(x, grid[0], grid[-1])) / denom
+            hp = -Fip(x) / denom
             return hp + f1 / (d * d) - c1 / d
 
     def dr_fn(x):
@@ -381,10 +430,10 @@ def node_correction_xi(params: TrialParams, label: StateLabel,
     # then anchor the gauge with h(1) = 0 on the left branch.
     rp, = _cumulative(lambda x: (dr_fn(x),), grid)
     r0 = -(f1 / (grid[0] - xi0) + c1 * math.log(abs(grid[0] - xi0)))
-    r_ip = CubicSpline(grid, rp + r0)
+    r_ip = _hermite(grid, rp + r0, dr_fn(grid))[0]
 
     def r_fn(x):
-        return r_ip(np.clip(np.asarray(x, dtype=float), grid[0], grid[-1]))
+        return r_ip(np.asarray(x, dtype=float))
 
     def dr_pub(x):
         return dr_fn(np.clip(np.asarray(x, dtype=float), grid[0], grid[-1]))
@@ -415,8 +464,8 @@ def next_correction_xi(params: TrialParams, label: StateLabel,
     def qn(x):
         return higher_Q_xi([c.correction_slope for c in prev], x)
 
-    An, grid, F, scale = _first_order(params, label, setup, params.p, "xi",
-                                      q=qn)
-    xn = _slope(params, label, setup, "xi", grid, F, scale, An, qn)
-    return _package_xi(grid, xn, An, float(np.max(np.abs(qn(grid)))),
+    An, grid, tab, _ = _first_order(params, label, setup, params.p, "xi",
+                                    q=qn)
+    xn, dxn = _slope(label.lam, grid, tab, An, qn)
+    return _package_xi(grid, xn, dxn, An, float(np.max(np.abs(qn(grid)))),
                        params.p)

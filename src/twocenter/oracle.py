@@ -1,9 +1,17 @@
 """Independent bispectral solver for the separated channel equations.
 
-The angular problem is solved by expanding the regularized eta factor in
-normalized associated Legendre functions, which turns it into a symmetric
-tridiagonal eigenproblem (the sign of the p^2 eta^2 term makes it the
-oblate-type characteristic value).
+Both channels are three-term recurrences solved as continued fractions
+(Leaver, J. Math. Phys. 27, 1238 (1986)) by Newton steps on their exact
+slopes.
+
+The angular problem expands the regularized eta factor in normalized
+associated Legendre functions P_l^lam, l = lam + sigma + 2k, whose
+coefficients obey (A + c_k) v_k + e_k v_(k+1) + e_(k-1) v_(k-1) = 0, a
+symmetric recurrence (the sign of the p^2 eta^2 term makes A the
+oblate-type characteristic value).  Its m-th eigenvalue is a zero of the
+fraction twisted at the eigenvector's largest component, seeded by the
+eigenvalue of a small truncation, and the count of negative pivots (the
+Sturm count) verifies m.
 
 The radial problem (xi^2-1) X'' + 2(lam+1) xi X' + (A + b xi - p^2 xi^2) X
 = 0, with b = (Z1+Z2) R and kappa = b/(2p), becomes an exact three-term
@@ -15,11 +23,11 @@ recurrence under Jaffe's substitution (Z. Phys. 87, 535 (1934))
 A bound state is a minimal solution that also satisfies the k = 0 row,
 i.e. a zero in A of the continued fraction F(A) = A + c_0 + alpha_0 r_1,
 r_k = g_k/g_{k-1} = -gamma_k / (A + c_k + alpha_k r_{k+1}), evaluated
-backward as in Leaver (J. Math. Phys. 27, 1238 (1986)).  At fixed p the
-zeros are the radial eigenvalues A_0(p) < A_1(p) < ..., the n-th one with
-n interior nodes: the n-th eigenvalue of a small truncated matrix seeds
-Newton steps on F, whose slopes the backward loop carries beside r_k, and
-the sign changes of sum g_k t^k verify n.
+backward.  At fixed p the zeros are the radial eigenvalues A_0(p) <
+A_1(p) < ..., the n-th one with n interior nodes: the n-th eigenvalue of
+a small truncated matrix seeds Newton steps on F, whose slopes the
+backward loop carries beside r_k, and the sign changes of sum g_k t^k
+verify n.
 
 The joint solve is the root in p of D(p) = A_n(p) - A_ang(p), which
 increases with p (its p^2-derivative is <xi^2> - <eta^2> > 0), by Newton
@@ -31,20 +39,18 @@ series above, and the angular eigenvector summed over the Legendre basis.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import brentq
 
 from .model import PhysicalSetup, StateLabel, energy_from_p, p_from_energy
 
 
 class AngularConvergenceError(RuntimeError):
-    def __init__(self, trend):
-        self.trend = trend
-        super().__init__(f"angular basis not converged; trend {trend}")
+    """The angular continued fraction or its Newton polish failed to
+    settle."""
 
 
 class RadialRootError(RuntimeError):
@@ -68,13 +74,34 @@ class OracleResult:
 
 
 _K0 = 24              # angular basis starts at _K0 + lam functions
+_K_ANG = 4096         # longest angular tail tried
 # 6..48 terms give cold solves the same roots to 4 ulp; 24 polishes least
 _N_ESTIMATE = 24      # truncated recurrence whose n-th eigenvalue seeds A_n(p)
 _K_MAX = 1 << 16      # longest continued-fraction tail tried
 _MAX_STEPS = 100      # Newton steps before a polish or find_root gives up
-# finest bisection tolerance of the angular eigensolver; LAPACK's default
-# eps*||T||_1 is ragged in p
-_BISECT_TOL = 2.0 * np.finfo(float).tiny
+
+
+# ----------------------------------------------------------------------
+# continued fractions
+
+
+def _sweep(A: float, c, outer, inner, dc, douter, dinner, ks):
+    """A continued fraction swept over the rows ks of a three-term
+    recurrence, toward the row it closes on: the pivot den = A + c_k
+    + outer_k x and the ratio x <- -inner_k / den, with the A- and
+    p-slopes of x beside it.  Returns the last x with its slopes, the
+    count of negative pivots and every x."""
+    x = xA = xp = 0.0
+    below, xs = 0, []
+    for k in ks:
+        den = A + c[k] + outer[k] * x
+        below += den < 0.0
+        slope = dc[k] + douter[k] * x + outer[k] * xp
+        x = -inner[k] / den
+        xA = -x * (1.0 + outer[k] * xA) / den
+        xp = -(dinner[k] + x * slope) / den
+        xs.append(x)
+    return x, xA, xp, below, xs
 
 
 # ----------------------------------------------------------------------
@@ -88,41 +115,96 @@ def _acoef(l, lam: int):
                    / ((2.0 * l + 1.0) * (2.0 * l + 3.0)))
 
 
-def _angular_matrix(p: float, lam: int, parity: int, K: int):
-    """Degrees l = lam + sigma + 2k (k < K), the symmetric tridiagonal
-    (diag, off) of the eta channel in normalized P_l^lam, and the
-    tridiagonal (diag, off) of S, the part that multiplies -p^2."""
+@functools.lru_cache(maxsize=None)
+def _legendre_terms(lam: int, parity: int, K: int):
+    """Degrees l = lam + sigma + 2k (k < K), l(l+1) - lam(lam+1) and the
+    tridiagonal (diag, off) of eta^2 in normalized P_l^lam, the off
+    diagonal padded with a last 0."""
     sigma = 0 if parity == +1 else 1
     ls = np.arange(lam + sigma, lam + sigma + 2 * K, 2, dtype=float)
-    a_l, a_lp1 = _acoef(ls, lam), _acoef(ls[:-1] + 1.0, lam)
+    a_l = _acoef(ls, lam)
     s_diag = a_l**2 + np.where(ls > lam, _acoef(ls - 1.0, lam)**2, 0.0)
-    return (ls, ls * (ls + 1.0) - p * p * s_diag, -p * p * a_l[:-1] * a_lp1,
-            s_diag, a_l[:-1] * a_lp1)
+    s_off = np.append(a_l[:-1] * _acoef(ls[:-1] + 1.0, lam), 0.0)
+    return ls, ls * (ls + 1.0) - lam * (lam + 1.0), s_diag, s_off
+
+
+def _angular_matrix(p: float, lam: int, parity: int, K: int):
+    """The symmetric tridiagonal (c, e) of the eta channel in normalized
+    P_l^lam (k < K), shifted so that its rows read (A + c_k) v_k
+    + e_k v_(k+1) + e_(k-1) v_(k-1) = 0, and the p-slopes (dc, de):
+    -p^2 multiplies the tridiagonal of eta^2."""
+    _, L, s_diag, s_off = _legendre_terms(lam, parity, K)
+    return (L - p * p * s_diag, -p * p * s_off,
+            -2.0 * p * s_diag, -2.0 * p * s_off)
+
+
+def _angular_fraction(A: float, p: float, lam: int, parity: int, j: int,
+                      K: int):
+    """Scaled F(A) = A + c_j + e_j v_(j+1)/v_j + e_(j-1) v_(j-1)/v_j, the
+    angular matrix's fraction twisted at row j (Leaver's inversion), its
+    slopes (F_A, F_p) on the same scale, the Sturm count (the pivots of
+    both sides below zero: the eigenvalues above A of the matrix without
+    row j) and the eigenvector v with v_j = 1.  The ratios above row j run
+    down from the tail, those below it up from row 0; the tail doubles
+    from K terms until F settles, as _fraction's does."""
+    prev = None
+    while K <= _K_ANG:
+        c, e, dc, de = (a.tolist() for a in
+                        _angular_matrix(p, lam, parity, K))
+        lower, dlower = [0.0] + e[:-1], [0.0] + de[:-1]
+        r, rA, rp, n_r, rs = _sweep(A, c, e, lower, dc, de, dlower,
+                                    range(K - 1, j, -1))
+        s, sA, sp, n_s, ss = _sweep(A, c, lower, e, dc, dlower, de, range(j))
+        F = A + c[j] + e[j] * r + lower[j] * s
+        scale = abs(A) + abs(c[j]) + abs(e[j] * r) + abs(lower[j] * s)
+        if prev is not None and abs(F - prev) <= 1e-15 * scale:
+            slopes = (1.0 + e[j] * rA + lower[j] * sA,
+                      dc[j] + de[j] * r + e[j] * rp + dlower[j] * s
+                      + lower[j] * sp)
+            v = np.concatenate([np.cumprod(ss[::-1])[::-1], [1.0],
+                                np.cumprod(rs[::-1])])
+            return (F / scale, tuple(d / scale for d in slopes),
+                    n_r + n_s, v)
+        prev = F
+        K *= 2
+    raise AngularConvergenceError(f"angular fraction unsettled after "
+                                  f"{_K_ANG} terms (p={p}, A={A})")
 
 
 def _angular(p: float, lam: int, m: int, parity: int):
-    """A_ang(p), its slope 2p v.S.v (Hellmann-Feynman, v the eigenvector)
-    and the basis size.
+    """A_ang(p), its slope dA/dp = -F_p/F_A, the settled tail length and
+    the eigenvector over the normalized P_l^lam.
 
-    Basis: normalized P_l^lam with l = lam + sigma + 2k; the m-th
-    eigenvalue within the parity class is selected.  The basis doubles
-    until the eigenvalue stops moving at the eigensolver noise floor.
+    The m-th largest eigenvalue of the _K0 + lam truncation, a lower bound
+    of A_ang, seeds Newton steps on the angular fraction twisted at the
+    largest component of its eigenvector.  The full Sturm count narrows
+    a bracket (lo, hi) on A_m, from Gershgorin's bound to p^2, the bound
+    of -p^2 eta^2; a step from outside (A_(m+1), A_(m-1)) or out of the
+    bracket bisects.  The root is the m-th once the count without row j
+    is m.
     """
-    K, prev, trend = _K0 + lam, None, []
-    while K <= 4096:
-        _, diag, off, s_diag, s_off = _angular_matrix(p, lam, parity, K)
-        mu, v = eigh_tridiagonal(diag, off, select="i", select_range=(m, m),
-                                 tol=_BISECT_TOL)
-        A, v = lam * (lam + 1.0) - mu[0], v[:, 0]
-        trend.append((K, A))
-        tol = max(1e-13 * max(1.0, abs(A)),
-                  8e-16 * float(np.max(np.abs(diag))))
-        if prev is not None and abs(A - prev) < tol:
-            vSv = s_diag @ (v * v) + 2.0 * s_off @ (v[:-1] * v[1:])
-            return A, 2.0 * p * float(vSv), K
-        prev = A
-        K *= 2
-    raise AngularConvergenceError(trend)
+    c, e = _angular_matrix(p, lam, parity, _K0 + lam)[:2]
+    mu, vecs = np.linalg.eigh(np.diag(c) + np.diag(e[:-1], 1)
+                              + np.diag(e[:-1], -1))
+    A, j = float(-mu[m]), int(np.argmax(np.abs(vecs[:, m])))
+    # Gershgorin's bound on the truncation is below every A_m(K)
+    lo = -float(np.max(c + np.abs(e) + np.abs(np.roll(e, 1)))) - 1.0
+    K, hi, step = _K0 + lam, p * p + 1.0, math.inf
+    for _ in range(_MAX_STEPS):
+        F, (F_A, F_p), below, v = _angular_fraction(A, p, lam, parity, j,
+                                                    max(K // 2, j + 1))
+        K, count = v.size, below + (F < 0.0)
+        lo, hi = (A, hi) if count > m else (lo, A)
+        new = A - F / F_A
+        # Newton only between A_(m+1) and A_(m-1), where F has no other root
+        if count not in (m, m + 1) or not lo <= new <= hi:
+            new = 0.5 * (lo + hi)
+        prev, step = step, new - A
+        A = new
+        if below == m and _settled(step, prev, max(1.0, abs(A))):
+            return A, -F_p / F_A, K, v
+    raise AngularConvergenceError(f"Newton on the angular A_{m}(p={p}) "
+                                  "did not settle")
 
 
 def angular_eigenvalue(p: float, lam: int, m: int, parity: int) -> float:
@@ -152,20 +234,15 @@ def _recurrence(p: float, b: float, lam: int, K: int):
 
 def _fraction(A: float, p: float, b: float, lam: int, K: int = 64):
     """Scaled F(A), its slopes (F_A, F_p) on the same scale, and the ratios
-    r_0..r_K (r_0 = 1), the tail doubled from K terms until F settles at
-    the rounding level of its terms.  The slopes run backward beside r_k:
-    dr_k = -(dgamma_k + r_k (dc_k + alpha_k dr_(k+1))) / den_k."""
+    r_0..r_K (r_0 = 1), swept backward from the tail, which doubles from K
+    terms until F settles at the rounding level of its terms."""
     prev = None
     while K <= _K_MAX:
         alpha, c, gamma, dc, dgamma = (
             a.tolist() for a in _recurrence(p, b, lam, K))
-        r = [1.0] * (K + 1)
-        rk = rA = rp = 0.0
-        for k in range(K, 0, -1):
-            den = A + c[k] + alpha[k] * rk
-            rk = r[k] = -gamma[k] / den
-            rA = -rk * (1.0 + alpha[k] * rA) / den
-            rp = -(dgamma[k] + rk * (dc[k] + alpha[k] * rp)) / den
+        rk, rA, rp, _, rs = _sweep(A, c, alpha, gamma, dc, [0.0] * (K + 1),
+                                   dgamma, range(K, 0, -1))
+        r = [1.0] + rs[::-1]
         F = A + c[0] + alpha[0] * rk
         scale = abs(A) + abs(c[0]) + abs(alpha[0] * rk)
         if prev is not None and abs(F - prev) <= 1e-15 * scale:
@@ -257,7 +334,7 @@ def find_root(label: StateLabel, setup: PhysicalSetup, E_seed: float):
     lo, hi, step = 0.0, math.inf, math.inf
     for steps in range(1, _MAX_STEPS + 1):
         A_n, dA_n, K_rad = _radial_eigenvalue(p, b, label.lam, label.n)
-        A, dA, K = _angular(p, label.lam, label.m, label.parity)
+        A, dA, K = _angular(p, label.lam, label.m, label.parity)[:3]
         D, slope = A_n - A, dA_n - dA
         lo, hi = (p, hi) if D < 0.0 else (lo, p)
         new = p - D / slope if slope > 0.0 else math.nan
@@ -268,7 +345,8 @@ def find_root(label: StateLabel, setup: PhysicalSetup, E_seed: float):
             E = energy_from_p(p, setup)
             p_E = p_from_energy(E, setup)
             if p_E != p:  # the result's A is taken at E's own p
-                A, _, K = _angular(p_E, label.lam, label.m, label.parity)
+                A, _, K = _angular(p_E, label.lam, label.m,
+                                   label.parity)[:3]
             return E, A, K, K_rad, steps
         p = new
     raise RadialRootError(
@@ -354,8 +432,8 @@ def exact_channels(result: OracleResult, xi, eta):
     (log|Y|, sign Y) on eta, each up to a constant factor.
 
     X is Jaffe's series with g_k the cumulative product of the continued
-    fraction's ratios; Y sums normalized P_l^lam over the eigenvector of
-    the angular matrix at the oracle's basis size.
+    fraction's ratios; Y sums normalized P_l^lam over the eigenvector that
+    _angular's fraction gives at the oracle's p.
     """
     label, setup, p = result.label, result.setup, result.p
     xi = np.asarray(xi, dtype=float)
@@ -367,11 +445,8 @@ def exact_channels(result: OracleResult, xi, eta):
                        float(np.max(t, initial=0.0)),
                        _fraction(result.A, p, b, label.lam)[2])
     S = np.polynomial.polynomial.polyval(t, g)
-    ls, diag, off = _angular_matrix(p, label.lam, label.parity,
-                                    result.angular_basis_size)[:3]
-    v = eigh_tridiagonal(diag, off, eigvals_only=False, select="i",
-                         select_range=(label.m, label.m),
-                         tol=_BISECT_TOL)[1][:, 0]
+    v = _angular(p, label.lam, label.m, label.parity)[3]
+    ls = _legendre_terms(label.lam, label.parity, v.size)[0]
     Y = _legendre_sum(v, ls, label.lam, eta)
     with np.errstate(divide="ignore"):
         log_x = ((kap - label.lam - 1.0) * np.log(xi + 1.0) - p * xi
@@ -381,13 +456,29 @@ def exact_channels(result: OracleResult, xi, eta):
 
 
 def exact_node(result: OracleResult) -> float:
-    """xi of the first interior node of the exact radial function."""
+    """xi of the first interior node of the exact radial function: Newton
+    steps on Jaffe's series in t, inside the node grid's sign change that
+    holds the node; a step that leaves it bisects."""
     setup, A, p, lam = result.setup, result.A, result.p, result.label.lam
     b = (setup.Z1 + setup.Z2) * setup.R
     t, g, change = _sign_changes(A, p, b, lam, _fraction(A, p, b, lam)[2])
     if change.size == 0:
         raise RadialRootError(f"no radial node for {result.label}")
     i = change[0]
-    tn = brentq(lambda u: np.polynomial.polynomial.polyval(u, g),
-                t[i], t[i + 1], xtol=1e-16, rtol=8.9e-16)
-    return (1.0 + tn) / (1.0 - tn)
+    lo, hi = t[i], t[i + 1]
+    dg = np.polynomial.polynomial.polyder(g)
+    sign_lo = math.copysign(1.0, np.polynomial.polynomial.polyval(lo, g))
+    u, step = 0.5 * (lo + hi), math.inf
+    for _ in range(_MAX_STEPS):
+        S = np.polynomial.polynomial.polyval(u, g)
+        dS = np.polynomial.polynomial.polyval(u, dg)
+        lo, hi = (u, hi) if math.copysign(1.0, S) == sign_lo else (lo, u)
+        new = u - S / dS if dS != 0.0 else math.nan
+        if not lo <= new <= hi:
+            new = 0.5 * (lo + hi)
+        prev, step = step, new - u
+        u = new
+        if _settled(step, prev, u):
+            return (1.0 + u) / (1.0 - u)
+    raise OracleConvergenceError(f"Newton on the radial node of "
+                                 f"{result.label} did not settle")

@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .model import PhysicalSetup, StateLabel, require_supported
 from .oracle import exact_channels, exact_node, solve_bispectral
@@ -63,9 +62,61 @@ def _fit_xi(x, log_x, weights, p: float, q: float):
         coef, *_ = np.linalg.lstsq(M, rhs, rcond=None)
         return coef, float(np.sum((rhs - M @ coef) ** 2))
 
-    best = minimize_scalar(lambda g: fit(g)[1], bounds=(-1.0, 20.0),
-                           method="bounded", options=dict(xatol=1e-8))
-    return fit(best.x)[0][0], float(best.x)
+    gamma = _brent_min(lambda g: fit(g)[1], -1.0, 20.0, 1e-8)
+    return fit(gamma)[0][0], gamma
+
+
+def _brent_min(f, a: float, b: float, xtol: float) -> float:
+    """A local minimum of f on [a, b] to xtol: Brent's golden-section
+    search with parabolic steps (Algorithms for Minimization without
+    Derivatives, 1973, ch. 5, as Forsythe, Malcolm and Moler's fmin
+    writes it), within 500 evaluations.  x is the best point so far, w
+    the second best and v the one before."""
+    golden = 0.5 * (3.0 - math.sqrt(5.0))
+    x = w = v = a + golden * (b - a)
+    fx = fw = fv = f(x)
+    d = e = 0.0
+    for _ in range(499):
+        xm = 0.5 * (a + b)
+        tol1 = math.sqrt(2.2e-16) * abs(x) + xtol / 3.0
+        tol2 = 2.0 * tol1
+        if abs(x - xm) <= tol2 - 0.5 * (b - a):
+            break
+        parabolic = False
+        if abs(e) > tol1:  # the parabola through (v, w, x)
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, d
+            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+                parabolic, d = True, p / q
+                if x + d - a < tol2 or b - (x + d) < tol2:
+                    d = tol1 if xm >= x else -tol1
+        if not parabolic:
+            e = a - x if x >= xm else b - x
+            d = golden * e
+        u = x + (1.0 if d >= 0.0 else -1.0) * max(abs(d), tol1)
+        fu = f(u)
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x
 
 
 def _eta_model(eta, log_y, weights, p: float, nu: float, odd: bool):

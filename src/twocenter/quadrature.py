@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_laguerre
 
 from .model import EnergyPair, PhysicalSetup, StateLabel
 from .trial import ChannelArrays, TrialParams, eta_channel, xi_channel
@@ -39,14 +38,45 @@ class QuadratureRule:
     count: int
 
 
+def _gauss(N: int, laguerre: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the N-point Gauss-Laguerre (weights times
+    exp(t)) or Gauss-Legendre rule.
+
+    Golub-Welsch nodes (Math. Comp. 23, 221 (1969)), the eigenvalues of the
+    Jacobi matrix of the orthonormal recurrence x p_k = b_(k+1) p_(k+1)
+    + a_k p_k + b_k p_(k-1), take two Newton steps on p_N in long double;
+    each weight is then 1 / sum_(k<N) p_k^2 = 1 / (b_N (p_N' p_(N-1)
+    - p_(N-1)' p_N)) (Christoffel-Darboux), whose second term takes out
+    the first-order error of a node rounded to long double.  The
+    Laguerre recurrence starts from exp(-t/2), so its weights come out
+    exp(t)-scaled and stay in range for any N."""
+    k = np.arange(N + 1, dtype=np.longdouble)
+    a = 2.0 * k + 1.0 if laguerre else 0.0 * k
+    b = k if laguerre else k / np.sqrt(np.maximum(4.0 * k * k - 1.0, 1.0))
+    jacobi = np.diag(a[:N]) + np.diag(b[1:N], 1) + np.diag(b[1:N], -1)
+    x = np.linalg.eigvalsh(jacobi.astype(float)).astype(np.longdouble)
+    for step in range(3):
+        p_prev, dp_prev = 0.0 * x, 0.0 * x
+        p = (np.exp(-0.5 * x) if laguerre
+             else np.full_like(x, np.sqrt(np.longdouble(0.5))))
+        dp = 0.0 * x  # the derivative of p_k, scaled as p_k is
+        for j in range(N):
+            p_prev, p, dp_prev, dp = (
+                p, ((x - a[j]) * p - b[j] * p_prev) / b[j + 1],
+                dp, ((x - a[j]) * dp + p - b[j] * dp_prev) / b[j + 1])
+        if step < 2:
+            x = x - p / dp
+    w = 1.0 / (b[N] * (dp * p_prev - dp_prev * p))
+    if not laguerre:  # exactly symmetric, so odd integrands sum to zero
+        x, w = 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
+    return x.astype(float), w.astype(float)
+
+
 @functools.lru_cache(maxsize=None)
 def _base_rules(N: int) -> tuple[np.ndarray, ...]:
     """Gauss-Laguerre roots and exp(t)-scaled weights, Gauss-Legendre nodes
     and weights: shared by every call, hence read-only."""
-    t, w = roots_laguerre(N)
-    with np.errstate(divide="ignore"):
-        wt = np.where(w > 0.0, np.exp(np.log(w) + t), 0.0)
-    out = (t, wt, *np.polynomial.legendre.leggauss(N))
+    out = (*_gauss(N, True), *_gauss(N, False))
     for a in out:
         a.flags.writeable = False
     return out

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import twocenter
 
 from twocenter.cli import main, parse_state
 from twocenter.model import StateLabel
@@ -223,3 +229,23 @@ def test_oracle_failure_exit_codes(monkeypatch, capsys):
     monkeypatch.setattr(twocenter.oracle, "solve_bispectral", bug)
     with pytest.raises(RuntimeError, match="not a convergence failure"):
         main(["oracle", "--state", "1ssg", "--R", "2.0"])
+
+
+def test_the_package_runs_without_scipy():
+    # a fresh process that imports the CLI and loads every reference table
+    # pulls in no scipy module: scipy is a test dependency only
+    code = """
+import sys
+import twocenter.cli
+from twocenter import reference
+for which in ("1ssg", "2psu", "lam12", "node"):
+    reference.energy_table(which)
+reference.separation_table()
+for kind in ("e1", "b1", "e2"):
+    reference.oscillator_table(kind)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(twocenter.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert run.stdout.strip() == "[]"

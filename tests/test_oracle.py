@@ -1,11 +1,17 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
+from scipy.optimize import brentq
 from scipy.special import obl_cv
 
 from twocenter.model import (SUPPORTED_LABELS, PhysicalSetup, StateLabel,
                              label_from_designation, p_from_energy)
-from twocenter.oracle import (RadialRootError, _angular, _radial_eigenvalue,
-                              angular_eigenvalue, exact_channels, exact_node,
+from twocenter.oracle import (RadialRootError, _angular, _fraction,
+                              _legendre_terms, _radial_eigenvalue,
+                              _sign_changes, angular_eigenvalue,
+                              exact_channels, exact_node,
                               find_root, hydrogenic_seed, radial_mismatch,
                               radial_solution, solve_bispectral)
 from twocenter.reference import energy_table
@@ -29,6 +35,43 @@ def test_angular_matches_scipy_oblate(p):
     # the p^2 eta^2 sign of this separation matches the oblate convention
     A = angular_eigenvalue(p, 0, 0, +1)
     assert A == pytest.approx(-obl_cv(0, 0, p), rel=1e-11)
+
+
+def _angular_by_eigh_tridiagonal(p, lam, m, parity):
+    """A, dA/dp (Hellmann-Feynman) and the eigenvector from scipy's
+    tridiagonal eigensolver, the basis doubled until A settles."""
+    K, prev = 24 + lam, None
+    while True:
+        _, L, s_diag, s_off = _legendre_terms(lam, parity, K)
+        diag, off = L - p * p * s_diag, -p * p * s_off[:-1]
+        mu, v = eigh_tridiagonal(diag, off, select="i", select_range=(m, m),
+                                 tol=2.0 * np.finfo(float).tiny)
+        A, v = -mu[0], v[:, 0]
+        if prev is not None and abs(A - prev) < 1e-13 * max(1.0, abs(A)):
+            vSv = s_diag @ (v * v) + 2.0 * s_off[:-1] @ (v[:-1] * v[1:])
+            return A, 2.0 * p * vSv, v
+        prev, K = A, 2 * K
+
+
+@pytest.mark.parametrize("p", [0.05, 0.5, 1.485015, 5.0, 12.0, 25.0])
+@pytest.mark.parametrize("lam", [0, 1, 2])
+def test_angular_fraction_matches_scipy(p, lam):
+    # m = 1 covers the designated labels 3dsg and 4fsu outside the solve;
+    # the fraction's A sits within the rounding of its terms of the
+    # eigensolver's and of obl_cv's, which are 1e-14 apart themselves
+    for m in (0, 1):
+        for parity in (+1, -1):
+            A, dA, K, v = _angular(p, lam, m, parity)
+            A_ref, dA_ref, v_ref = _angular_by_eigh_tridiagonal(p, lam, m,
+                                                                parity)
+            assert abs(A - A_ref) <= 16.0 * math.ulp(max(1.0, abs(A_ref)))
+            assert dA == pytest.approx(dA_ref, rel=1e-12, abs=1e-15)
+            n = lam + (1 - parity) // 2 + 2 * m
+            assert A == pytest.approx(lam * (lam + 1) - obl_cv(lam, n, p),
+                                      rel=1e-11, abs=1e-12)
+            size = min(v.size, v_ref.size)
+            v, v_ref = (u[:size] / u[np.argmax(np.abs(u))] for u in (v, v_ref))
+            assert np.max(np.abs(v - v_ref)) <= 1e-12
 
 
 def test_angular_even_in_p():
@@ -277,3 +320,20 @@ def test_exact_node_matches_node_table():
             assert error == pytest.approx(3.2e-5, abs=1e-6)
         else:
             assert abs(error) <= 2e-6
+
+
+@pytest.mark.parametrize("name", ["2ssg", "3psu"])
+def test_exact_node_matches_brentq(name):
+    # Newton steps on the series polynomial land where scipy's brentq does
+    # on the same sign change, to 1e-15 in t = (xi - 1)/(xi + 1)
+    label = label_from_designation(name)
+    for R in np.geomspace(0.05, 50.0, 8):
+        res = solve_bispectral(label, PhysicalSetup(float(R)))
+        b = 2.0 * float(R)
+        t, g, change = _sign_changes(res.A, res.p, b, label.lam,
+                                     _fraction(res.A, res.p, b, label.lam)[2])
+        i = change[0]
+        root = brentq(lambda u: np.polynomial.polynomial.polyval(u, g),
+                      t[i], t[i + 1], xtol=1e-16, rtol=8.9e-16)
+        xi0 = exact_node(res)
+        assert abs((xi0 - 1.0) / (xi0 + 1.0) - root) <= 1e-15

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from twocenter.model import EnergyPair, PhysicalSetup, StateLabel
 from twocenter.presets import seed_for
 from twocenter.quadrature import (ChannelMoments, QuadratureError,
-                                  assemble_energy, build_rules,
+                                  _base_rules, assemble_energy, build_rules,
                                   channel_moments, integrate,
                                   norm_from_moments, norm_squared,
                                   rayleigh_quotient, trial_channels,
@@ -98,21 +98,54 @@ def test_rule_construction_contracts():
         build_rules(-1.0, 64)
 
 
-@pytest.mark.parametrize("N", [48, 64, 96])
+def _mpmath_rule(N, laguerre, x0):
+    """40-digit nodes and weights (the Laguerre ones times exp(t)), by
+    Newton steps on mpmath's own polynomials from the nodes x0."""
+    import mpmath
+
+    out = []
+    with mpmath.workdps(40):
+        for x in map(mpmath.mpf, x0):
+            for step in range(3):
+                if laguerre:
+                    P, Q = (mpmath.laguerre(n, 0, x) for n in (N, N - 1))
+                    dP = N * (P - Q) / x
+                else:
+                    P, Q = (mpmath.legendre(n, x) for n in (N, N - 1))
+                    dP = N * (x * P - Q) / (x * x - 1)
+                if step < 2:
+                    x -= P / dP
+            w = (x * mpmath.exp(x) / ((N + 1) * mpmath.laguerre(N + 1, 0, x))
+                 ** 2 if laguerre else 2 / ((1 - x * x) * dP * dP))
+            out.append((float(x), float(w)))
+    return np.array(out).T
+
+
+@pytest.mark.parametrize("N", [48, 64, 96, 128, 256])
 def test_rules_rescale_memoized_roots(N):
     from scipy.special import roots_laguerre
 
     p = 1.485015
-    t, w = roots_laguerre(N)
-    with np.errstate(divide="ignore"):
-        wx = np.where(w > 0.0, np.exp(np.log(w) + t) / (2.0 * p), 0.0)
-    nodes_e, w_e = np.polynomial.legendre.leggauss(N)
+    t, wt = _base_rules(N)[:2]
     for _ in range(2):  # the first call may fill the cache, the second reads it
         rx, re = build_rules(p, N)
         assert np.array_equal(rx.nodes, 1.0 + t / (2.0 * p))
-        assert np.array_equal(rx.weights, wx)
-        assert np.array_equal(re.nodes, nodes_e)
-        assert np.array_equal(re.weights, w_e)
+        assert np.array_equal(rx.weights, wt / (2.0 * p))
+    # the nodes of scipy's and numpy's rules to 8 ulp, nodes and weights
+    # to 2 ulp of 40-digit ones (numpy's weights were 1e-12..4e-11 off)
+    ulp = np.finfo(float).eps
+    assert np.allclose(t, roots_laguerre(N)[0], rtol=8.0 * ulp, atol=0.0)
+    assert np.allclose(re.nodes, np.polynomial.legendre.leggauss(N)[0],
+                       rtol=0.0, atol=8.0 * ulp)
+    sample = np.unique(np.r_[0:8, N - 8:N, 0:N:N // 16])
+    for (x, w), laguerre in (((t, wt), True), ((re.nodes, re.weights), False)):
+        x_ref, w_ref = _mpmath_rule(N, laguerre, x[sample])
+        assert np.all(np.abs(x[sample] - x_ref)
+                      <= 2.0 * np.spacing(np.abs(x_ref)))
+        assert np.all(np.abs(w[sample] - w_ref) <= 2.0 * np.spacing(w_ref))
+    # exactly symmetric, so odd integrands sum to zero
+    assert np.array_equal(re.nodes, -re.nodes[::-1])
+    assert np.array_equal(re.weights, re.weights[::-1])
     for arr in re.nodes, re.weights:
         with pytest.raises(ValueError):
             arr[0] = 0.0
