@@ -14,13 +14,16 @@ and the eta channel mirrors this with W(eta) = p^2 eta^2 on [-1, 1].
 Higher orders of a nodeless xi channel repeat the step with
 Q_n = -(xi^2-1) sum x_i x_{n-i} in place of V1.  Both channels and every
 order run one shared pass: A from the channel's quadrature rule, then F
-and G = int_1^xi w X0^2 accumulated on the tabulation grid, and a single
+and G = int_1^xi w X0^2 accumulated on the tabulation grid by the
+closed-form 3-point Gauss rule of each grid interval, and a single
 consistency pass A -> A - F(end)/G(end) that makes F vanish at the grid
 end before the division by (x^2-1)^(L+1) X0^2.  Each tabulated quantity
 is interpolated by cubic Hermite pieces on its grid values and the exact
 slopes the pass forms beside them (F' is the integrand of F), with an
 exact antiderivative.  The channel builders keep only what differs: the
-xi tail cut, the eta mirror, and the node's log-regular split.
+xi tail cut, the eta mirror, and the node's log-regular split.  The
+sampled bound of the perturbation, which only reports print, is computed
+when it is read.
 The physical p entering V and W comes from the variational energy, not
 from the shape parameter p; with that choice the two channel estimates
 A1_xi and A1_eta coincide identically for equal charges, so their spread
@@ -48,22 +51,26 @@ from .quadrature import build_rules, integrate
 from .trial import (TrialParams, channel_factor, channel_phase, prefactor,
                     phase_of_trial_eta, phase_of_trial_xi)
 
-_GL8 = build_rules(1.0, 8)[1]  # the Gauss-Legendre rule of each interval
-
-
 @dataclass
 class ChannelPT:
-    """First-order perturbation data of one channel."""
+    """First-order perturbation data of one channel.  The bound of the
+    perturbation is sampled only when bound_C is read: the pass itself
+    never needs it."""
 
     channel: str                       # "xi" or "eta"
     A1: float
     correction_phase: Callable         # phi1 (xi) or rho1 (eta), interpolated
     correction_slope: Callable         # x1 = phi1' (resp. y1 = rho1')
-    bound_C: float                     # sup of |V1| on the sampled domain
+    perturbation_bound: Callable[[], float]  # samples bound_C
 
     def __post_init__(self):
-        if not (math.isfinite(self.A1) and math.isfinite(self.bound_C)):
+        if not math.isfinite(self.A1):
             raise ValueError("non-finite first-order correction data")
+
+    @property
+    def bound_C(self) -> float:
+        """sup of |V1| on the sampled domain."""
+        return self.perturbation_bound()
 
 
 # ----------------------------------------------------------------------
@@ -113,14 +120,6 @@ def true_potential_eta(p_phys: float, eta):
     return p_phys**2 * eta * eta
 
 
-def residual_custom_phase(phi_d1, phi_d2, V, A, lam, x):
-    """Riccati residual for X = exp(-phase): fixture hook for exact cases."""
-    x = np.asarray(x, dtype=float)
-    d1, d2 = phi_d1(x), phi_d2(x)
-    v0 = (x * x - 1.0) * (d1 * d1 - d2) - 2.0 * (lam + 1.0) * x * d1
-    return v0 - (V(x) - A)
-
-
 # ----------------------------------------------------------------------
 # the first-order pass shared by both channels and all orders
 
@@ -146,15 +145,19 @@ def _parts(params, label, setup, p_phys, x, scale, channel):
 
 def _cumulative(fn, grid):
     """Cumulative integrals int_{grid_0}^{grid_j} of each array that fn
-    returns, from one evaluation on the per-interval 8-point Gauss nodes."""
-    gl_x, gl_w = _GL8.nodes, _GL8.weights
+    returns, from one evaluation on the nodes of the closed-form 3-point
+    Gauss-Legendre rule of each interval (nodes 0, +-sqrt(3/5), weights
+    8/9, 5/9).  The grid intervals are short enough that its error,
+    O(h^7 f^(6)) per interval, is already at the rounding level."""
     a = grid[:-1]
     b = grid[1:]
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    pts = mid[:, None] + half[:, None] * gl_x[None, :]
+    nodes = math.sqrt(0.6) * np.array([-1.0, 0.0, 1.0])
+    weights = np.array([5.0, 8.0, 5.0]) / 9.0
+    pts = mid[:, None] + half[:, None] * nodes
     return [np.concatenate([[0.0], np.cumsum(half * (v.reshape(pts.shape)
-                                                     @ gl_w))])
+                                                     @ weights))])
             for v in fn(pts.ravel())]
 
 
@@ -265,23 +268,32 @@ def _slope(lam, grid, tab, A, Q):
 # first-order corrections, xi channel
 
 
+def _sup(Q, xs) -> float:
+    """max |Q| on the sample points xs, which must be finite."""
+    bound = float(np.max(np.abs(Q(xs))))
+    if not math.isfinite(bound):
+        raise ValueError("perturbation potential unbounded on sample set")
+    return bound
+
+
+def _V1_xi(params: TrialParams, label: StateLabel, setup: PhysicalSetup,
+           p: float):
+    def V1(xi):
+        return true_potential_xi(setup, p, xi) \
+            - channel_potential_xi(params, label, setup, xi)
+    return V1
+
+
 def build_V1_xi(params: TrialParams, label: StateLabel, setup: PhysicalSetup,
                 p_phys: float | None = None):
     """Perturbation V1 = V - V0 as a callable, with its sampled bound."""
     p = p_phys if p_phys is not None else params.p
-
-    def V1(xi):
-        return true_potential_xi(setup, p, xi) \
-            - channel_potential_xi(params, label, setup, xi)
-
+    V1 = _V1_xi(params, label, setup, p)
     pole = params.xi0
     xs = np.linspace(1.0, _SAMPLE_MAX, 4001)
     if pole is not None:
         xs = xs[np.abs(xs - pole) > 0.05]
-    bound = float(np.max(np.abs(V1(xs))))
-    if not math.isfinite(bound):
-        raise ValueError("perturbation potential unbounded on sample set")
-    return V1, bound, pole
+    return V1, _sup(V1, xs), pole
 
 
 def first_correction_xi(params: TrialParams, label: StateLabel,
@@ -291,12 +303,13 @@ def first_correction_xi(params: TrialParams, label: StateLabel,
     if label.n != 0:
         raise ValueError("first_correction_xi needs a nodeless state")
     A1, grid, tab, _ = _first_order(params, label, setup, p_phys, "xi")
-    V1, bound, _ = build_V1_xi(params, label, setup, p_phys)
-    x1, dx1 = _slope(label.lam, grid, tab, A1, V1)
-    return _package_xi(grid, x1, dx1, A1, bound, params.p)
+    x1, dx1 = _slope(label.lam, grid, tab, A1,
+                     _V1_xi(params, label, setup, p_phys))
+    return _package_xi(grid, x1, dx1, A1, params.p,
+                       lambda: build_V1_xi(params, label, setup, p_phys)[1])
 
 
-def _package_xi(grid, x1, dx1, A1, bound, p_scale) -> ChannelPT:
+def _package_xi(grid, x1, dx1, A1, p_scale, bound) -> ChannelPT:
     # the slope is cut beyond _TAU_KEEP, where the exponentially growing
     # division has nothing left to resolve; the slope's Hermite cubics and
     # their antiderivative give an exact, C1-smooth (function, derivative)
@@ -324,25 +337,25 @@ def _package_xi(grid, x1, dx1, A1, bound, p_scale) -> ChannelPT:
 # first-order corrections, eta channel
 
 
-def build_W1_eta(params: TrialParams, label: StateLabel, p_phys: float):
+def _W1_eta(params: TrialParams, label: StateLabel, p_phys: float):
     def W1(eta):
         return true_potential_eta(p_phys, eta) \
             - channel_potential_eta(params, label, eta)
+    return W1
 
-    es = np.linspace(-1.0, 1.0, 4001)
-    bound = float(np.max(np.abs(W1(es))))
-    if not math.isfinite(bound):
-        raise ValueError("perturbation potential unbounded on [-1, 1]")
-    return W1, bound
+
+def build_W1_eta(params: TrialParams, label: StateLabel, p_phys: float):
+    """Perturbation W1 = W - W0 as a callable, with its sampled bound."""
+    W1 = _W1_eta(params, label, p_phys)
+    return W1, _sup(W1, np.linspace(-1.0, 1.0, 4001))
 
 
 def first_correction_eta(params: TrialParams, label: StateLabel,
                          p_phys: float) -> ChannelPT:
     """A1_eta and the tabulated phase correction rho1 (even in eta)."""
     A1, grid, tab, _ = _first_order(params, label, None, p_phys, "eta")
-    W1, bound = build_W1_eta(params, label, p_phys)
     # computed on [-1, 0] and mirrored: y1 is odd, rho1 even
-    y1, dy1 = _slope(label.lam, grid, tab, A1, W1)
+    y1, dy1 = _slope(label.lam, grid, tab, A1, _W1_eta(params, label, p_phys))
     y1[-1] = 0.0
 
     full = np.concatenate([grid, -grid[-2::-1]])
@@ -358,7 +371,8 @@ def first_correction_eta(params: TrialParams, label: StateLabel,
         out = y1_ip(np.asarray(x, dtype=float))
         return out if out.ndim else float(out)
 
-    return ChannelPT("eta", A1, rho1, slope, bound)
+    return ChannelPT("eta", A1, rho1, slope,
+                     lambda: build_W1_eta(params, label, p_phys)[1])
 
 
 # ----------------------------------------------------------------------
@@ -467,5 +481,4 @@ def next_correction_xi(params: TrialParams, label: StateLabel,
     An, grid, tab, _ = _first_order(params, label, setup, params.p, "xi",
                                     q=qn)
     xn, dxn = _slope(label.lam, grid, tab, An, qn)
-    return _package_xi(grid, xn, dxn, An, float(np.max(np.abs(qn(grid)))),
-                       params.p)
+    return _package_xi(grid, xn, dxn, An, params.p, lambda: _sup(qn, grid))

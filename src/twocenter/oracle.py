@@ -78,6 +78,7 @@ _K_ANG = 4096         # longest angular tail tried
 # 6..48 terms give cold solves the same roots to 4 ulp; 24 polishes least
 _N_ESTIMATE = 24      # truncated recurrence whose n-th eigenvalue seeds A_n(p)
 _K_MAX = 1 << 16      # longest continued-fraction tail tried
+_K_RADIAL = 16        # first radial tail of a polish; doubling finds the rest
 _MAX_STEPS = 100      # Newton steps before a polish or find_root gives up
 
 
@@ -267,7 +268,7 @@ def _radial_eigenvalue(p: float, b: float, lam: int, n: int):
     alpha, c, gamma = _recurrence(p, b, lam, _N_ESTIMATE - 1)[:3]
     M = -(np.diag(c) + np.diag(alpha[:-1], 1) + np.diag(gamma[1:], -1))
     A = float(np.sort(np.linalg.eigvals(M).real)[n])
-    K, step = 128, math.inf
+    K, step = _K_RADIAL, math.inf
     for _ in range(_MAX_STEPS):
         F, (F_A, F_p), r = _fraction(A, p, b, lam, K // 2)
         if F_A == 0.0:

@@ -13,8 +13,10 @@ from twocenter.model import PhysicalSetup, StateLabel
 from twocenter.oracle import angular_eigenvalue, solve_bispectral
 from twocenter.reference import (energy_table, oscillator_table,
                                  separation_table)
-from twocenter.states import correction_energy_shift, p_reopt_shift
+from twocenter.states import correction_energy_shift
 from twocenter.transitions import oscillator_strength
+
+from pt_helpers import p_reopt_shift, residual_custom_phase
 
 GS = StateLabel(0, 0, 0, +1)
 US = StateLabel(0, 0, 0, -1)
@@ -263,8 +265,7 @@ def test_criterion_11_property_suite(bank, tmp_path):
     n2 = norm_squared(st.params, GS, st.setup, build_rules(st.params.p, 128))
     assert abs(n2 - n1) / n1 <= 1e-12
     # one-center Riccati fixture
-    from twocenter.nonlinearization import (residual_custom_phase,
-                                            true_potential_xi)
+    from twocenter.nonlinearization import true_potential_xi
     setup1 = PhysicalSetup(3.0, Z1=1.0, Z2=0.0)
     p = 1.5
     xs = np.linspace(1.0, 12.0, 300)

@@ -3,19 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from twocenter.model import PhysicalSetup, StateLabel, p_from_energy
-from twocenter.nonlinearization import (_hermite, _xi_grid, build_V1_xi,
-                                        build_W1_eta,
+from twocenter.model import (SUPPORTED_LABELS, PhysicalSetup, StateLabel,
+                             p_from_energy)
+from twocenter.nonlinearization import (_first_order, _hermite, _xi_grid,
+                                        build_V1_xi, build_W1_eta,
                                         channel_potential_eta,
                                         channel_potential_xi,
                                         first_correction_eta,
                                         first_correction_xi,
                                         next_correction_xi,
-                                        residual_custom_phase,
                                         true_potential_xi)
 from twocenter.states import (StateBank, attach_corrections,
                               correction_energy_shift)
 from twocenter.trial import TrialParams
+
+from pt_helpers import residual_custom_phase
 
 GS = StateLabel(0, 0, 0, +1)
 
@@ -263,3 +265,70 @@ def test_hermite_interpolant_matches_cubic_spline():
     assert np.max(np.abs(value(x) - f(x))) <= 2e-11
     for antiderivative in (integral, spline.antiderivative()):
         assert np.max(np.abs(antiderivative(x) - anti(x))) <= 1e-11
+
+
+def _gauss8_cumulative(fn, grid):
+    """The cumulative integrals of _cumulative on the 8-point
+    Gauss-Legendre rule of each grid interval: the reference that the
+    3-point rule is held to."""
+    x, w = np.polynomial.legendre.leggauss(8)
+    half = 0.5 * np.diff(grid)
+    pts = 0.5 * (grid[1:] + grid[:-1])[:, None] + half[:, None] * x
+    return [np.concatenate([[0.0], np.cumsum(half * (v.reshape(pts.shape)
+                                                     @ w))])
+            for v in fn(pts.ravel())]
+
+
+@pytest.mark.parametrize("label", SUPPORTED_LABELS, ids=str)
+def test_three_point_rule_matches_eight_points(bank, label, monkeypatch):
+    # the tabulation intervals are short enough that the 3-point rule's
+    # error is rounding: over R in {0.5, 2, 10, 50} the 8-point rule moved
+    # A by at most 2.6e-14 relative, F by 2.9e-14 of |A G(end)| (the size
+    # of each of its two terms) and G by 1.2e-15 of |G(end)|.  A 2-point
+    # rule moves G by 2.2e-10.
+    from twocenter import nonlinearization
+
+    three = nonlinearization._cumulative
+    for R in (0.5, 2.0, 10.0, 50.0):
+        st = bank.get(label, R)
+        p_phys = p_from_energy(st.energy.E_total, st.setup)
+        for channel, setup in (("xi", st.setup), ("eta", None)):
+            pair = []
+
+            def both(fn, grid):
+                pair.extend([three(fn, grid), _gauss8_cumulative(fn, grid)])
+                return pair[0]
+
+            runs = []
+            for cumulative in (both, _gauss8_cumulative):
+                monkeypatch.setattr(nonlinearization, "_cumulative",
+                                    cumulative)
+                runs.append(_first_order(st.params, label, setup, p_phys,
+                                         channel))
+            (A3, _, tab3, _), (A8, _, tab8, _) = runs
+            (F3, G3), (F8, G8) = pair
+            size = abs(A8 * G8[-1])
+            assert abs(A3 - A8) <= 1e-13 * abs(A8)
+            assert np.max(np.abs(F3 - F8)) <= 1e-13 * size
+            assert np.max(np.abs(tab3[0] - tab8[0])) <= 1e-13 * size
+            assert np.max(np.abs(G3 - G8)) <= 1e-14 * abs(G8[-1])
+
+
+@pytest.mark.parametrize("label,R", [(GS, 2.0), (StateLabel(1, 0, 0, -1),
+                                                4.0)], ids=["1ssg", "3psu"])
+def test_bound_is_sampled_only_when_read(bank, label, R, monkeypatch):
+    from twocenter import nonlinearization
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pass sampled the perturbation bound")
+
+    st = bank.get(label, R)
+    with monkeypatch.context() as m:
+        m.setattr(nonlinearization, "build_V1_xi", refuse)
+        m.setattr(nonlinearization, "build_W1_eta", refuse)
+        attach_corrections(st)
+    p_phys = p_from_energy(st.energy.E_total, st.setup)
+    assert st.pt_eta.bound_C == build_W1_eta(st.params, label, p_phys)[1]
+    if label.n == 0:
+        assert st.pt_xi.bound_C == build_V1_xi(st.params, label, st.setup,
+                                               p_phys)[1]

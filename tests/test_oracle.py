@@ -232,6 +232,21 @@ def test_small_seed_truncation_lands_on_the_same_roots(label, monkeypatch):
         assert abs(res.p - ref.p) <= 8e-15 * ref.p
 
 
+@pytest.mark.parametrize("label", SUPPORTED_LABELS, ids=str)
+def test_short_radial_tail_start_lands_on_the_same_roots(label, monkeypatch):
+    # the polish's first tail only starts the doubling that finds the
+    # settled length: cold solves from a 16-term start and from a 128-term
+    # one are identical to the last bit
+    import twocenter.oracle as oracle
+
+    setups = [PhysicalSetup(float(R)) for R in np.geomspace(0.05, 50.0, 10)]
+    short = [solve_bispectral(label, setup) for setup in setups]
+    monkeypatch.setattr(oracle, "_K_RADIAL", 128)
+    for res, setup in zip(short, setups):
+        ref = solve_bispectral(label, setup)
+        assert (res.E_total, res.A, res.p) == (ref.E_total, ref.A, ref.p)
+
+
 def _fraction_30_digits(A, p, b, lam, K):
     """k = 0 row of the radial recurrence with its ratio tail, at the
     working precision of mpmath."""
