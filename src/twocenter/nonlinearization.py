@@ -416,13 +416,17 @@ def node_correction_xi(params: TrialParams, label: StateLabel,
     dlogD0 = 2.0 * (lam + 1.0) * xi0 / (xi0**2 - 1.0) - 2.0 * dphi0_0[0]
     c1 = f1 * float(dlogD0)
 
+    # h' = -F/denom is 0/0 at xi = 1; its limit is -(A1 - V1(1)) / (2(L+1))
+    hp_1 = -(A1 - float(_V1_xi(params, label, setup, p_phys)(1.0))) \
+        / (2.0 * (lam + 1.0))
+
     def dr_raw(x):
         x = np.asarray(x, dtype=float)
         phi, dphi, _ = phase_of_trial_xi(params, label, setup, x)
         d = x - xi0
         denom = (x * x - 1.0) ** (lam + 1) * d * d * np.exp(-2.0 * (phi - scale0))
         with np.errstate(divide="ignore", invalid="ignore"):
-            hp = -Fip(x) / denom
+            hp = np.where(x != 1.0, -Fip(x) / denom, hp_1)
             return hp + f1 / (d * d) - c1 / d
 
     def dr_fn(x):

@@ -35,13 +35,24 @@ steps on its exact slope.  This solver shares no code path with the
 trial functions, so it is the ground truth for the variational results.
 At the root, exact_channels evaluates the exact eigenfunctions: the
 series above, and the angular eigenvector summed over the Legendre basis.
+
+Each piece of work is done once per p.  The rows of both recurrences
+depend on k alone, so each channel keeps one table per p: the radial
+one serves the truncated estimate, every Newton polish, every tail and
+the series, and grows in place; the angular one is built once per
+length.  A tail is settled when F over it matches F over half of it; the
+half-length sweep only gives that value, so it runs without slopes, and
+the angular sweep from row 0 up to the twist, which no tail changes,
+runs once per fraction.  find_root starts each p-step's radial polish at
+the tail length the previous step settled on, and the result keeps the
+angular eigenvector that exact_channels sums.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,6 +82,8 @@ class OracleResult:
     angular_basis_size: int
     radial_mismatch: float
     bracket_iterations: int  # Newton steps in p, one D(p) evaluation each
+    # the angular eigenvector over the normalized P_l^lam at p
+    eigenvector: np.ndarray = field(compare=False, repr=False)
 
 
 _K0 = 24              # angular basis starts at _K0 + lam functions
@@ -103,6 +116,15 @@ def _sweep(A: float, c, outer, inner, dc, douter, dinner, ks):
         xp = -(dinner[k] + x * slope) / den
         xs.append(x)
     return x, xA, xp, below, xs
+
+
+def _ratio(A: float, c, outer, inner, ks) -> float:
+    """The last x of _sweep over the same rows, alone: the value a tail
+    check compares, to the same bits."""
+    x = 0.0
+    for k in ks:
+        x = -inner[k] / (A + c[k] + outer[k] * x)
+    return x
 
 
 # ----------------------------------------------------------------------
@@ -139,26 +161,50 @@ def _angular_matrix(p: float, lam: int, parity: int, K: int):
             -2.0 * p * s_diag, -2.0 * p * s_off)
 
 
-def _angular_fraction(A: float, p: float, lam: int, parity: int, j: int,
-                      K: int):
+class _Angular:
+    """The angular matrix at one p as lists: c, e, dc, de and the lower
+    diagonals [0] + e[:-1], [0] + de[:-1], built again at the length of a
+    request that runs past them.  A row depends on k alone, but for the
+    padded 0 that ends e; a fraction over the rows k < K reads e_(K-1)
+    only times a zero ratio, so a longer table gives it the bits of a
+    K-row one."""
+
+    def __init__(self, p: float, lam: int, parity: int):
+        self.p, self.lam, self.parity = p, lam, parity
+        self.cols = ([],)
+
+    def rows(self, n: int):
+        """The columns, holding at least the rows k < n."""
+        if len(self.cols[0]) < n:
+            c, e, dc, de = (a.tolist() for a in _angular_matrix(
+                self.p, self.lam, self.parity, n))
+            self.cols = c, e, dc, de, [0.0] + e[:-1], [0.0] + de[:-1]
+        return self.cols
+
+
+def _angular_fraction(A: float, ang: _Angular, j: int, K: int):
     """Scaled F(A) = A + c_j + e_j v_(j+1)/v_j + e_(j-1) v_(j-1)/v_j, the
     angular matrix's fraction twisted at row j (Leaver's inversion), its
     slopes (F_A, F_p) on the same scale, the Sturm count (the pivots of
     both sides below zero: the eigenvalues above A of the matrix without
-    row j) and the eigenvector v with v_j = 1.  The ratios above row j run
-    down from the tail, those below it up from row 0; the tail doubles
-    from K terms until F settles, as _fraction's does."""
-    prev = None
-    while K <= _K_ANG:
-        c, e, dc, de = (a.tolist() for a in
-                        _angular_matrix(p, lam, parity, K))
-        lower, dlower = [0.0] + e[:-1], [0.0] + de[:-1]
+    row j) and the eigenvector v with v_j = 1.
+
+    The rows come from ang, the table at F's p.  The ratios below row j
+    run up from row 0, once, since no tail changes them.  Those above it
+    run down from the tail, which doubles from K terms until F settles,
+    as _fraction's does; the first tail only gives the value the next
+    one is checked against, so it sweeps that value alone."""
+    c, e, dc, de, lower, dlower = ang.rows(2 * K)  # both tails of a check
+    s, sA, sp, n_s, ss = _sweep(A, c, lower, e, dc, dlower, de, range(j))
+    prev = (A + c[j] + e[j] * _ratio(A, c, e, lower, range(K - 1, j, -1))
+            + lower[j] * s)
+    while (K := 2 * K) <= _K_ANG:
+        c, e, dc, de, lower, dlower = ang.rows(K)
         r, rA, rp, n_r, rs = _sweep(A, c, e, lower, dc, de, dlower,
                                     range(K - 1, j, -1))
-        s, sA, sp, n_s, ss = _sweep(A, c, lower, e, dc, dlower, de, range(j))
         F = A + c[j] + e[j] * r + lower[j] * s
         scale = abs(A) + abs(c[j]) + abs(e[j] * r) + abs(lower[j] * s)
-        if prev is not None and abs(F - prev) <= 1e-15 * scale:
+        if abs(F - prev) <= 1e-15 * scale:
             slopes = (1.0 + e[j] * rA + lower[j] * sA,
                       dc[j] + de[j] * r + e[j] * rp + dlower[j] * s
                       + lower[j] * sp)
@@ -167,9 +213,8 @@ def _angular_fraction(A: float, p: float, lam: int, parity: int, j: int,
             return (F / scale, tuple(d / scale for d in slopes),
                     n_r + n_s, v)
         prev = F
-        K *= 2
     raise AngularConvergenceError(f"angular fraction unsettled after "
-                                  f"{_K_ANG} terms (p={p}, A={A})")
+                                  f"{_K_ANG} terms (p={ang.p}, A={A})")
 
 
 def _angular(p: float, lam: int, m: int, parity: int):
@@ -184,7 +229,9 @@ def _angular(p: float, lam: int, m: int, parity: int):
     bracket bisects.  The root is the m-th once the count without row j
     is m.
     """
-    c, e = _angular_matrix(p, lam, parity, _K0 + lam)[:2]
+    ang = _Angular(p, lam, parity)
+    c, e = (np.array(a[:_K0 + lam]) for a in ang.rows(_K0 + lam)[:2])
+    e[-1] = 0.0  # the truncation ends at its last row
     mu, vecs = np.linalg.eigh(np.diag(c) + np.diag(e[:-1], 1)
                               + np.diag(e[:-1], -1))
     A, j = float(-mu[m]), int(np.argmax(np.abs(vecs[:, m])))
@@ -192,7 +239,7 @@ def _angular(p: float, lam: int, m: int, parity: int):
     lo = -float(np.max(c + np.abs(e) + np.abs(np.roll(e, 1)))) - 1.0
     K, hi, step = _K0 + lam, p * p + 1.0, math.inf
     for _ in range(_MAX_STEPS):
-        F, (F_A, F_p), below, v = _angular_fraction(A, p, lam, parity, j,
+        F, (F_A, F_p), below, v = _angular_fraction(A, ang, j,
                                                     max(K // 2, j + 1))
         K, count = v.size, below + (F < 0.0)
         lo, hi = (A, hi) if count > m else (lo, A)
@@ -217,10 +264,10 @@ def angular_eigenvalue(p: float, lam: int, m: int, parity: int) -> float:
 # radial channel
 
 
-def _recurrence(p: float, b: float, lam: int, K: int):
+def _recurrence(p: float, b: float, lam: int, lo: int, hi: int):
     """alpha_k, c_k = beta_k - A, gamma_k and the p-slopes dc_k, dgamma_k
-    for k = 0..K."""
-    k = np.arange(K + 1, dtype=float)
+    for lo <= k < hi."""
+    k = np.arange(lo, hi, dtype=float)
     kap = b / (2.0 * p)
     alpha = (k + 1.0) * (k + lam + 1.0)
     c = (b * (k + 0.5 * (lam + 1.0)) / p + b - 2.0 * k * k
@@ -233,26 +280,50 @@ def _recurrence(p: float, b: float, lam: int, K: int):
     return alpha, c, gamma, dc, dgamma
 
 
-def _fraction(A: float, p: float, b: float, lam: int, K: int = 64):
+class _Radial:
+    """The radial recurrence at one p as lists: alpha, c, gamma, dc,
+    dgamma and the p-slope of alpha, which is zero, extended in place to
+    the length of a request that runs past them.  A row depends on k
+    alone, so no row is computed twice and the lists hold the floats of
+    one long build."""
+
+    def __init__(self, p: float, b: float, lam: int):
+        self.p, self.b, self.lam = p, b, lam
+        self.cols = ([], [], [], [], [], [])
+
+    def rows(self, n: int):
+        """The columns, holding at least the rows k < n."""
+        *cols, zero = self.cols
+        size = len(zero)
+        if size < n:
+            for col, a in zip(cols, _recurrence(self.p, self.b, self.lam,
+                                                size, n)):
+                col.extend(a.tolist())
+            zero.extend([0.0] * (n - size))
+        return self.cols
+
+
+def _fraction(A: float, rad: _Radial, K: int = 64):
     """Scaled F(A), its slopes (F_A, F_p) on the same scale, and the ratios
     r_0..r_K (r_0 = 1), swept backward from the tail, which doubles from K
-    terms until F settles at the rounding level of its terms."""
-    prev = None
-    while K <= _K_MAX:
-        alpha, c, gamma, dc, dgamma = (
-            a.tolist() for a in _recurrence(p, b, lam, K))
-        rk, rA, rp, _, rs = _sweep(A, c, alpha, gamma, dc, [0.0] * (K + 1),
-                                   dgamma, range(K, 0, -1))
-        r = [1.0] + rs[::-1]
+    terms until F settles at the rounding level of its terms.  The rows
+    come from rad, the table at F's p; the first tail only gives the value
+    the next one is checked against, so it sweeps that value alone."""
+    alpha, c, gamma = rad.rows(2 * K + 1)[:3]  # both tails of a check
+    prev = A + c[0] + alpha[0] * _ratio(A, c, alpha, gamma, range(K, 0, -1))
+    while (K := 2 * K) <= _K_MAX:
+        alpha, c, gamma, dc, dgamma, dalpha = rad.rows(K + 1)
+        rk, rA, rp, _, rs = _sweep(A, c, alpha, gamma, dc, dalpha, dgamma,
+                                   range(K, 0, -1))
         F = A + c[0] + alpha[0] * rk
         scale = abs(A) + abs(c[0]) + abs(alpha[0] * rk)
-        if prev is not None and abs(F - prev) <= 1e-15 * scale:
+        if abs(F - prev) <= 1e-15 * scale:
             slopes = (1.0 + alpha[0] * rA, dc[0] + alpha[0] * rp)
-            return F / scale, tuple(d / scale for d in slopes), r
+            return F / scale, tuple(d / scale for d in slopes), \
+                [1.0] + rs[::-1]
         prev = F
-        K *= 2
-    raise OracleConvergenceError(
-        f"continued fraction unsettled after {_K_MAX} terms (p={p}, A={A})")
+    raise OracleConvergenceError(f"continued fraction unsettled after "
+                                 f"{_K_MAX} terms (p={rad.p}, A={A})")
 
 
 def _settled(step: float, prev: float, x: float) -> bool:
@@ -261,16 +332,21 @@ def _settled(step: float, prev: float, x: float) -> bool:
             or abs(step) <= 1e-12 * x and abs(step) > 0.5 * abs(prev))
 
 
-def _radial_eigenvalue(p: float, b: float, lam: int, n: int):
+def _radial_eigenvalue(p: float, b: float, lam: int, n: int,
+                       K: int = _K_RADIAL):
     """A_n(p), its slope dA_n/dp = -F_p/F_A and the settled tail length:
     the n-th eigenvalue of the truncated recurrence, polished by Newton
-    steps on the continued fraction."""
-    alpha, c, gamma = _recurrence(p, b, lam, _N_ESTIMATE - 1)[:3]
+    steps on the continued fraction, whose first tail is K terms.  The
+    estimate and every polish share one table, first built for the
+    longer of the estimate and the first tail check."""
+    rad = _Radial(p, b, lam)
+    alpha, c, gamma = (np.array(col[:_N_ESTIMATE]) for col in
+                       rad.rows(max(_N_ESTIMATE, K + 1))[:3])
     M = -(np.diag(c) + np.diag(alpha[:-1], 1) + np.diag(gamma[1:], -1))
     A = float(np.sort(np.linalg.eigvals(M).real)[n])
-    K, step = _K_RADIAL, math.inf
+    step = math.inf
     for _ in range(_MAX_STEPS):
-        F, (F_A, F_p), r = _fraction(A, p, b, lam, K // 2)
+        F, (F_A, F_p), r = _fraction(A, rad, K // 2)
         if F_A == 0.0:
             break
         K, prev, step = len(r) - 1, step, F / F_A
@@ -298,9 +374,9 @@ def radial_solution(E_total: float, A: float, setup: PhysicalSetup, lam: int,
     if E_prime >= 0.0:
         raise ValueError("radial solution needs a bound channel (E' < 0)")
     p = math.sqrt(-E_prime) * setup.R / 2.0
-    b = (setup.Z1 + setup.Z2) * setup.R
-    defect, _, r = _fraction(A, p, b, lam, K)
-    return defect, _sign_changes(A, p, b, lam, r)[2].size
+    rad = _Radial(p, (setup.Z1 + setup.Z2) * setup.R, lam)
+    defect, _, r = _fraction(A, rad, K)
+    return defect, _sign_changes(A, rad, r)[2].size
 
 
 def radial_mismatch(E_total: float, A: float, setup: PhysicalSetup, lam: int,
@@ -327,15 +403,18 @@ def find_root(label: StateLabel, setup: PhysicalSetup, E_seed: float):
     narrows a bracket (lo, hi); a step that leaves it bisects, or doubles
     p while no upper bound is known.  The last p evaluated is the root
     once a step is within 4 ulp of it, or within 1e-12 p and no longer
-    halving (the noise floor of D).  Returns E there, A_ang at p(E) with
-    its basis size, the radial tail length and the number of p-steps.
+    halving (the noise floor of D).  Each p-step's radial polish starts
+    from the tail length the previous one settled on.  Returns E there,
+    A_ang at p(E) with its eigenvector, the radial tail length and the
+    number of p-steps.
     """
     b = (setup.Z1 + setup.Z2) * setup.R
     p = p_from_energy(E_seed, setup)
-    lo, hi, step = 0.0, math.inf, math.inf
+    lo, hi, step, K_rad = 0.0, math.inf, math.inf, _K_RADIAL
     for steps in range(1, _MAX_STEPS + 1):
-        A_n, dA_n, K_rad = _radial_eigenvalue(p, b, label.lam, label.n)
-        A, dA, K = _angular(p, label.lam, label.m, label.parity)[:3]
+        A_n, dA_n, K_rad = _radial_eigenvalue(p, b, label.lam, label.n,
+                                              K_rad)
+        A, dA, _, v = _angular(p, label.lam, label.m, label.parity)
         D, slope = A_n - A, dA_n - dA
         lo, hi = (p, hi) if D < 0.0 else (lo, p)
         new = p - D / slope if slope > 0.0 else math.nan
@@ -346,9 +425,8 @@ def find_root(label: StateLabel, setup: PhysicalSetup, E_seed: float):
             E = energy_from_p(p, setup)
             p_E = p_from_energy(E, setup)
             if p_E != p:  # the result's A is taken at E's own p
-                A, _, K = _angular(p_E, label.lam, label.m,
-                                   label.parity)[:3]
-            return E, A, K, K_rad, steps
+                A, _, _, v = _angular(p_E, label.lam, label.m, label.parity)
+            return E, A, v, K_rad, steps
         p = new
     raise RadialRootError(
         f"no bispectral root with n={label.n} near E={E_seed}")
@@ -368,22 +446,22 @@ def solve_bispectral(label: StateLabel, setup: PhysicalSetup,
     label.n radial nodes, verified through radial_mismatch.
     """
     E = E_seed if E_seed is not None else hydrogenic_seed(label, setup)
-    E, A, K, K_rad, steps = find_root(label, setup, E)
+    E, A, v, K_rad, steps = find_root(label, setup, E)
     mism = radial_mismatch(E, A, setup, label.lam, label.n, K_rad // 2)
-    return OracleResult(label, setup, E, A, p_from_energy(E, setup), K,
-                        mism, steps)
+    return OracleResult(label, setup, E, A, p_from_energy(E, setup), v.size,
+                        mism, steps, v)
 
 
 # ----------------------------------------------------------------------
 # exact eigenfunctions
 
 
-def _series(A: float, p: float, b: float, lam: int, t_max: float, r):
+def _series(A: float, rad: _Radial, t_max: float, r):
     """Coefficients g_k of the radial series sum g_k t^k, scaled so that
     max |g_k| = 1, and the log of that scale, from the ratios r of a
-    settled fraction.  The tail doubles until the terms past its first
-    half fall below 1e-18 of the largest on t <= t_max; those are
-    dropped."""
+    settled fraction on the table rad.  The tail doubles until the terms
+    past its first half fall below 1e-18 of the largest on t <= t_max;
+    those are dropped."""
     log_t = math.log(max(t_max, 1e-3))
     r = np.array(r)
     while True:
@@ -400,15 +478,15 @@ def _series(A: float, p: float, b: float, lam: int, t_max: float, r):
         if K >= _K_MAX:
             raise OracleConvergenceError(
                 f"radial series unsettled after {K} terms at t={t_max}")
-        r = np.array(_fraction(A, p, b, lam, K)[2])
+        r = np.array(_fraction(A, rad, K)[2])
 
 
-def _sign_changes(A: float, p: float, b: float, lam: int, r):
+def _sign_changes(A: float, rad: _Radial, r):
     """The node grid t, the series coefficients g on it (from the ratios
-    r), and the indices i where sum g_k t^k changes sign between t[i] and
-    t[i+1]."""
-    t = _node_grid(A, p, b)
-    g, _ = _series(A, p, b, lam, t[-1], r)
+    r on the table rad), and the indices i where sum g_k t^k changes sign
+    between t[i] and t[i+1]."""
+    t = _node_grid(A, rad.p, rad.b)
+    g, _ = _series(A, rad, t[-1], r)
     s = np.sign(np.polynomial.polynomial.polyval(t, g))
     return t, g, np.flatnonzero(s[:-1] * s[1:] < 0.0)
 
@@ -434,7 +512,7 @@ def exact_channels(result: OracleResult, xi, eta):
 
     X is Jaffe's series with g_k the cumulative product of the continued
     fraction's ratios; Y sums normalized P_l^lam over the eigenvector that
-    _angular's fraction gives at the oracle's p.
+    _angular's fraction gave at the oracle's p, kept in the result.
     """
     label, setup, p = result.label, result.setup, result.p
     xi = np.asarray(xi, dtype=float)
@@ -442,11 +520,11 @@ def exact_channels(result: OracleResult, xi, eta):
     b = (setup.Z1 + setup.Z2) * setup.R
     kap = b / (2.0 * p)
     t = (xi - 1.0) / (xi + 1.0)
-    g, scale = _series(result.A, p, b, label.lam,
-                       float(np.max(t, initial=0.0)),
-                       _fraction(result.A, p, b, label.lam)[2])
+    rad = _Radial(p, b, label.lam)
+    g, scale = _series(result.A, rad, float(np.max(t, initial=0.0)),
+                       _fraction(result.A, rad)[2])
     S = np.polynomial.polynomial.polyval(t, g)
-    v = _angular(p, label.lam, label.m, label.parity)[3]
+    v = result.eigenvector
     ls = _legendre_terms(label.lam, label.parity, v.size)[0]
     Y = _legendre_sum(v, ls, label.lam, eta)
     with np.errstate(divide="ignore"):
@@ -461,8 +539,8 @@ def exact_node(result: OracleResult) -> float:
     steps on Jaffe's series in t, inside the node grid's sign change that
     holds the node; a step that leaves it bisects."""
     setup, A, p, lam = result.setup, result.A, result.p, result.label.lam
-    b = (setup.Z1 + setup.Z2) * setup.R
-    t, g, change = _sign_changes(A, p, b, lam, _fraction(A, p, b, lam)[2])
+    rad = _Radial(p, (setup.Z1 + setup.Z2) * setup.R, lam)
+    t, g, change = _sign_changes(A, rad, _fraction(A, rad)[2])
     if change.size == 0:
         raise RadialRootError(f"no radial node for {result.label}")
     i = change[0]

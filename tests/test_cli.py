@@ -249,3 +249,29 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     assert run.stdout.strip() == "[]"
+
+
+def test_cli_output_identical_across_processes(tmp_path):
+    # two fresh interpreters with different string-hash salts print the
+    # same bytes: nothing the commands print depends on set or dict order
+    # of hashed keys, or on which process computed it
+    code = """
+import sys
+from twocenter.cli import main
+for argv in (["oracle", "--state", "3psu", "--R", "0.02"],
+             ["optimize", "--state", "2ssg", "--R", "4", "--format", "json"],
+             ["transitions", "--kind", "E2", "--final", "3ddg",
+              "--R", "2.0"]):
+    if main(argv) != 0:
+        sys.exit(1)
+"""
+    outs = []
+    for salt in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=salt,
+                   TWOCENTER_DATA_DIR=str(tmp_path),
+                   PYTHONPATH=str(Path(twocenter.__file__).parents[1]))
+        outs.append(subprocess.run([sys.executable, "-c", code], env=env,
+                                   check=True, capture_output=True).stdout)
+    assert outs[0] == outs[1]
+    text = outs[0].decode()
+    assert "3psu" in text and '"state": "2ssg"' in text and "3ddg" in text

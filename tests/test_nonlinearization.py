@@ -332,3 +332,48 @@ def test_bound_is_sampled_only_when_read(bank, label, R, monkeypatch):
     if label.n == 0:
         assert st.pt_xi.bound_C == build_V1_xi(st.params, label, st.setup,
                                                p_phys)[1]
+
+
+@pytest.mark.parametrize("name", ["2ssg", "3psu"])
+@pytest.mark.parametrize("R", [2.0, 10.0])
+def test_node_correction_finite_at_xi_one(bank, name, R, monkeypatch):
+    # r' = -F/denom + f1/d^2 - c1/d is 0/0 at xi = 1, which made r, r'
+    # and the corrected channel NaN on the first tabulation interval; its
+    # limit there keeps them finite and smooth, and nothing the corrected
+    # state reports reads that interval
+    import twocenter.nonlinearization as nl
+    from twocenter.model import label_from_designation
+    from twocenter.transitions import oscillator_strength
+
+    label = label_from_designation(name)
+    st = bank.get(label, R, corrected=True)
+    nc = st.node
+    x = np.array([1.0, 1.0 + 1e-9, 1.0 + 1e-7, 1.0 + 1e-5])
+    ca = st.xi_arrays(x)
+    for vals in (nc.r(x), nc.dr(x), ca.vals, ca.dvals):
+        assert np.all(np.isfinite(vals))
+    # r runs on into the second interval: the secant of the first one
+    # matches r' at both of its ends
+    g0, g1 = _xi_grid(st.params.p)[:2]
+    secant = (nc.r(g1) - nc.r(g0)) / (g1 - g0)
+    for end in (g0, g1):
+        assert float(nc.dr(end)) == pytest.approx(secant, rel=1e-4)
+    assert abs(nc.r(g1) - nc.r(g1 - 1e-3 * (g1 - g0))) \
+        <= 2e-3 * (g1 - g0) * abs(secant)
+    # with the xi = 1 value of r' left undefined, as before the limit,
+    # A1, f1, c1, r past the first interval and the gated strength are
+    # the same bits
+    gs = bank.get(GS, R, corrected=True)
+    kind = "E1" if label.parity == -1 else "E2"
+    f = oscillator_strength(kind, gs, st).f
+    p_phys = p_from_energy(st.energy.E_total, st.setup)
+    monkeypatch.setattr(nl, "_V1_xi", lambda *args: lambda xi: math.nan)
+    undefined = nl.node_correction_xi(st.params, label, st.setup, p_phys)
+    assert math.isnan(float(undefined.dr(1.0)))
+    assert (undefined.A1, undefined.f1, undefined.c1) \
+        == (nc.A1, nc.f1, nc.c1)
+    beyond = np.linspace(g1, 1.0 + 20.0 / st.params.p, 200)
+    assert undefined.r(beyond).tobytes() == nc.r(beyond).tobytes()
+    assert undefined.dr(beyond).tobytes() == nc.dr(beyond).tobytes()
+    st.node = undefined
+    assert oscillator_strength(kind, gs, st).f == f

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,9 +9,11 @@ from scipy.special import obl_cv
 
 from twocenter.model import (SUPPORTED_LABELS, PhysicalSetup, StateLabel,
                              label_from_designation, p_from_energy)
-from twocenter.oracle import (RadialRootError, _angular, _fraction,
-                              _legendre_terms, _radial_eigenvalue,
-                              _sign_changes, angular_eigenvalue,
+from twocenter.oracle import (RadialRootError, _Angular, _Radial, _angular,
+                              _angular_fraction, _angular_matrix, _fraction,
+                              _legendre_terms, _radial_eigenvalue, _ratio,
+                              _recurrence, _sign_changes, _sweep,
+                              angular_eigenvalue,
                               exact_channels, exact_node,
                               find_root, hydrogenic_seed, radial_mismatch,
                               radial_solution, solve_bispectral)
@@ -345,10 +348,219 @@ def test_exact_node_matches_brentq(name):
     for R in np.geomspace(0.05, 50.0, 8):
         res = solve_bispectral(label, PhysicalSetup(float(R)))
         b = 2.0 * float(R)
-        t, g, change = _sign_changes(res.A, res.p, b, label.lam,
-                                     _fraction(res.A, res.p, b, label.lam)[2])
+        rad = _Radial(res.p, b, label.lam)
+        t, g, change = _sign_changes(res.A, rad, _fraction(res.A, rad)[2])
         i = change[0]
         root = brentq(lambda u: np.polynomial.polynomial.polyval(u, g),
                       t[i], t[i + 1], xtol=1e-16, rtol=8.9e-16)
         xi0 = exact_node(res)
         assert abs((xi0 - 1.0) / (xi0 + 1.0) - root) <= 1e-15
+
+
+# ----------------------------------------------------------------------
+# work shared within one p: each reuse gives the bits of the unshared one
+
+
+class _FreshRadial:
+    """A radial table that builds every request anew at its exact length,
+    as each tail of the continued fraction once built its own rows."""
+
+    def __init__(self, p, b, lam):
+        self.p, self.b, self.lam = p, b, lam
+
+    def rows(self, n):
+        cols = [a.tolist() for a in _recurrence(self.p, self.b, self.lam,
+                                                0, n)]
+        return (*cols, [0.0] * n)
+
+
+class _FreshAngular:
+    """An angular table that builds every request anew at its exact
+    length, its off diagonal padded with a last 0."""
+
+    def __init__(self, p, lam, parity):
+        self.p, self.lam, self.parity = p, lam, parity
+
+    def rows(self, n):
+        c, e, dc, de = (a.tolist() for a in
+                        _angular_matrix(self.p, self.lam, self.parity, n))
+        return c, e, dc, de, [0.0] + e[:-1], [0.0] + de[:-1]
+
+
+_SHARED_CASES = [("1ssg", 2.0), ("2ppu", 0.1), ("3psu", 50.0),
+                 ("3ddg", 6.0), ("2ssg", 0.02)]
+
+
+@pytest.mark.parametrize("name,R", _SHARED_CASES)
+def test_fraction_on_a_shared_table_matches_fresh_tables(name, R):
+    # one table grown in place across tails of 16 to 1024 terms, at the
+    # root and off it, gives the fraction, its slopes and its ratios of a
+    # table built anew for every tail, and holds the floats of one build
+    label = label_from_designation(name)
+    res = solve_bispectral(label, PhysicalSetup(R))
+    b = 2.0 * R
+    shared = _Radial(res.p, b, label.lam)
+    for A in (res.A, res.A + 0.37, res.A - 2.5):
+        for K in (16, 32, 64, 128, 256, 512, 1024):
+            F, slopes, r = _fraction(A, shared, K)
+            assert (F, slopes, r) == _fraction(
+                A, _FreshRadial(res.p, b, label.lam), K)
+            assert (F, slopes, r) == _fraction(A, _Radial(res.p, b,
+                                                          label.lam), K)
+    n = len(shared.cols[0])
+    assert n >= 2049
+    assert shared.cols == _FreshRadial(res.p, b, label.lam).rows(n)
+
+
+@pytest.mark.parametrize("name,R", _SHARED_CASES)
+def test_angular_fraction_on_a_longer_table_matches_exact_tables(name, R):
+    # the angular fraction on a table longer than its tail, whose e at the
+    # tail's last row is the true one, equals the fraction on tables of
+    # the exact length, whose e ends in the padded 0, for every twist row
+    label = label_from_designation(name)
+    p = solve_bispectral(label, PhysicalSetup(R)).p
+    A0 = angular_eigenvalue(p, label.lam, label.m, label.parity)
+    for A in (A0, A0 + 0.37, A0 - 2.5):
+        for K in (4, 12, 24, 48):
+            for j in {0, 1, K // 2, K - 2, K - 1}:
+                shared = _Angular(p, label.lam, label.parity)
+                shared.rows(4 * K)
+                F, slopes, below, v = _angular_fraction(A, shared, j, K)
+                F2, slopes2, below2, v2 = _angular_fraction(
+                    A, _FreshAngular(p, label.lam, label.parity), j, K)
+                assert (F, slopes, below) == (F2, slopes2, below2)
+                assert v.tobytes() == v2.tobytes()
+
+
+@pytest.mark.parametrize("name,R", _SHARED_CASES)
+def test_value_only_check_matches_the_full_sweep(name, R):
+    # the tail check's value-only sweep gives the bits of _sweep's ratio,
+    # on the radial rows and on both angular directions
+    label = label_from_designation(name)
+    res = solve_bispectral(label, PhysicalSetup(R))
+    alpha, c, gamma, dc, dgamma, dalpha = _Radial(
+        res.p, 2.0 * R, label.lam).rows(257)
+    ca, e, dca, de, lower, dlower = _Angular(
+        res.p, label.lam, label.parity).rows(64)
+    for A in (res.A, res.A + 0.37, res.A - 2.5):
+        for K in (8, 16, 64, 256):
+            ks = range(K, 0, -1)
+            assert _ratio(A, c, alpha, gamma, ks) == _sweep(
+                A, c, alpha, gamma, dc, dalpha, dgamma, ks)[0]
+        for j in (0, 3, 20):
+            up, down = range(63, j, -1), range(j)
+            assert _ratio(A, ca, e, lower, up) == _sweep(
+                A, ca, e, lower, dca, de, dlower, up)[0]
+            assert _ratio(A, ca, lower, e, down) == _sweep(
+                A, ca, lower, e, dca, dlower, de, down)[0]
+
+
+@pytest.mark.parametrize("label", SUPPORTED_LABELS, ids=str)
+def test_carried_radial_tail_lands_on_the_same_roots(label, monkeypatch):
+    # each p-step's polish starts from the tail length the last one
+    # settled on; find_root with every polish restarted at _K_RADIAL
+    # gives the same E, A, eigenvector, tail length and p-steps
+    import twocenter.oracle as oracle
+
+    setups = [PhysicalSetup(float(R)) for R in np.geomspace(0.02, 50.0, 10)]
+    seeds = [hydrogenic_seed(label, setup) for setup in setups]
+    carried = [find_root(label, setup, E)
+               for setup, E in zip(setups, seeds)]
+    polish = oracle._radial_eigenvalue
+    monkeypatch.setattr(oracle, "_radial_eigenvalue",
+                        lambda p, b, lam, n, K: polish(p, b, lam, n,
+                                                       oracle._K_RADIAL))
+    for got, setup, E in zip(carried, setups, seeds):
+        E_r, A_r, v_r, K_r, steps_r = find_root(label, setup, E)
+        E_c, A_c, v_c, K_c, steps_c = got
+        assert (E_c, A_c, K_c, steps_c) == (E_r, A_r, K_r, steps_r)
+        assert v_c.tobytes() == v_r.tobytes()
+
+
+@pytest.mark.parametrize("label", SUPPORTED_LABELS, ids=str)
+def test_kept_eigenvector_matches_a_fresh_angular_solve(label):
+    # the result keeps the eigenvector find_root computed at p(E);
+    # exact_channels on it equals exact_channels on a fresh _angular one
+    for R in (0.05, 1.0, 6.0, 50.0):
+        res = solve_bispectral(label, PhysicalSetup(R))
+        v = _angular(res.p, label.lam, label.m, label.parity)[3]
+        assert res.eigenvector.tobytes() == v.tobytes()
+        assert res.angular_basis_size == v.size
+        xi = np.linspace(1.0, 1.0 + 20.0 / res.p, 9)
+        eta = np.linspace(-1.0, 1.0, 11)
+        kept = exact_channels(res, xi, eta)
+        fresh = exact_channels(dataclasses.replace(res, eigenvector=v), xi,
+                               eta)
+        for (log_k, sign_k), (log_f, sign_f) in zip(kept, fresh):
+            assert log_k.tobytes() == log_f.tobytes()
+            assert sign_k.tobytes() == sign_f.tobytes()
+
+
+def test_each_p_step_builds_its_tables_once(monkeypatch):
+    # over criterion 7's 21 reference-seeded solves and the default 1ssg
+    # probe toward the united atom: every p-step and every verification
+    # starts one radial table, which only ever grows by rows it has not
+    # computed, and no angular matrix is built twice at one length
+    import twocenter.oracle as oracle
+    import twocenter.united_atom as united_atom
+
+    GS, US = StateLabel(0, 0, 0, +1), StateLabel(0, 0, 0, -1)
+    radial, angular, tables = [], [], []
+    recurrence, matrix = oracle._recurrence, oracle._angular_matrix
+
+    def counted_recurrence(p, b, lam, lo, hi):
+        radial.append((p, lo, hi))
+        return recurrence(p, b, lam, lo, hi)
+
+    def counted_matrix(p, lam, parity, K):
+        angular.append((p, lam, parity, K))
+        return matrix(p, lam, parity, K)
+
+    def tables_started_in(fn):
+        def wrapped(*args, **kwargs):
+            first = len(radial)
+            out = fn(*args, **kwargs)
+            tables.append(sum(lo == 0 for _, lo, _ in radial[first:]))
+            return out
+        return wrapped
+
+    monkeypatch.setattr(oracle, "_recurrence", counted_recurrence)
+    monkeypatch.setattr(oracle, "_angular_matrix", counted_matrix)
+    monkeypatch.setattr(oracle, "_radial_eigenvalue",
+                        tables_started_in(oracle._radial_eigenvalue))
+    monkeypatch.setattr(oracle, "radial_mismatch",
+                        tables_started_in(oracle.radial_mismatch))
+
+    refs = {(row["label"], row["R"]): row["E"]
+            for which in ("1ssg", "2psu", "lam12", "node")
+            for row in energy_table(which)}
+    points = [(GS, R) for R in (1.0, 2.0, 6.0, 10.0, 50.0)]
+    points += [(US, R) for R in (1.0, 4.0, 10.0, 20.0)]
+    points += [(row["label"], row["R"]) for row in energy_table("lam12")
+               if row["R"] in (4.0, 6.0, 10.0) and row["neg_explicit"]]
+    points += [(row["label"], row["R"]) for row in energy_table("node")
+               if row["R"] in (4.0, 10.0)]
+    assert len(points) == 21
+    results = []
+
+    def recorded(*args, **kwargs):
+        results.append(solve_bispectral(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(united_atom, "solve_bispectral", recorded)
+    for label, R in points:
+        recorded(label, PhysicalSetup(R), E_seed=refs[(label, R)])
+    united_atom.limit_convergence_probe(GS)
+    assert len(results) == 26
+    steps = sum(res.bracket_iterations for res in results)
+
+    # one table per p-step and one per verification, and nothing else
+    assert tables == [1] * len(tables)
+    assert len(tables) == steps + len(results)
+    # a table's rows are computed once: each extension starts where the
+    # rows so far end
+    end = {}
+    for p, lo, hi in radial:
+        assert lo == 0 or lo == end[p]
+        end[p] = hi
+    assert len(set(angular)) == len(angular)
