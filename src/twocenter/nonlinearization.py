@@ -13,17 +13,19 @@ separation constant and phase correction are
 and the eta channel mirrors this with W(eta) = p^2 eta^2 on [-1, 1].
 Higher orders of a nodeless xi channel repeat the step with
 Q_n = -(xi^2-1) sum x_i x_{n-i} in place of V1.  Both channels and every
-order run one shared pass: A from the channel's quadrature rule, then F
-and G = int_1^xi w X0^2 accumulated on the tabulation grid by the
-closed-form 3-point Gauss rule of each grid interval, and a single
-consistency pass A -> A - F(end)/G(end) that makes F vanish at the grid
-end before the division by (x^2-1)^(L+1) X0^2.  Each tabulated quantity
-is interpolated by cubic Hermite pieces on its grid values and the exact
-slopes the pass forms beside them (F' is the integrand of F), with an
-exact antiderivative.  The channel builders keep only what differs: the
-xi tail cut, the eta mirror, and the node's log-regular split.  The
-sampled bound of the perturbation, which only reports print, is computed
-when it is read.
+order run one shared pass on panels of 12 Gauss-Legendre nodes, graded
+geometrically toward the zeros of D = (x^2-1)^(L+1) X0^2 (xi = 1,
+eta = -1, and eta = 0 on the odd branch), where no node sits.  One
+evaluation of the trial channel per node gives A and F by each panel's
+spectral integration and the running panel totals, with A the panel
+quadrature that the consistency pass A -> A - F(end)/G(end) lands on, so
+F vanishes at both ends before the division by D.  A slope anywhere is
+the polynomial interpolant of its node values on their panel, and its
+phase that polynomial's exact antiderivative, so every (phase, slope)
+pair is derivative-consistent.  The channel builders keep only what
+differs: the xi tail cut, the eta mirror, and the node's log-regular
+split.  The sampled bound of the perturbation, which only reports
+print, is computed when it is read.
 The physical p entering V and W comes from the variational energy, not
 from the shape parameter p; with that choice the two channel estimates
 A1_xi and A1_eta coincide identically for equal charges, so their spread
@@ -35,11 +37,12 @@ stays analytic through the node of a single-node state.  For such states
 the first-order node displacement f1 is produced by the boundary formula
 at xi0, and the function correction acquires the exact local structure
 X0 -> exp(-phi0) [d + f1 + c1 d log|d| + d r(d)],  d = xi - xi0, with
-r regular; r' is integrated directly.
+r regular; r' is integrated directly, and the node is a panel edge.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -47,7 +50,7 @@ from typing import Callable
 import numpy as np
 
 from .model import PhysicalSetup, StateLabel
-from .quadrature import build_rules, integrate
+from .quadrature import _gauss
 from .trial import (TrialParams, channel_factor, channel_phase, prefactor,
                     phase_of_trial_eta, phase_of_trial_xi)
 
@@ -123,16 +126,159 @@ def true_potential_eta(p_phys: float, eta):
 # ----------------------------------------------------------------------
 # the first-order pass shared by both channels and all orders
 
-_RULE_N = 96          # quadrature rule size of the A integrals
 _SAMPLE_MAX = 50.0    # V1 is sampled on [1, _SAMPLE_MAX] for its bound
-_XI_PTS = 2400        # xi tabulation points, up to 2 p (xi-1) = _TAU_CUT
-_TAU_CUT = 30.0
+_TAU_CUT = 30.0       # the xi panels end at 2 p (xi-1) = _TAU_CUT
 _TAU_KEEP = 24.0      # the xi slope is kept up to 2 p (xi-1) = _TAU_KEEP
-_ETA_PTS = 1601       # eta tabulation points on [-1, 0]
+_PANEL_N = 12         # Gauss-Legendre nodes per panel
+# panel widths grow by _GROWTH from each graded end up to their cap: in
+# tau = 2 p (xi-1) from _XI_FIRST times the distance 2 p (1+gamma) to the
+# channel's singularity at xi = -gamma, up to _XI_WIDTH; in p eta (p at
+# least 1) from _ETA_FIRST up to _ETA_WIDTH.  The values come from a
+# convergence sweep against refined layouts and finer fixed grids.
+_GROWTH = 1.5
+_XI_FIRST = 0.2
+_XI_WIDTH = 2.5
+_ETA_FIRST = 0.2
+_ETA_WIDTH = 0.5
+
+
+def _panel_rule():
+    """The Gauss-Legendre nodes t and weights w of [-1, 1], and the
+    monomial coefficients C[j, k] of the Lagrange basis l_k on t, from
+    the interpolant's Legendre coefficients (2m+1)/2 sum_k w_k P_m f_k
+    and the monomial coefficients M[m, j] of each P_m."""
+    t, w = _gauss(_PANEL_N, False)
+    P, M = np.zeros((2, _PANEL_N, _PANEL_N))
+    P[0], P[1], M[0, 0], M[1, 1] = 1.0, t, 1.0, 1.0
+    for m in range(1, _PANEL_N - 1):
+        P[m + 1] = ((2 * m + 1) * t * P[m] - m * P[m - 1]) / (m + 1)
+        M[m + 1] = ((2 * m + 1) * np.roll(M[m], 1) - m * M[m - 1]) / (m + 1)
+    return t, w, M.T @ ((np.arange(_PANEL_N)[:, None] + 0.5) * w * P)
+
+
+_T, _W, _C = _panel_rule()
+
+
+@functools.lru_cache(maxsize=None)
+def _zero_matrix(order: int):
+    """M[j, k] = int_0^1 u^order l_k(-1 + (1+t_j) u) du, so that
+    int_-1^t_j (1+t)^order g = (1+t_j)^(order+1) (M g)_j."""
+    u, w = 0.5 * (_T + 1.0), 0.5 * _W * (0.5 * (_T + 1.0)) ** order
+    y = -1.0 + (1.0 + _T)[:, None] * u
+    return np.einsum("q,jqm,mk->jk", w,
+                     y[..., None] ** np.arange(_PANEL_N), _C)
+
+
+def _from_edge(f, half, order=0, left=True):
+    """int_edge^x f on the nodes of each panel (a row of f) from its left
+    edge, or int_x^edge from its right one, to full relative accuracy for
+    node values f that vanish at that edge to the given order."""
+    if not left:
+        return _from_edge(f[..., ::-1], half, order)[..., ::-1]
+    s = 1.0 + _T
+    return (np.asarray(half)[..., None] * s ** (order + 1)
+            * ((f / s ** order) @ _zero_matrix(order).T))
+
+
+class _Panels:
+    """Panels between increasing edges, each carrying the _PANEL_N
+    Gauss-Legendre nodes (Greengard, SIAM J. Numer. Anal. 28, 1071
+    (1991)); node values are one row per panel."""
+
+    def __init__(self, edges):
+        self.edges = np.asarray(edges, dtype=float)
+        self.half = 0.5 * np.diff(self.edges)
+        self.mid = 0.5 * (self.edges[1:] + self.edges[:-1])
+        self.nodes = self.mid[:, None] + self.half[:, None] * _T
+
+    def integrals(self, f):
+        """(int_edge0^x f, int_x^edgeN f) on the nodes, by panel and totals."""
+        tot = self.half * (f @ _W)
+        before = np.cumsum(tot) - tot
+        after = np.cumsum(tot[::-1])[::-1] - tot
+        return (before[:, None] + _from_edge(f, self.half),
+                after[:, None] + _from_edge(f, self.half, left=False))
+
+    def interpolant(self, vals):
+        """The panel polynomials through a slope's vals, zero beyond the
+        last edge, where its antiderivative is held."""
+        return self._piecewise(vals @ _C.T)
+
+    def antiderivative(self, vals, start=0.0):
+        """start + int_edge0^u of the interpolant of vals, as each panel's
+        left-edge value plus (1+s) Q(s): exact at every left edge."""
+        a = self.half[:, None] * (vals @ _C.T) / np.arange(1, _PANEL_N + 1)
+        q = np.empty_like(a)  # (sum_k a_k s^(k+1) - its value at -1) / (1+s)
+        q[:, -1] = a[:, -1]
+        for k in range(_PANEL_N - 2, -1, -1):
+            q[:, k] = a[:, k] - q[:, k + 1]
+        tot = 2.0 * np.sum(q, axis=1)
+        return self._piecewise(q, start + np.cumsum(tot) - tot)
+
+    def _piecewise(self, coef, left=None):
+        """The polynomials of the rows coef in each panel's s on [-1, 1],
+        or left + (1+s) times them."""
+        coef = coef.T.copy()
+
+        def evaluate(u):
+            u = np.asarray(u, dtype=float)
+            i = np.minimum(np.maximum(np.searchsorted(self.edges, u, "right")
+                                      - 1, 0), self.half.size - 1)
+            s = np.minimum(np.maximum((u - self.mid[i]) / self.half[i], -1.0),
+                           1.0)
+            out = coef[-1, i]
+            for c in coef[-2::-1]:
+                out = out * s + c[i]
+            if left is None:
+                out = np.where(u > self.edges[-1], 0.0, out)
+            else:
+                out = left[i] + (1.0 + s) * out
+            return out if out.ndim else float(out)
+        return evaluate
+
+
+def _grown(length, first, cap):
+    """Edge offsets 0 < ... < length of panels whose widths grow by
+    _GROWTH from first up to cap, stretched to end at length."""
+    widths = [min(first, cap)]
+    while sum(widths) < length:
+        widths.append(min(widths[-1] * _GROWTH, cap))
+    edges = np.r_[0.0, np.cumsum(widths)] * (length / sum(widths))
+    edges[-1] = length
+    return edges
+
+
+def _xi_panels(params) -> _Panels:
+    """Graded toward xi = 1, where F vanishes as (xi-1)^(L+1), with edges
+    at the slope cut _TAU_KEEP, at _TAU_CUT and at the node xi0 of a
+    single-node state, which replaces the inner edges within a quarter of
+    its panel's width."""
+    tau = np.r_[_grown(_TAU_KEEP, _XI_FIRST * 2.0 * params.p
+                       * (1.0 + params.gamma), _XI_WIDTH),
+                _TAU_KEEP + _grown(_TAU_CUT - _TAU_KEEP, _XI_WIDTH,
+                                   _XI_WIDTH)[1:]]
+    edges = 1.0 + tau / (2.0 * params.p)
+    if params.xi0 is not None:
+        j = np.searchsorted(edges, params.xi0)
+        near = np.abs(edges - params.xi0) < 0.25 * (edges[j] - edges[j - 1])
+        near[[0, -1]] = False
+        edges = np.sort(np.r_[edges[~near], params.xi0])
+    return _Panels(edges)
+
+
+def _eta_panels(p_scale: float, parity: int) -> _Panels:
+    """Panels on [-1, 0], graded toward eta = -1 and, on the odd branch,
+    eta = 0, where F vanishes; at most _ETA_WIDTH / p wide, as the zeros
+    of cosh w and sinh w lie about pi / (2p) off the axis."""
+    first, cap = np.array([_ETA_FIRST, _ETA_WIDTH]) / max(p_scale, 1.0)
+    if parity == +1:
+        return _Panels(_grown(1.0, first, cap) - 1.0)
+    half = _grown(0.5, first, cap)
+    return _Panels(np.concatenate([half, 1.0 - half[-2::-1]]) - 1.0)
 
 
 def _parts(params, label, setup, p_phys, x, scale, channel):
-    """(w X0^2, pole-free V1 w X0^2 without its A term, w X0 X0') on x."""
+    """(w X0^2, pole-free V1 w X0^2 without its A term) on x."""
     lam = label.lam
     X, dX, ddX = channel_factor(params, label, setup, x, channel, scale)
     w = (x * x - 1.0) ** lam
@@ -140,128 +286,34 @@ def _parts(params, label, setup, p_phys, x, scale, channel):
     lhs = ((x * x - 1.0) * ddX + 2.0 * (lam + 1.0) * x * dX) * X * w
     V = (true_potential_xi(setup, p_phys, x) if channel == "xi"
          else true_potential_eta(p_phys, x))
-    return wX2, V * wX2 - lhs, w * X * dX
-
-
-def _cumulative(fn, grid):
-    """Cumulative integrals int_{grid_0}^{grid_j} of each array that fn
-    returns, from one evaluation on the nodes of the closed-form 3-point
-    Gauss-Legendre rule of each interval (nodes 0, +-sqrt(3/5), weights
-    8/9, 5/9).  The grid intervals are short enough that its error,
-    O(h^7 f^(6)) per interval, is already at the rounding level."""
-    a = grid[:-1]
-    b = grid[1:]
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    nodes = math.sqrt(0.6) * np.array([-1.0, 0.0, 1.0])
-    weights = np.array([5.0, 8.0, 5.0]) / 9.0
-    pts = mid[:, None] + half[:, None] * nodes
-    return [np.concatenate([[0.0], np.cumsum(half * (v.reshape(pts.shape)
-                                                     @ weights))])
-            for v in fn(pts.ravel())]
-
-
-def _hermite(x, y, dy):
-    """The piecewise cubic Hermite interpolant of the values y and slopes
-    dy on the knots x, and its exact antiderivative from x[0]: two
-    vectorized callables, constant beyond the knots."""
-    h = np.diff(x)
-    y0, m0, m1 = y[:-1], h * dy[:-1], h * dy[1:]
-    c2 = 3.0 * (y[1:] - y0) - 2.0 * m0 - m1
-    c3 = 2.0 * (y0 - y[1:]) + m0 + m1
-    a1, a2, a3, a4 = h * y0, h * m0 / 2.0, h * c2 / 3.0, h * c3 / 4.0
-    cum = np.concatenate([[0.0], np.cumsum(a1 + a2 + a3 + a4)])
-    inner = x[1:-1]
-
-    def locate(u):
-        i = np.searchsorted(inner, u, side="right")
-        return i, np.minimum(np.maximum((u - x[i]) / h[i], 0.0), 1.0)
-
-    def value(u):
-        i, s = locate(u)
-        return y0[i] + s * (m0[i] + s * (c2[i] + s * c3[i]))
-
-    def integral(u):
-        i, s = locate(u)
-        return cum[i] + s * (a1[i] + s * (a2[i] + s * (a3[i] + s * a4[i])))
-    return value, integral
-
-
-def _end_slope(x, y):
-    """Slope at x[0] of the cubic through the first four points: the
-    derivatives of its Lagrange basis there, with d_k = x_k - x_0."""
-    d = [float(x[k] - x[0]) for k in (1, 2, 3)]
-    slope = -float(y[0]) * sum(1.0 / dk for dk in d)
-    for j in range(3):
-        a, b = (d[k] for k in range(3) if k != j)
-        slope += float(y[j + 1]) * a * b / (d[j] * (d[j] - a) * (d[j] - b))
-    return slope
-
-
-def _xi_grid(p_scale: float):
-    u = np.linspace(0.0, 1.0, _XI_PTS)
-    return 1.0 + (_TAU_CUT / (2.0 * p_scale)) * u * u
+    return wX2, V * wX2 - lhs
 
 
 def _first_order(params, label, setup, p_phys, channel, q=None):
-    """(A, grid, (F, F', D, D'/D), scale) of one channel: the first-order
-    pass.
-
-    A = int Q w X0^2 / int w X0^2 on the channel rule, where Q is the
-    pole-free V1, or the callable q at higher orders.  F = int (A-Q) w X0^2
-    and G = int w X0^2 accumulate on the tabulation grid from one parts
-    evaluation; one consistency pass then makes F vanish exactly at the
-    grid end, so the exponentially growing division by the slope
-    denominator D = (x^2-1)^(L+1) X0^2 cannot amplify the quadrature
-    floor.  F' = (A-Q) w X0^2, D and D'/D come from one parts evaluation
-    on the grid."""
-    lam = label.lam
-    if channel == "xi":
-        rule = build_rules(params.p, _RULE_N)[0]
-        grid = _xi_grid(params.p)
-    else:
-        rule = build_rules(max(params.p, 1.0), _RULE_N)[1]
-        grid = np.linspace(-1.0, 0.0, _ETA_PTS)  # mirrored by the caller
-    scale = float(np.min(channel_phase(params, label, setup, rule.nodes,
+    """(A, panels, f, F, D, scale) on the panel nodes: f = (A-Q) w X0^2
+    and F = int f, Q the pole-free V1 (or q at higher orders), and A =
+    int Q w X0^2 / int w X0^2 on the panels, where the consistency pass
+    A -> A - F(end)/G(end) puts it.  F vanishes at both ends, so each node
+    takes it from the end nearer in the mass of f: a short integral, not
+    a cancelling difference, where D vanishes or its division grows."""
+    panels = (_xi_panels(params) if channel == "xi"  # eta: mirrored later
+              else _eta_panels(params.p, label.parity))
+    x = panels.nodes.ravel()
+    scale = float(np.min(channel_phase(params, label, setup, panels.edges,
                                        channel)[0]))
-
-    def parts(x):
-        wX2, VwX2, wXdX = _parts(params, label, setup, p_phys, x, scale,
-                                 channel)
-        return wX2, (VwX2 if q is None else q(x) * wX2), wXdX
-
-    wX2, QwX2, _ = parts(rule.nodes)
-    num, den = integrate(rule, np.array([QwX2, wX2]))
-    A = num / den
-
-    def integrands(x):
-        wX2, QwX2, _ = parts(x)
-        return A * wX2 - QwX2, wX2
-
-    F, G = _cumulative(integrands, grid)
-    A, F = A - F[-1] / G[-1], F - F[-1] * (G / G[-1])
-    wX2, QwX2, wXdX = parts(grid)
-    base = grid * grid - 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dlog = 2.0 * (lam + 1.0) * grid / base + 2.0 * wXdX / wX2
-    return A, grid, (F, A * wX2 - QwX2, base * wX2, dlog), scale
-
-
-def _slope(lam, grid, tab, A, Q):
-    """x1 = F / D on the grid and its slope x1' = F'/D - x1 D'/D, from the
-    pass's tabulation (F, F', D, D'/D).  At the first point x = +-1, x1
-    takes the regular limit (A - Q) / (2 (L+1) x); there, and wherever
-    else D vanishes, the slope is that of the cubic through the four
-    nearest points."""
-    F, dF, D, dlog = tab
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x1 = np.where(D != 0.0, F / D, 0.0)
-        dx1 = dF / D - x1 * dlog
-    x1[0] = (A - float(Q(grid[:1])[0])) / (2.0 * (lam + 1.0)) * grid[0]
-    for i in np.flatnonzero(D == 0.0):
-        side = slice(i, None) if i == 0 else slice(i, None, -1)
-        dx1[i] = _end_slope(grid[side], x1[side])
-    return x1, dx1
+    wX2, QwX2 = _parts(params, label, setup, p_phys, x, scale, channel)
+    QwX2 = QwX2 if q is None else q(x) * wX2
+    wts = (panels.half[:, None] * _W).ravel()
+    A = math.fsum((wts * QwX2).tolist()) / math.fsum((wts * wX2).tolist())
+    wX2, QwX2 = (v.reshape(panels.nodes.shape) for v in (wX2, QwX2))
+    f = A * wX2 - QwX2
+    left, right = panels.integrals(f)
+    m = panels.half * (np.abs(f) @ _W)
+    nearer_left = np.cumsum(m) - 0.5 * m <= 0.5 * np.sum(m)
+    F = np.where(nearer_left[:, None], left, -right)
+    # at xi = 1 and eta = -1, where D vanishes, f vanishes to order L
+    F[0] = _from_edge(f[0], panels.half[0], label.lam)
+    return A, panels, f, F, (panels.nodes ** 2 - 1.0) * wX2, scale
 
 
 # ----------------------------------------------------------------------
@@ -276,19 +328,14 @@ def _sup(Q, xs) -> float:
     return bound
 
 
-def _V1_xi(params: TrialParams, label: StateLabel, setup: PhysicalSetup,
-           p: float):
-    def V1(xi):
-        return true_potential_xi(setup, p, xi) \
-            - channel_potential_xi(params, label, setup, xi)
-    return V1
-
-
 def build_V1_xi(params: TrialParams, label: StateLabel, setup: PhysicalSetup,
                 p_phys: float | None = None):
     """Perturbation V1 = V - V0 as a callable, with its sampled bound."""
     p = p_phys if p_phys is not None else params.p
-    V1 = _V1_xi(params, label, setup, p)
+
+    def V1(xi):
+        return true_potential_xi(setup, p, xi) \
+            - channel_potential_xi(params, label, setup, xi)
     pole = params.xi0
     xs = np.linspace(1.0, _SAMPLE_MAX, 4001)
     if pole is not None:
@@ -302,76 +349,48 @@ def first_correction_xi(params: TrialParams, label: StateLabel,
     channel (single-node states go through node_correction_xi)."""
     if label.n != 0:
         raise ValueError("first_correction_xi needs a nodeless state")
-    A1, grid, tab, _ = _first_order(params, label, setup, p_phys, "xi")
-    x1, dx1 = _slope(label.lam, grid, tab, A1,
-                     _V1_xi(params, label, setup, p_phys))
-    return _package_xi(grid, x1, dx1, A1, params.p,
-                       lambda: build_V1_xi(params, label, setup, p_phys)[1])
+    return _nodeless_xi(params, label, setup, p_phys,
+                        lambda: build_V1_xi(params, label, setup, p_phys)[1])
 
 
-def _package_xi(grid, x1, dx1, A1, p_scale, bound) -> ChannelPT:
-    # the slope is cut beyond _TAU_KEEP, where the exponentially growing
-    # division has nothing left to resolve; the slope's Hermite cubics and
-    # their antiderivative give an exact, C1-smooth (function, derivative)
-    # pair: smooth enough for the spectral rules and derivative-consistent
-    # so the corrected state stays variational
-    tail = int(np.searchsorted(grid, 1.0 + _TAU_KEEP / (2.0 * p_scale)))
-    x1[tail:] = dx1[tail:] = 0.0
-    sl = slice(0, max(tail, 8))
-    x1_ip, phi1_ip = _hermite(grid[sl], x1[sl], dx1[sl])
-    hi = grid[sl][-1]
-
-    def phi1(x):
-        out = phi1_ip(np.asarray(x, dtype=float))
-        return out if out.ndim else float(out)
-
-    def slope(x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(x >= hi, 0.0, x1_ip(x))
-        return out if out.ndim else float(out)
-
-    return ChannelPT("xi", A1, phi1, slope, bound)
+def _nodeless_xi(params, label, setup, p_phys, bound, q=None) -> ChannelPT:
+    # the slope is cut at the _TAU_KEEP edge, where the exponentially
+    # growing division has nothing left to resolve; phi1 is the exact
+    # antiderivative of the slope's panel polynomials, so the pair is
+    # derivative-consistent and the corrected state stays variational
+    A1, panels, _, F, D, _ = _first_order(params, label, setup, p_phys,
+                                          "xi", q)
+    cut = np.argmin(np.abs(panels.edges - 1.0 - _TAU_KEEP / (2.0 * params.p)))
+    keep, x1 = _Panels(panels.edges[:cut + 1]), (F / D)[:cut]
+    return ChannelPT("xi", A1, keep.antiderivative(x1),
+                     keep.interpolant(x1), bound)
 
 
 # ----------------------------------------------------------------------
 # first-order corrections, eta channel
 
 
-def _W1_eta(params: TrialParams, label: StateLabel, p_phys: float):
+def build_W1_eta(params: TrialParams, label: StateLabel, p_phys: float):
+    """Perturbation W1 = W - W0 as a callable, with its sampled bound."""
     def W1(eta):
         return true_potential_eta(p_phys, eta) \
             - channel_potential_eta(params, label, eta)
-    return W1
-
-
-def build_W1_eta(params: TrialParams, label: StateLabel, p_phys: float):
-    """Perturbation W1 = W - W0 as a callable, with its sampled bound."""
-    W1 = _W1_eta(params, label, p_phys)
     return W1, _sup(W1, np.linspace(-1.0, 1.0, 4001))
 
 
 def first_correction_eta(params: TrialParams, label: StateLabel,
                          p_phys: float) -> ChannelPT:
     """A1_eta and the tabulated phase correction rho1 (even in eta)."""
-    A1, grid, tab, _ = _first_order(params, label, None, p_phys, "eta")
-    # computed on [-1, 0] and mirrored: y1 is odd, rho1 even
-    y1, dy1 = _slope(label.lam, grid, tab, A1, _W1_eta(params, label, p_phys))
-    y1[-1] = 0.0
-
-    full = np.concatenate([grid, -grid[-2::-1]])
-    y1_ip, rho1_anti = _hermite(full, np.concatenate([y1, -y1[-2::-1]]),
-                                np.concatenate([dy1, dy1[-2::-1]]))
-    rho1_mid = float(rho1_anti(0.0))  # gauge rho1(0) = 0
-
-    def rho1(x):
-        out = rho1_anti(np.asarray(x, dtype=float)) - rho1_mid
-        return out if out.ndim else float(out)
-
-    def slope(x):
-        out = y1_ip(np.asarray(x, dtype=float))
-        return out if out.ndim else float(out)
-
-    return ChannelPT("eta", A1, rho1, slope,
+    A1, panels, _, F, D, _ = _first_order(params, label, None, p_phys,
+                                          "eta")
+    # tabulated on [-1, 0] and mirrored: y1 is odd, rho1 even, and the
+    # gauge is rho1(0) = 0
+    y1 = F / D
+    gauge = -np.sum(panels.half * (y1 @ _W))
+    full, y1 = (_Panels(np.r_[panels.edges, -panels.edges[-2::-1]]),
+                np.r_[y1, -y1[::-1, ::-1]])
+    return ChannelPT("eta", A1, full.antiderivative(y1, gauge),
+                     full.interpolant(y1),
                      lambda: build_W1_eta(params, label, p_phys)[1])
 
 
@@ -401,62 +420,40 @@ def node_correction_xi(params: TrialParams, label: StateLabel,
                        setup: PhysicalSetup, p_phys: float) -> NodeCorrection:
     if label.n != 1 or params.xi0 is None:
         raise ValueError("node_correction_xi needs a single-node state")
-    lam = label.lam
-    xi0 = params.xi0
-    # h' = -F/denom has a double pole at xi0: split off its log-regular part
-    A1, grid, (F, dF, _, _), scale0 = _first_order(params, label, setup,
-                                                   p_phys, "xi")
-    Fip = _hermite(grid, F, dF)[0]
+    lam, xi0 = label.lam, params.xi0
+    # h' = -F/D has a double pole at xi0 (D = (xi^2-1)^(L+1) X0^2 holds
+    # the node's d^2): split off its log-regular part
+    A1, panels, f, F, D, scale0 = _first_order(params, label, setup,
+                                               p_phys, "xi")
+    k = int(np.searchsorted(panels.edges, xi0))  # xi0 is edge k
+    tot, m = (panels.half * (g @ _W) for g in (f, np.abs(f)))
+    F0 = np.sum(tot[:k]) if np.sum(m[:k]) <= np.sum(m[k:]) else -np.sum(tot[k:])
 
     phi0_0, dphi0_0, _ = phase_of_trial_xi(params, label, setup,
                                            np.array([xi0]))
     # D0 = (xi^2-1)^(L+1) exp(-2(phi0-scale0)); f0' = 1 (monic node factor)
     D0 = (xi0**2 - 1.0) ** (lam + 1) * math.exp(-2.0 * (phi0_0[0] - scale0))
-    f1 = float(Fip(xi0)) / D0
-    dlogD0 = 2.0 * (lam + 1.0) * xi0 / (xi0**2 - 1.0) - 2.0 * dphi0_0[0]
-    c1 = f1 * float(dlogD0)
+    f1 = float(F0) / D0
+    c1 = f1 * float(2.0 * (lam + 1.0) * xi0 / (xi0**2 - 1.0) - 2.0 * dphi0_0[0])
 
-    # h' = -F/denom is 0/0 at xi = 1; its limit is -(A1 - V1(1)) / (2(L+1))
-    hp_1 = -(A1 - float(_V1_xi(params, label, setup, p_phys)(1.0))) \
-        / (2.0 * (lam + 1.0))
+    # r' = h' + f1/d^2 - c1/d is regular through xi0.  Nearer xi0 than
+    # xi = 1, F - F0 = int_xi0^x f (f vanishes as d there) is taken from
+    # xi0 itself, so the 1/d^2 terms cancel without F's rounding
+    d = panels.nodes - xi0
+    dr = -F / D + f1 / (d * d) - c1 / d
+    for row, left in ((k, True), (k - 1, False)):
+        Ft = _from_edge(f[row], panels.half[row], 1, left)
+        local = ((-1.0 if left else 1.0) * Ft / D[row]
+                 + f1 * (1.0 / d[row] ** 2 - D0 / D[row]) - c1 / d[row])
+        dr[row] = np.where(np.abs(d[row]) < panels.nodes[row] - 1.0, local,
+                           dr[row])
 
-    def dr_raw(x):
-        x = np.asarray(x, dtype=float)
-        phi, dphi, _ = phase_of_trial_xi(params, label, setup, x)
-        d = x - xi0
-        denom = (x * x - 1.0) ** (lam + 1) * d * d * np.exp(-2.0 * (phi - scale0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            hp = np.where(x != 1.0, -Fip(x) / denom, hp_1)
-            return hp + f1 / (d * d) - c1 / d
-
-    def dr_fn(x):
-        # r' is regular through xi0 but its formula is 0/0 there; bridge
-        # the immediate neighbourhood linearly from clean side points
-        x = np.asarray(x, dtype=float)
-        d = x - xi0
-        eps = 1e-5
-        out = dr_raw(np.where(np.abs(d) < eps, xi0 + 2.0 * eps, x))
-        near = np.abs(d) < eps
-        if np.any(near):
-            lo = dr_raw(np.array([xi0 - eps]))[0]
-            hi = dr_raw(np.array([xi0 + eps]))[0]
-            t = (d[near] + eps) / (2.0 * eps)
-            out[near] = lo + (hi - lo) * t
-        return out
-
-    # r' is regular through xi0; integrate it on the tabulation grid,
-    # then anchor the gauge with h(1) = 0 on the left branch.
-    rp, = _cumulative(lambda x: (dr_fn(x),), grid)
-    r0 = -(f1 / (grid[0] - xi0) + c1 * math.log(abs(grid[0] - xi0)))
-    r_ip = _hermite(grid, rp + r0, dr_fn(grid))[0]
-
-    def r_fn(x):
-        return r_ip(np.asarray(x, dtype=float))
-
-    def dr_pub(x):
-        return dr_fn(np.clip(np.asarray(x, dtype=float), grid[0], grid[-1]))
-
-    return NodeCorrection(f1=f1, c1=c1, r=r_fn, dr=dr_pub, xi0=xi0, A1=A1)
+    # r is the exact antiderivative of r' on the panels, gauged by h(1) = 0
+    # on the left branch; it is flat beyond the last edge, where r' = 0
+    r = panels.antiderivative(dr, -(f1 / (1.0 - xi0)
+                                    + c1 * math.log(xi0 - 1.0)))
+    return NodeCorrection(f1=f1, c1=c1, r=r, dr=panels.interpolant(dr),
+                          xi0=xi0, A1=A1)
 
 
 # ----------------------------------------------------------------------
@@ -482,7 +479,5 @@ def next_correction_xi(params: TrialParams, label: StateLabel,
     def qn(x):
         return higher_Q_xi([c.correction_slope for c in prev], x)
 
-    An, grid, tab, _ = _first_order(params, label, setup, params.p, "xi",
-                                    q=qn)
-    xn, dxn = _slope(label.lam, grid, tab, An, qn)
-    return _package_xi(grid, xn, dxn, An, params.p, lambda: _sup(qn, grid))
+    return _nodeless_xi(params, label, setup, params.p,
+                        lambda: _sup(qn, _xi_panels(params).nodes), qn)

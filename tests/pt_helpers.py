@@ -3,13 +3,25 @@
 residual_custom_phase is the Riccati residual of an analytically given
 phase, for the exact one-center fixtures; p_reopt_shift measures how far
 the phase correction moves the re-optimized p (acceptance criterion 6).
+hermite_corrections is the first-order pass on fixed grids that the
+panels replaced: the reference the panel tables are held to, sampled by
+correction_values on the bulk of the channels (bulk_points) with the
+rounding floor two passes may differ by.
+exact_deviation measures a corrected state pointwise against the exact
+eigenfunctions of the oracle.
 """
+
+import math
 
 import numpy as np
 
+from twocenter import nonlinearization as nl
 from twocenter.model import p_from_energy
-from twocenter.quadrature import rayleigh_quotient
+from twocenter.oracle import exact_channels, solve_bispectral
+from twocenter.quadrature import build_rules, integrate, rayleigh_quotient
 from twocenter.states import SolvedState
+from twocenter.trial import (channel_factor, channel_phase, eta_channel,
+                             phase_of_trial_xi, xi_channel)
 
 
 def residual_custom_phase(phi_d1, phi_d2, V, A, lam, x):
@@ -65,3 +77,283 @@ def p_reopt_shift(state: SolvedState, delta: float = 1e-4,
         raise ValueError(f"unknown method {method!r}")
     return abs(p_from_energy(e_c, state.setup)
                - p_from_energy(e_b, state.setup)) / state.params.p
+
+
+# ----------------------------------------------------------------------
+# the first-order pass on fixed grids: cumulative integrals by the 3-point
+# Gauss rule of each grid interval, cubic Hermite tables on the values and
+# exact slopes it forms
+
+XI_PTS = 2400     # the grid sizes of the pass the panels replaced
+ETA_PTS = 1601
+RULE_N = 96       # the size of the rule its A integrals came from
+
+
+def _cumulative(fn, grid):
+    """Cumulative integrals int_{grid_0}^{grid_j} of each array that fn
+    returns, on the closed-form 3-point Gauss-Legendre rule of each
+    interval (nodes 0, +-sqrt(3/5), weights 8/9, 5/9)."""
+    half = 0.5 * np.diff(grid)
+    mid = 0.5 * (grid[1:] + grid[:-1])
+    nodes = math.sqrt(0.6) * np.array([-1.0, 0.0, 1.0])
+    weights = np.array([5.0, 8.0, 5.0]) / 9.0
+    pts = mid[:, None] + half[:, None] * nodes
+    return [np.concatenate([[0.0], np.cumsum(half * (v.reshape(pts.shape)
+                                                     @ weights))])
+            for v in fn(pts.ravel())]
+
+
+def hermite(x, y, dy):
+    """The piecewise cubic Hermite interpolant of the values y and slopes
+    dy on the knots x, and its exact antiderivative from x[0]: two
+    vectorized callables, constant beyond the knots."""
+    h = np.diff(x)
+    y0, m0, m1 = y[:-1], h * dy[:-1], h * dy[1:]
+    c2 = 3.0 * (y[1:] - y0) - 2.0 * m0 - m1
+    c3 = 2.0 * (y0 - y[1:]) + m0 + m1
+    a1, a2, a3, a4 = h * y0, h * m0 / 2.0, h * c2 / 3.0, h * c3 / 4.0
+    cum = np.concatenate([[0.0], np.cumsum(a1 + a2 + a3 + a4)])
+    inner = x[1:-1]
+
+    def locate(u):
+        i = np.searchsorted(inner, u, side="right")
+        return i, np.minimum(np.maximum((u - x[i]) / h[i], 0.0), 1.0)
+
+    def value(u):
+        i, s = locate(u)
+        return y0[i] + s * (m0[i] + s * (c2[i] + s * c3[i]))
+
+    def integral(u):
+        i, s = locate(u)
+        return cum[i] + s * (a1[i] + s * (a2[i] + s * (a3[i] + s * a4[i])))
+    return value, integral
+
+
+def _end_slope(x, y):
+    """Slope at x[0] of the cubic through the first four points."""
+    d = [float(x[k] - x[0]) for k in (1, 2, 3)]
+    slope = -float(y[0]) * sum(1.0 / dk for dk in d)
+    for j in range(3):
+        a, b = (d[k] for k in range(3) if k != j)
+        slope += float(y[j + 1]) * a * b / (d[j] * (d[j] - a) * (d[j] - b))
+    return slope
+
+
+def xi_grid(p_scale, pts=XI_PTS):
+    u = np.linspace(0.0, 1.0, pts)
+    return 1.0 + (nl._TAU_CUT / (2.0 * p_scale)) * u * u
+
+
+def _first_order(params, label, setup, p_phys, channel, grid):
+    """(A, (F, F', D, D'/D), scale) of one channel on a fixed grid."""
+    lam = label.lam
+    rule = build_rules(params.p if channel == "xi" else max(params.p, 1.0),
+                       RULE_N)[0 if channel == "xi" else 1]
+    scale = float(np.min(channel_phase(params, label, setup, rule.nodes,
+                                       channel)[0]))
+
+    def parts(x):
+        X, dX, ddX = channel_factor(params, label, setup, x, channel, scale)
+        w = (x * x - 1.0) ** lam
+        wX2, VwX2 = nl._parts(params, label, setup, p_phys, x, scale,
+                              channel)
+        return wX2, VwX2, w * X * dX
+
+    wX2, QwX2, _ = parts(rule.nodes)
+    num, den = integrate(rule, np.array([QwX2, wX2]))
+    A = num / den
+
+    def integrands(x):
+        wX2, QwX2, _ = parts(x)
+        return A * wX2 - QwX2, wX2
+
+    F, G = _cumulative(integrands, grid)
+    A, F = A - F[-1] / G[-1], F - F[-1] * (G / G[-1])
+    wX2, QwX2, wXdX = parts(grid)
+    base = grid * grid - 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dlog = 2.0 * (lam + 1.0) * grid / base + 2.0 * wXdX / wX2
+    return A, (F, A * wX2 - QwX2, base * wX2, dlog), scale
+
+
+def _slope(lam, grid, tab, A, Q):
+    """x1 = F / D on the grid and its slope F'/D - x1 D'/D; where D
+    vanishes, the regular limit and the slope of a four-point cubic."""
+    F, dF, D, dlog = tab
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x1 = np.where(D != 0.0, F / D, 0.0)
+        dx1 = dF / D - x1 * dlog
+    x1[0] = (A - float(Q(grid[:1])[0])) / (2.0 * (lam + 1.0)) * grid[0]
+    for i in np.flatnonzero(D == 0.0):
+        side = slice(i, None) if i == 0 else slice(i, None, -1)
+        dx1[i] = _end_slope(grid[side], x1[side])
+    return x1, dx1
+
+
+def hermite_corrections(state, xi_pts=XI_PTS, eta_pts=ETA_PTS):
+    """(xi data, eta ChannelPT) of a solved state on fixed grids of
+    xi_pts and eta_pts points: the xi data is a ChannelPT for a nodeless
+    state and a NodeCorrection for a single-node one."""
+    params, label, setup = state.params, state.label, state.setup
+    p_phys = p_from_energy(state.energy.E_total, setup)
+    grid = xi_grid(params.p, xi_pts)
+    A, tab, scale0 = _first_order(params, label, setup, p_phys, "xi", grid)
+    if label.n == 0:
+        x1, dx1 = _slope(label.lam, grid, tab, A,
+                         nl.build_V1_xi(params, label, setup, p_phys)[0])
+        tail = int(np.searchsorted(grid, 1.0 + nl._TAU_KEEP
+                                   / (2.0 * params.p)))
+        x1[tail:] = dx1[tail:] = 0.0
+        sl = slice(0, max(tail, 8))
+        x1_ip, phi1_ip = hermite(grid[sl], x1[sl], dx1[sl])
+        hi = grid[sl][-1]
+        xi_data = nl.ChannelPT(
+            "xi", A, lambda x: phi1_ip(np.asarray(x, dtype=float)),
+            lambda x: np.where(np.asarray(x) >= hi, 0.0,
+                               x1_ip(np.asarray(x, dtype=float))),
+            lambda: math.nan)
+    else:
+        xi_data = _node(params, label, setup, p_phys, grid, A, tab, scale0)
+
+    egrid = np.linspace(-1.0, 0.0, eta_pts)
+    A_eta, tab, _ = _first_order(params, label, None, p_phys, "eta", egrid)
+    y1, dy1 = _slope(label.lam, egrid, tab, A_eta,
+                     nl.build_W1_eta(params, label, p_phys)[0])
+    y1[-1] = 0.0
+    full = np.concatenate([egrid, -egrid[-2::-1]])
+    y1_ip, rho1_anti = hermite(full, np.concatenate([y1, -y1[-2::-1]]),
+                               np.concatenate([dy1, dy1[-2::-1]]))
+    mid = float(rho1_anti(0.0))
+    eta_data = nl.ChannelPT(
+        "eta", A_eta,
+        lambda x: rho1_anti(np.asarray(x, dtype=float)) - mid,
+        lambda x: y1_ip(np.asarray(x, dtype=float)), lambda: math.nan)
+    return xi_data, eta_data
+
+
+def _node(params, label, setup, p_phys, grid, A1, tab, scale0):
+    """The node channel's (f1, c1, r, r') on a fixed grid."""
+    lam, xi0 = label.lam, params.xi0
+    F, dF = tab[:2]
+    Fip = hermite(grid, F, dF)[0]
+    phi0_0, dphi0_0, _ = phase_of_trial_xi(params, label, setup,
+                                           np.array([xi0]))
+    D0 = (xi0**2 - 1.0) ** (lam + 1) * math.exp(-2.0 * (phi0_0[0] - scale0))
+    f1 = float(Fip(xi0)) / D0
+    c1 = f1 * float(2.0 * (lam + 1.0) * xi0 / (xi0**2 - 1.0)
+                    - 2.0 * dphi0_0[0])
+    hp_1 = -(A1 - float(nl.build_V1_xi(params, label, setup,
+                                      p_phys)[0](1.0))) \
+        / (2.0 * (lam + 1.0))
+
+    def dr_raw(x):
+        phi = phase_of_trial_xi(params, label, setup, x)[0]
+        d = x - xi0
+        denom = (x * x - 1.0) ** (lam + 1) * d * d \
+            * np.exp(-2.0 * (phi - scale0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            hp = np.where(x != 1.0, -Fip(x) / denom, hp_1)
+            return hp + f1 / (d * d) - c1 / d
+
+    def dr_fn(x):
+        x = np.asarray(x, dtype=float)
+        d, eps = x - xi0, 1e-5
+        out = dr_raw(np.where(np.abs(d) < eps, xi0 + 2.0 * eps, x))
+        near = np.abs(d) < eps
+        if np.any(near):
+            lo, hi = dr_raw(np.array([xi0 - eps, xi0 + eps]))
+            out[near] = lo + (hi - lo) * (d[near] + eps) / (2.0 * eps)
+        return out
+
+    rp, = _cumulative(lambda x: (dr_fn(x),), grid)
+    r0 = -(f1 / (grid[0] - xi0) + c1 * math.log(abs(grid[0] - xi0)))
+    r_ip = hermite(grid, rp + r0, dr_fn(grid))[0]
+    return nl.NodeCorrection(
+        f1=f1, c1=c1, r=lambda x: r_ip(np.asarray(x, dtype=float)),
+        dr=lambda x: dr_fn(np.clip(np.asarray(x, dtype=float), grid[0],
+                                   grid[-1])),
+        xi0=xi0, A1=A1)
+
+
+def bulk_points(state, tau_max=40.0, bulk=1e-2, points=4001):
+    """(xi, eta) sample points where the uncorrected channel's modulus is
+    at least `bulk` of its largest, each with its largest first: xi on
+    2p(xi-1) in [0, tau_max], eta on [-1, 1]."""
+    params, label = state.params, state.label
+    xs = 1.0 + np.linspace(0.0, tau_max, points) / (2.0 * params.p)
+    es = np.linspace(-1.0, 1.0, points)
+    out = []
+    for x, ca in ((xs, xi_channel(params, label, state.setup, xs)),
+                  (es, eta_channel(params, label, es))):
+        v = np.abs(ca.vals)
+        out.append(np.r_[x[np.argmax(v)], x[v >= bulk * np.max(v)]])
+    return tuple(out)
+
+
+def correction_values(state, xi_data, eta_data):
+    """{name: (values, rounding floor)} of one state's first-order tables
+    on its bulk points (phi1, x1 or r, r', and rho1, y1), and its
+    {name: value} of A1 (and f1, c1 on a single-node state).  phi1 and
+    rho1 are taken relative to their value at the channel's largest
+    modulus: a constant phase only scales the channel, and normalization
+    takes it out.
+
+    A slope's floor is one part in 1e15 of the size |A1| + p^2 x^2 of the
+    potential terms whose difference it integrates, and a phase's floor
+    that times the length of the bulk: where a correction is that small,
+    its tables hold rounding, and two passes differ by it."""
+    xs, es = bulk_points(state)
+    p = state.params.p
+    floor_x = 1e-15 * (abs(xi_data.A1) + (p * np.max(xs)) ** 2)
+    floor_e = 1e-15 * (abs(eta_data.A1) + p * p)
+
+    def phase(fn, x):
+        vals = fn(x)
+        return vals[1:] - vals[0]
+
+    tables = {"rho1": (phase(eta_data.correction_phase, es), 2.0 * floor_e),
+              "y1": (eta_data.correction_slope(es[1:]), floor_e)}
+    scalars = {"A1_xi": xi_data.A1, "A1_eta": eta_data.A1}
+    xs_len = np.max(xs) - 1.0
+    if state.label.n == 0:
+        tables["phi1"] = (phase(xi_data.correction_phase, xs),
+                          xs_len * floor_x)
+        tables["x1"] = (xi_data.correction_slope(xs[1:]), floor_x)
+    else:
+        tables["r"] = (xi_data.r(xs[1:]), xs_len * floor_x)
+        tables["dr"] = (xi_data.dr(xs[1:]), floor_x)
+        scalars.update(f1=xi_data.f1, c1=xi_data.c1)
+    return tables, scalars
+
+
+# ----------------------------------------------------------------------
+# the corrected channels against the exact ones
+
+
+def exact_deviation(state, tau_max=40.0, bulk=1e-2, node_gap=0.02,
+                    points=2001):
+    """(xi, eta) worst relative deviations of a corrected state's channels
+    (X0 exp(-phi1), or the node form, and Y0 exp(-rho1)) from the exact
+    eigenfunctions that solve_bispectral gives at the state's R.
+
+    Each channel and its exact counterpart are normalized to 1 where the
+    exact channel's modulus is largest on the sample, and compared where
+    that modulus is at least `bulk`: xi on 2p(xi-1) in [0, tau_max],
+    leaving out |xi - xi0| < node_gap on a single-node state, and eta on
+    [-1, 1].  Both sides leave out (xi^2-1)^(L/2) and (1-eta^2)^(L/2)."""
+    exact = solve_bispectral(state.label, state.setup)
+    xi = 1.0 + np.linspace(0.0, tau_max, points) / (2.0 * state.params.p)
+    if state.params.xi0 is not None:
+        xi = xi[np.abs(xi - state.params.xi0) >= node_gap]
+    eta = np.linspace(-1.0, 1.0, points)
+    out = []
+    for (log, sign), vals in zip(exact_channels(exact, xi, eta),
+                                 (state.xi_arrays(xi).vals,
+                                  state.eta_arrays(eta).vals)):
+        top = int(np.argmax(log))
+        ref = sign * np.exp(log - log[top]) * sign[top]
+        got = vals / vals[top]
+        keep = np.abs(ref) >= bulk
+        out.append(float(np.max(np.abs(got[keep] - ref[keep])
+                                / np.abs(ref[keep]))))
+    return tuple(out)

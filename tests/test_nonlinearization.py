@@ -5,8 +5,7 @@ import pytest
 
 from twocenter.model import (SUPPORTED_LABELS, PhysicalSetup, StateLabel,
                              p_from_energy)
-from twocenter.nonlinearization import (_first_order, _hermite, _xi_grid,
-                                        build_V1_xi, build_W1_eta,
+from twocenter.nonlinearization import (build_V1_xi, build_W1_eta,
                                         channel_potential_eta,
                                         channel_potential_xi,
                                         first_correction_eta,
@@ -234,21 +233,22 @@ def test_channel_potentials_finite_on_domains(bank):
     assert np.all(np.isfinite(channel_potential_eta(st.params, st.label, es)))
 
 
-def test_hermite_interpolant_matches_cubic_spline():
-    # on the xi tabulation grid at p = 1.5, the Hermite cubics of a smooth
-    # function's values and slopes agree with scipy's not-a-knot spline of
-    # its values to 1e-10 and with the function to 2e-11 (the spline to
-    # 5e-11); both antiderivatives agree with the exact one to 1e-11
-    from scipy.interpolate import CubicSpline
+def test_panel_interpolant_matches_barycentric():
+    # on graded panels over [1, 11], each panel's polynomial of a smooth
+    # function's node values is scipy's barycentric interpolant of that
+    # panel's nodes to 1e-13 and the function to 1e-9; the antiderivative
+    # of the same values is the exact integral to 1e-10.  Beyond the last
+    # edge the interpolant of a slope is zero and its antiderivative
+    # holds its end value.  A degree-11 polynomial, and the antiderivative
+    # of one, are reproduced to rounding.
+    from scipy.interpolate import BarycentricInterpolator
 
-    grid = _xi_grid(1.5)
+    from twocenter.nonlinearization import _grown, _Panels
+
+    panels = _Panels(1.0 + _grown(10.0, 0.05, 2.0))
 
     def f(x):
         return np.exp(-0.3 * x) * np.sin(2.0 * x)
-
-    def df(x):
-        return np.exp(-0.3 * x) * (2.0 * np.cos(2.0 * x)
-                                   - 0.3 * np.sin(2.0 * x))
 
     def anti(x):  # int_1^x f
         def F(u):
@@ -256,62 +256,107 @@ def test_hermite_interpolant_matches_cubic_spline():
                                        - 2.0 * np.cos(2.0 * u)) / 4.09
         return F(x) - F(1.0)
 
-    value, integral = _hermite(grid, f(grid), df(grid))
-    spline = CubicSpline(grid, f(grid))
-    x = np.linspace(grid[0], grid[-1], 7919)
-    assert np.array_equal(value(grid[:-1]), f(grid[:-1]))
-    assert integral(grid[0]) == 0.0
-    assert np.max(np.abs(value(x) - spline(x))) <= 1e-10
-    assert np.max(np.abs(value(x) - f(x))) <= 2e-11
-    for antiderivative in (integral, spline.antiderivative()):
-        assert np.max(np.abs(antiderivative(x) - anti(x))) <= 1e-11
+    value = panels.interpolant(f(panels.nodes))
+    integral = panels.antiderivative(f(panels.nodes))
+    x = np.linspace(1.0, 11.0, 7919)
+    which = np.minimum(np.searchsorted(panels.edges, x, side="right") - 1,
+                       panels.half.size - 1)
+    ref = np.empty_like(x)
+    for j, nodes in enumerate(panels.nodes):
+        ref[which == j] = BarycentricInterpolator(nodes, f(nodes))(
+            x[which == j])
+    assert np.max(np.abs(value(x) - ref)) <= 1e-13
+    assert np.max(np.abs(value(x) - f(x))) <= 1e-9
+    assert integral(1.0) == 0.0
+    assert np.max(np.abs(integral(x) - anti(x))) <= 1e-10
+    assert value(0.5) == value(1.0) and value(11.0 + 1e-9) == 0.0
+    assert integral(0.5) == 0.0 and integral(12.0) == integral(11.0)
+
+    def poly(x):
+        return np.polynomial.polynomial.polyval(x - 6.0, np.cos(np.arange(12)))
+
+    def poly_anti(x):
+        c = np.cos(np.arange(12)) / np.arange(1, 13)
+        return (np.polynomial.polynomial.polyval(x - 6.0, np.r_[0.0, c])
+                - np.polynomial.polynomial.polyval(-5.0, np.r_[0.0, c]))
+
+    panels = _Panels(np.linspace(1.0, 11.0, 4))
+    assert np.max(np.abs(panels.interpolant(poly(panels.nodes))(x)
+                         - poly(x))) <= 1e-12 * np.max(np.abs(poly(x)))
+    assert np.max(np.abs(panels.antiderivative(poly(panels.nodes))(x)
+                         - poly_anti(x))) \
+        <= 1e-12 * np.max(np.abs(poly_anti(x)))
 
 
-def _gauss8_cumulative(fn, grid):
-    """The cumulative integrals of _cumulative on the 8-point
-    Gauss-Legendre rule of each grid interval: the reference that the
-    3-point rule is held to."""
-    x, w = np.polynomial.legendre.leggauss(8)
-    half = 0.5 * np.diff(grid)
-    pts = 0.5 * (grid[1:] + grid[:-1])[:, None] + half[:, None] * x
-    return [np.concatenate([[0.0], np.cumsum(half * (v.reshape(pts.shape)
-                                                     @ w))])
-            for v in fn(pts.ravel())]
+PT_RS = (0.5, 1.0, 2.0, 4.0, 10.0, 20.0, 50.0)
+
+
+def _panel_corrections(state):
+    """(xi data, eta ChannelPT) of the panel pass on a solved state."""
+    view = attach_corrections(state)
+    return view.node if view.label.n else view.pt_xi, view.pt_eta
+
+
+def _within(got, ref, allowed):
+    """Every table of got within allowed[name] of ref's, and each A1 to
+    1e-12 relative."""
+    (tables, scalars), (ref_tables, ref_scalars) = got, ref
+    for name, (vals, _) in tables.items():
+        err = np.max(np.abs(vals - ref_tables[name][0]))
+        assert err <= allowed[name], (name, err, allowed[name])
+    for name, val in scalars.items():
+        if name.startswith("A1"):
+            assert val == pytest.approx(ref_scalars[name], rel=1e-12), name
 
 
 @pytest.mark.parametrize("label", SUPPORTED_LABELS, ids=str)
-def test_three_point_rule_matches_eight_points(bank, label, monkeypatch):
-    # the tabulation intervals are short enough that the 3-point rule's
-    # error is rounding: over R in {0.5, 2, 10, 50} the 8-point rule moved
-    # A by at most 2.6e-14 relative, F by 2.9e-14 of |A G(end)| (the size
-    # of each of its two terms) and G by 1.2e-15 of |G(end)|.  A 2-point
-    # rule moves G by 2.2e-10.
-    from twocenter import nonlinearization
+def test_panels_match_a_refined_layout(bank, label, monkeypatch):
+    # bisecting every panel moves each table by at most 1e-10 of its
+    # largest value on the bulk, or by its rounding floor (see
+    # correction_values); the worst over this sweep was half of that
+    import twocenter.nonlinearization as nl
 
-    three = nonlinearization._cumulative
-    for R in (0.5, 2.0, 10.0, 50.0):
+    from pt_helpers import correction_values
+
+    xi_panels, eta_panels = nl._xi_panels, nl._eta_panels
+
+    def bisected(panels):
+        e = panels.edges
+        return nl._Panels(np.sort(np.r_[e, 0.5 * (e[1:] + e[:-1])]))
+
+    for R in PT_RS:
         st = bank.get(label, R)
-        p_phys = p_from_energy(st.energy.E_total, st.setup)
-        for channel, setup in (("xi", st.setup), ("eta", None)):
-            pair = []
+        coarse = correction_values(st, *_panel_corrections(st))
+        with monkeypatch.context() as m:
+            m.setattr(nl, "_xi_panels", lambda params: bisected(
+                xi_panels(params)))
+            m.setattr(nl, "_eta_panels", lambda p, parity: bisected(
+                eta_panels(p, parity)))
+            fine = correction_values(st, *_panel_corrections(
+                bank.get(label, R)))
+        _within(coarse, fine, {
+            name: max(1e-10 * np.max(np.abs(vals)), floor)
+            for name, (vals, floor) in fine[0].items()})
 
-            def both(fn, grid):
-                pair.extend([three(fn, grid), _gauss8_cumulative(fn, grid)])
-                return pair[0]
 
-            runs = []
-            for cumulative in (both, _gauss8_cumulative):
-                monkeypatch.setattr(nonlinearization, "_cumulative",
-                                    cumulative)
-                runs.append(_first_order(st.params, label, setup, p_phys,
-                                         channel))
-            (A3, _, tab3, _), (A8, _, tab8, _) = runs
-            (F3, G3), (F8, G8) = pair
-            size = abs(A8 * G8[-1])
-            assert abs(A3 - A8) <= 1e-13 * abs(A8)
-            assert np.max(np.abs(F3 - F8)) <= 1e-13 * size
-            assert np.max(np.abs(tab3[0] - tab8[0])) <= 1e-13 * size
-            assert np.max(np.abs(G3 - G8)) <= 1e-14 * abs(G8[-1])
+@pytest.mark.parametrize("label", SUPPORTED_LABELS, ids=str)
+def test_panels_match_the_hermite_pass_on_finer_grids(bank, label):
+    # against the fixed-grid Hermite pass the panels replaced, run on 4x
+    # its grids, each panel table is no further off than that pass on its
+    # own grids was, or than 1e-10 of the table's largest value on the
+    # bulk, or than its rounding floor (see correction_values)
+    from pt_helpers import ETA_PTS, XI_PTS, correction_values, \
+        hermite_corrections
+
+    for R in PT_RS:
+        st = bank.get(label, R)
+        ref = correction_values(st, *hermite_corrections(
+            st, 4 * XI_PTS - 3, 4 * ETA_PTS - 3))
+        today = correction_values(st, *hermite_corrections(st))
+        _within(correction_values(st, *_panel_corrections(st)), ref, {
+            name: max(np.max(np.abs(today[0][name][0] - vals)),
+                      1e-10 * np.max(np.abs(vals)), floor)
+            for name, (vals, floor) in ref[0].items()})
 
 
 @pytest.mark.parametrize("label,R", [(GS, 2.0), (StateLabel(1, 0, 0, -1),
@@ -337,10 +382,10 @@ def test_bound_is_sampled_only_when_read(bank, label, R, monkeypatch):
 @pytest.mark.parametrize("name", ["2ssg", "3psu"])
 @pytest.mark.parametrize("R", [2.0, 10.0])
 def test_node_correction_finite_at_xi_one(bank, name, R, monkeypatch):
-    # r' = -F/denom + f1/d^2 - c1/d is 0/0 at xi = 1, which made r, r'
-    # and the corrected channel NaN on the first tabulation interval; its
-    # limit there keeps them finite and smooth, and nothing the corrected
-    # state reports reads that interval
+    # r' = -F/D + f1/d^2 - c1/d is 0/0 at xi = 1, where D vanishes; no
+    # panel node sits there, so r, r' and the corrected channel are
+    # finite and smooth up to xi = 1, and nothing the corrected state
+    # reports reads the channel there
     import twocenter.nonlinearization as nl
     from twocenter.model import label_from_designation
     from twocenter.transitions import oscillator_strength
@@ -352,28 +397,139 @@ def test_node_correction_finite_at_xi_one(bank, name, R, monkeypatch):
     ca = st.xi_arrays(x)
     for vals in (nc.r(x), nc.dr(x), ca.vals, ca.dvals):
         assert np.all(np.isfinite(vals))
-    # r runs on into the second interval: the secant of the first one
-    # matches r' at both of its ends
-    g0, g1 = _xi_grid(st.params.p)[:2]
-    secant = (nc.r(g1) - nc.r(g0)) / (g1 - g0)
-    for end in (g0, g1):
-        assert float(nc.dr(end)) == pytest.approx(secant, rel=1e-4)
-    assert abs(nc.r(g1) - nc.r(g1 - 1e-3 * (g1 - g0))) \
-        <= 2e-3 * (g1 - g0) * abs(secant)
-    # with the xi = 1 value of r' left undefined, as before the limit,
-    # A1, f1, c1, r past the first interval and the gated strength are
-    # the same bits
+    # on the first panel, r's central differences are r' to 1e-7 of its
+    # largest value there
+    g0, g1 = nl._xi_panels(st.params).edges[:2]
+    h = 1e-4 * (g1 - g0)
+    u = np.linspace(g0 + h, g1, 33)
+    central = (nc.r(u + h) - nc.r(u - h)) / (2.0 * h)
+    assert np.max(np.abs(central - nc.dr(u))) \
+        <= 1e-7 * np.max(np.abs(nc.dr(u)))
+    # with the channel left undefined at xi = 1, A1, f1, c1, r and r'
+    # from xi = 1 on and the gated strength are the same bits
     gs = bank.get(GS, R, corrected=True)
     kind = "E1" if label.parity == -1 else "E2"
     f = oscillator_strength(kind, gs, st).f
     p_phys = p_from_energy(st.energy.E_total, st.setup)
-    monkeypatch.setattr(nl, "_V1_xi", lambda *args: lambda xi: math.nan)
+    parts = nl._parts
+
+    def undefined_at_one(*args):
+        x = args[4]
+        return tuple(np.where(x == 1.0, math.nan, v) for v in parts(*args))
+
+    monkeypatch.setattr(nl, "_parts", undefined_at_one)
     undefined = nl.node_correction_xi(st.params, label, st.setup, p_phys)
-    assert math.isnan(float(undefined.dr(1.0)))
     assert (undefined.A1, undefined.f1, undefined.c1) \
         == (nc.A1, nc.f1, nc.c1)
-    beyond = np.linspace(g1, 1.0 + 20.0 / st.params.p, 200)
+    beyond = np.linspace(1.0, 1.0 + 20.0 / st.params.p, 200)
     assert undefined.r(beyond).tobytes() == nc.r(beyond).tobytes()
     assert undefined.dr(beyond).tobytes() == nc.dr(beyond).tobytes()
     st.node = undefined
     assert oscillator_strength(kind, gs, st).f == f
+
+
+@pytest.mark.parametrize("name,R", [("3psu", 4.0), ("2ssg", 2.0)])
+def test_node_correction_flat_beyond_the_table(bank, name, R):
+    # r holds its end value past the last panel edge, 2p(xi-1) = 30, and
+    # r' is its slope there: central differences of r match r' exactly
+    # beyond that edge, where most of the xi rule's nodes lie, and to
+    # 1e-5 of r's largest slope before and at it (r' ends in the
+    # rounding of F/D where D is smallest, 1.7e-6 of that slope for 3psu)
+    import twocenter.nonlinearization as nl
+    from twocenter.model import label_from_designation
+
+    st = bank.get(label_from_designation(name), R, corrected=True)
+    nc = st.node
+    end = 1.0 + nl._TAU_CUT / (2.0 * st.params.p)
+    assert np.sum(st.rules()[0].nodes > end) > 16
+    h = 1e-6 * (end - 1.0)
+
+    def central(u):
+        return (nc.r(u + h) - nc.r(u - h)) / (2.0 * h)
+
+    bulk = np.linspace(1.0 + 2.0 * h, end, 401)
+    assert np.max(np.abs(central(bulk) - nc.dr(bulk))) \
+        <= 1e-5 * np.max(np.abs(nc.dr(bulk)))
+    beyond = np.r_[end + 2.0 * h, np.linspace(end + 1.0, 10.0 * end, 50)]
+    assert np.array_equal(central(beyond), nc.dr(beyond))
+    assert np.all(nc.dr(beyond) == 0.0)
+
+
+def _edge_jump(fn, edges):
+    """Largest change of fn across the given points, from just below."""
+    return np.max(np.abs(fn(np.nextafter(edges, -np.inf)) - fn(edges)),
+                  initial=0.0)
+
+
+@pytest.mark.parametrize("label", SUPPORTED_LABELS, ids=str)
+def test_tables_continuous_and_derivative_consistent(bank, label):
+    # each phase is the antiderivative of its slope's panel polynomials:
+    # a fourth-order central difference of phi1, rho1 and r is x1, y1
+    # and r' on the bulk to 1e-7 of the slope's largest value there; the
+    # phases are continuous across every panel edge to 1e-12 of their
+    # largest value, and the slopes across the edges in the bulk, both up
+    # to the rounding floor of correction_values.  Everything is finite
+    # where the slope denominator vanishes: xi = 1, eta = +-1 and, on the
+    # odd branch, eta = 0.
+    import twocenter.nonlinearization as nl
+
+    from pt_helpers import bulk_points
+    from twocenter.trial import eta_channel, xi_channel
+
+    for R in (0.5, 2.0, 50.0):
+        st = bank.get(label, R, corrected=True)
+        p = st.params.p
+        xs, es = bulk_points(st)
+        xi_edges = nl._xi_panels(st.params).edges[1:-1]
+        half = nl._eta_panels(p, label.parity).edges
+        eta_edges = np.r_[half, -half]
+        if label.n == 0:
+            xi_edges = xi_edges[xi_edges < 1.0 + nl._TAU_KEEP / (2.0 * p)]
+            phase, slope, A1 = (st.pt_xi.correction_phase,
+                                st.pt_xi.correction_slope, st.pt_xi.A1)
+        else:
+            phase, slope, A1 = st.node.r, st.node.dr, st.node.A1
+        channels = (
+            (phase, slope, xs, xi_edges,
+             1e-15 * (abs(A1) + (p * np.max(xs)) ** 2),
+             lambda x: xi_channel(st.params, label, st.setup, x).vals),
+            (st.pt_eta.correction_phase, st.pt_eta.correction_slope, es,
+             eta_edges, 1e-15 * (abs(st.pt_eta.A1) + p * p),
+             lambda x: eta_channel(st.params, label, x).vals))
+        for phase, slope, pts, edges, floor, channel in channels:
+            h = 1e-4 * (np.max(pts) - np.min(pts))
+            u = pts[(pts - 2.0 * h >= np.min(pts))
+                    & (pts + 2.0 * h <= np.max(pts))]
+            central = (8.0 * (phase(u + h) - phase(u - h))
+                       - (phase(u + 2.0 * h) - phase(u - 2.0 * h))) / (12.0 * h)
+            top = np.max(np.abs(slope(pts)))
+            assert np.max(np.abs(central - slope(u))) \
+                <= max(1e-7 * top, floor)
+            assert _edge_jump(phase, edges) \
+                <= max(1e-12 * np.max(np.abs(phase(pts))), floor)
+            in_bulk = np.abs(channel(edges)) \
+                >= 1e-2 * np.max(np.abs(channel(pts)))
+            assert _edge_jump(slope, edges[in_bulk]) <= max(1e-12 * top, floor)
+        ends = [st.xi_arrays(np.array([1.0])),
+                st.eta_arrays(np.array([-1.0, 0.0, 1.0]))]
+        for ca in ends:
+            assert np.all(np.isfinite(ca.vals)) and np.all(np.isfinite(ca.dvals))
+        for fn in (phase, slope, st.pt_eta.correction_phase,
+                   st.pt_eta.correction_slope):
+            assert np.all(np.isfinite(fn(np.array([-1.0, 0.0, 1.0]))))
+
+
+@pytest.mark.parametrize("label", SUPPORTED_LABELS, ids=str)
+def test_corrected_channels_match_the_exact_ones(bank, label):
+    # X0 exp(-phi1) (or the node form) and Y0 exp(-rho1) against the
+    # oracle's exact channels, by exact_deviation's metric: over R in
+    # {1, 2, 6, 10, 20} the fixed-grid Hermite pass these tables replaced
+    # was at worst 1.03e-8 off in xi (2ppu, R = 20) and 1.71e-7 in eta
+    # (2ppu, R = 20); the bounds are those, rounded up
+    from pt_helpers import exact_deviation
+
+    for R in (1.0, 2.0, 6.0, 10.0, 20.0):
+        dev_xi, dev_eta = exact_deviation(bank.get(label, R, corrected=True))
+        assert dev_xi <= 2e-8 and dev_eta <= 2e-7, (R, dev_xi, dev_eta)
+
+
