@@ -16,16 +16,17 @@ Q_n = -(xi^2-1) sum x_i x_{n-i} in place of V1.  Both channels and every
 order run one shared pass on panels of 12 Gauss-Legendre nodes, graded
 geometrically toward the zeros of D = (x^2-1)^(L+1) X0^2 (xi = 1,
 eta = -1, and eta = 0 on the odd branch), where no node sits.  One
-evaluation of the trial channel per node gives A and F by each panel's
-spectral integration and the running panel totals, with A the panel
-quadrature that the consistency pass A -> A - F(end)/G(end) lands on, so
-F vanishes at both ends before the division by D.  A slope anywhere is
-the polynomial interpolant of its node values on their panel, and its
-phase that polynomial's exact antiderivative, so every (phase, slope)
-pair is derivative-consistent.  The channel builders keep only what
-differs: the xi tail cut, the eta mirror, and the node's log-regular
-split.  The sampled bound of the perturbation, which only reports
-print, is computed when it is read.
+evaluation of the trial phase per node gives the pass's log scale (the
+phase's minimum on the nodes), and A and F by each panel's spectral
+integration and the running panel totals, with A the panel quadrature
+that the consistency pass A -> A - F(end)/G(end) lands on, so F vanishes
+at both ends before the division by D.  A slope anywhere is the
+polynomial interpolant of its node values on their panel, and its phase
+that polynomial's exact antiderivative, so every (phase, slope) pair is
+derivative-consistent; one call reads both, from one panel search.  The
+channel builders keep only what differs: the xi tail cut, the eta
+mirror, and the node's log-regular split.  The sampled bound of the
+perturbation, which only reports print, is computed when it is read.
 The physical p entering V and W comes from the variational energy, not
 from the shape parameter p; with that choice the two channel estimates
 A1_xi and A1_eta coincide identically for equal charges, so their spread
@@ -62,13 +63,21 @@ class ChannelPT:
 
     channel: str                       # "xi" or "eta"
     A1: float
-    correction_phase: Callable         # phi1 (xi) or rho1 (eta), interpolated
-    correction_slope: Callable         # x1 = phi1' (resp. y1 = rho1')
+    correction: Callable               # x -> (phi1, x1 = phi1') on xi, or
+                                       # (rho1, y1 = rho1') on eta
     perturbation_bound: Callable[[], float]  # samples bound_C
 
     def __post_init__(self):
         if not math.isfinite(self.A1):
             raise ValueError("non-finite first-order correction data")
+
+    def correction_phase(self, x):
+        """phi1 (xi) or rho1 (eta) on x."""
+        return self.correction(x)[0]
+
+    def correction_slope(self, x):
+        """x1 (xi) or y1 (eta) on x."""
+        return self.correction(x)[1]
 
     @property
     def bound_C(self) -> float:
@@ -199,26 +208,21 @@ class _Panels:
         return (before[:, None] + _from_edge(f, self.half),
                 after[:, None] + _from_edge(f, self.half, left=False))
 
-    def interpolant(self, vals):
-        """The panel polynomials through a slope's vals, zero beyond the
-        last edge, where its antiderivative is held."""
-        return self._piecewise(vals @ _C.T)
-
-    def antiderivative(self, vals, start=0.0):
-        """start + int_edge0^u of the interpolant of vals, as each panel's
-        left-edge value plus (1+s) Q(s): exact at every left edge."""
-        a = self.half[:, None] * (vals @ _C.T) / np.arange(1, _PANEL_N + 1)
-        q = np.empty_like(a)  # (sum_k a_k s^(k+1) - its value at -1) / (1+s)
-        q[:, -1] = a[:, -1]
-        for k in range(_PANEL_N - 2, -1, -1):
-            q[:, k] = a[:, k] - q[:, k + 1]
+    def table(self, vals, start=0.0):
+        """u -> (start + int_edge0^u P, P) for the panel polynomials P
+        through a slope's vals.  The antiderivative is each panel's
+        left-edge value plus (1+s) Q(s), exact at every left edge and held
+        beyond the last one, where P is zero.  One panel search and one
+        coefficient gather serve both."""
+        p = vals @ _C.T
+        # (sum_k a_k s^(k+1) - its value at -1) / (1+s) has coefficients
+        # q_k = a_k - q_(k+1): an alternating sum from the top
+        sign = (-1.0) ** np.arange(_PANEL_N)
+        a = self.half[:, None] * p / np.arange(1, _PANEL_N + 1) * sign
+        q = np.cumsum(a[:, ::-1], axis=1)[:, ::-1] * sign
         tot = 2.0 * np.sum(q, axis=1)
-        return self._piecewise(q, start + np.cumsum(tot) - tot)
-
-    def _piecewise(self, coef, left=None):
-        """The polynomials of the rows coef in each panel's s on [-1, 1],
-        or left + (1+s) times them."""
-        coef = coef.T.copy()
+        left = start + np.cumsum(tot) - tot
+        coef = np.stack([q, p]).transpose(2, 0, 1).copy()  # (k, 2, panel)
 
         def evaluate(u):
             u = np.asarray(u, dtype=float)
@@ -226,14 +230,15 @@ class _Panels:
                                       - 1, 0), self.half.size - 1)
             s = np.minimum(np.maximum((u - self.mid[i]) / self.half[i], -1.0),
                            1.0)
-            out = coef[-1, i]
-            for c in coef[-2::-1]:
-                out = out * s + c[i]
-            if left is None:
-                out = np.where(u > self.edges[-1], 0.0, out)
-            else:
-                out = left[i] + (1.0 + s) * out
-            return out if out.ndim else float(out)
+            c = np.take(coef, i, axis=2)
+            out = c[-1]
+            for ck in c[-2::-1]:
+                out = out * s + ck
+            phase = left[i] + (1.0 + s) * out[0]
+            slope = np.where(u > self.edges[-1], 0.0, out[1])
+            if u.ndim:
+                return phase, slope
+            return float(phase), float(slope)
         return evaluate
 
 
@@ -241,9 +246,11 @@ def _grown(length, first, cap):
     """Edge offsets 0 < ... < length of panels whose widths grow by
     _GROWTH from first up to cap, stretched to end at length."""
     widths = [min(first, cap)]
-    while sum(widths) < length:
+    total = widths[0]
+    while total < length:
         widths.append(min(widths[-1] * _GROWTH, cap))
-    edges = np.r_[0.0, np.cumsum(widths)] * (length / sum(widths))
+        total += widths[-1]
+    edges = np.cumsum([0.0] + widths) * (length / total)
     edges[-1] = length
     return edges
 
@@ -253,16 +260,16 @@ def _xi_panels(params) -> _Panels:
     at the slope cut _TAU_KEEP, at _TAU_CUT and at the node xi0 of a
     single-node state, which replaces the inner edges within a quarter of
     its panel's width."""
-    tau = np.r_[_grown(_TAU_KEEP, _XI_FIRST * 2.0 * params.p
-                       * (1.0 + params.gamma), _XI_WIDTH),
-                _TAU_KEEP + _grown(_TAU_CUT - _TAU_KEEP, _XI_WIDTH,
-                                   _XI_WIDTH)[1:]]
+    tau = np.concatenate([
+        _grown(_TAU_KEEP, _XI_FIRST * 2.0 * params.p * (1.0 + params.gamma),
+               _XI_WIDTH),
+        _TAU_KEEP + _grown(_TAU_CUT - _TAU_KEEP, _XI_WIDTH, _XI_WIDTH)[1:]])
     edges = 1.0 + tau / (2.0 * params.p)
     if params.xi0 is not None:
         j = np.searchsorted(edges, params.xi0)
         near = np.abs(edges - params.xi0) < 0.25 * (edges[j] - edges[j - 1])
         near[[0, -1]] = False
-        edges = np.sort(np.r_[edges[~near], params.xi0])
+        edges = np.sort(np.append(edges[~near], params.xi0))
     return _Panels(edges)
 
 
@@ -278,15 +285,21 @@ def _eta_panels(p_scale: float, parity: int) -> _Panels:
 
 
 def _parts(params, label, setup, p_phys, x, scale, channel):
-    """(w X0^2, pole-free V1 w X0^2 without its A term) on x."""
+    """(w X0^2, pole-free V1 w X0^2 without its A term, scale) on x, from
+    one evaluation of the phase, with X0 taken times exp(scale): by
+    default (scale None) the phase's minimum on x."""
     lam = label.lam
-    X, dX, ddX = channel_factor(params, label, setup, x, channel, scale)
+    phase = channel_phase(params, label, setup, x, channel)
+    if scale is None:
+        scale = float(np.min(phase[0]))
+    X, dX, ddX = channel_factor(params, label, setup, x, channel, scale,
+                                phase)
     w = (x * x - 1.0) ** lam
     wX2 = w * X * X
     lhs = ((x * x - 1.0) * ddX + 2.0 * (lam + 1.0) * x * dX) * X * w
     V = (true_potential_xi(setup, p_phys, x) if channel == "xi"
          else true_potential_eta(p_phys, x))
-    return wX2, V * wX2 - lhs
+    return wX2, V * wX2 - lhs, scale
 
 
 def _first_order(params, label, setup, p_phys, channel, q=None):
@@ -299,9 +312,7 @@ def _first_order(params, label, setup, p_phys, channel, q=None):
     panels = (_xi_panels(params) if channel == "xi"  # eta: mirrored later
               else _eta_panels(params.p, label.parity))
     x = panels.nodes.ravel()
-    scale = float(np.min(channel_phase(params, label, setup, panels.edges,
-                                       channel)[0]))
-    wX2, QwX2 = _parts(params, label, setup, p_phys, x, scale, channel)
+    wX2, QwX2, scale = _parts(params, label, setup, p_phys, x, None, channel)
     QwX2 = QwX2 if q is None else q(x) * wX2
     wts = (panels.half[:, None] * _W).ravel()
     A = math.fsum((wts * QwX2).tolist()) / math.fsum((wts * wX2).tolist())
@@ -362,8 +373,7 @@ def _nodeless_xi(params, label, setup, p_phys, bound, q=None) -> ChannelPT:
                                           "xi", q)
     cut = np.argmin(np.abs(panels.edges - 1.0 - _TAU_KEEP / (2.0 * params.p)))
     keep, x1 = _Panels(panels.edges[:cut + 1]), (F / D)[:cut]
-    return ChannelPT("xi", A1, keep.antiderivative(x1),
-                     keep.interpolant(x1), bound)
+    return ChannelPT("xi", A1, keep.table(x1), bound)
 
 
 # ----------------------------------------------------------------------
@@ -387,10 +397,9 @@ def first_correction_eta(params: TrialParams, label: StateLabel,
     # gauge is rho1(0) = 0
     y1 = F / D
     gauge = -np.sum(panels.half * (y1 @ _W))
-    full, y1 = (_Panels(np.r_[panels.edges, -panels.edges[-2::-1]]),
-                np.r_[y1, -y1[::-1, ::-1]])
-    return ChannelPT("eta", A1, full.antiderivative(y1, gauge),
-                     full.interpolant(y1),
+    full = _Panels(np.concatenate([panels.edges, -panels.edges[-2::-1]]))
+    y1 = np.concatenate([y1, -y1[::-1, ::-1]])
+    return ChannelPT("eta", A1, full.table(y1, gauge),
                      lambda: build_W1_eta(params, label, p_phys)[1])
 
 
@@ -410,10 +419,17 @@ class NodeCorrection:
 
     f1: float
     c1: float
-    r: Callable
-    dr: Callable
     xi0: float
     A1: float
+    regular: Callable  # xi -> (r, r'), tabulated
+
+    def r(self, x):
+        """r on x."""
+        return self.regular(x)[0]
+
+    def dr(self, x):
+        """r' on x."""
+        return self.regular(x)[1]
 
 
 def node_correction_xi(params: TrialParams, label: StateLabel,
@@ -450,10 +466,8 @@ def node_correction_xi(params: TrialParams, label: StateLabel,
 
     # r is the exact antiderivative of r' on the panels, gauged by h(1) = 0
     # on the left branch; it is flat beyond the last edge, where r' = 0
-    r = panels.antiderivative(dr, -(f1 / (1.0 - xi0)
-                                    + c1 * math.log(xi0 - 1.0)))
-    return NodeCorrection(f1=f1, c1=c1, r=r, dr=panels.interpolant(dr),
-                          xi0=xi0, A1=A1)
+    return NodeCorrection(f1=f1, c1=c1, xi0=xi0, A1=A1, regular=panels.table(
+        dr, -(f1 / (1.0 - xi0) + c1 * math.log(xi0 - 1.0))))
 
 
 # ----------------------------------------------------------------------

@@ -59,9 +59,9 @@ class SolvedState:
                                         nodes)
         d = nodes - nc.xi0
         absd = np.maximum(np.abs(d), 1e-300)
-        r = nc.r(nodes)
+        r, dr = nc.regular(nodes)
         G = d + nc.f1 + nc.c1 * d * np.log(absd) + d * r
-        dG = 1.0 + nc.c1 * (np.log(absd) + 1.0) + r + d * nc.dr(nodes)
+        dG = 1.0 + nc.c1 * (np.log(absd) + 1.0) + r + d * dr
         return ChannelArrays(G * e, (dG - G * dphi) * e, logscale, nodes)
 
     def channels(self, rules):
@@ -89,8 +89,8 @@ def _damped(ca: ChannelArrays, pt: ChannelPT | None) -> ChannelArrays:
     """The channel times exp(-phase correction), when one is attached."""
     if pt is None:
         return ca
-    damp = np.exp(-pt.correction_phase(ca.nodes))
-    slope = pt.correction_slope(ca.nodes)
+    phase, slope = pt.correction(ca.nodes)
+    damp = np.exp(-phase)
     return ChannelArrays(ca.vals * damp, (ca.dvals - ca.vals * slope) * damp,
                          ca.logscale, ca.nodes)
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import StateLabel
-from .quadrature import build_rules, integrate
+from .quadrature import QuadratureError, build_rules, integrate
 from .states import SolvedState
 
 # fine structure constant, dimensionless (CODATA 2018)
@@ -83,7 +83,16 @@ def _pair_moments(state_i: SolvedState, state_f: SolvedState,
 
     and with gradient=True, keyed by "grad", the magnetic element's pieces
 
-        int Xi [(xi^2-1) Xf' + xi Xf] dxi, int Yi [(1-eta^2) Yf' - eta Yf] deta
+        int Xi [(xi^2-1) Xf' + xi Xf] dxi, int Yi [(1-eta^2) Yf' - eta Yf] deta.
+
+    The norms come from the same call and rule: for each state s in
+    (i, f), with L its Lambda, the rows (s, k) for k = 0, 2 hold
+
+        int xi^k (xi^2-1)^L Xs^2 dxi,     int eta^k (1-eta^2)^L Ys^2 deta,
+
+    and <s|s> = 2 pi a^3 [(s, 2)_xi (s, 0)_eta - (s, 0)_xi (s, 2)_eta].
+    Each row sums as if it came alone, so the norm rows leave the others'
+    bits as they are.
     """
     rules = build_rules(0.5 * (state_i.params.p + state_f.params.p), 96)
     out = []
@@ -97,9 +106,17 @@ def _pair_moments(state_i: SolvedState, state_f: SolvedState,
         rows = {(k, w): x**k * base**w * vi * vf for k, w in kw}
         if gradient:
             rows["grad"] = vi * (base * dvf + sign * x * vf)
+        for s, state, v in (("i", state_i, vi), ("f", state_f, vf)):
+            wv2 = base**state.label.lam * v * v
+            rows[s, 0], rows[s, 2] = wv2, x * x * wv2
         sums = integrate(rule, np.array(list(rows.values())))
         out.append(dict(zip(rows, sums)))
-    return (*out, math.sqrt(state_i.norm_squared() * state_f.norm_squared()))
+    X, Y = out
+    norms = [X[s, 2] * Y[s, 0] - X[s, 0] * Y[s, 2] for s in "if"]
+    if min(norms) <= 0.0:
+        raise QuadratureError(f"non-positive norm integral: {min(norms)!r}")
+    return X, Y, 2.0 * math.pi * state_i.setup.a**3 * math.sqrt(
+        norms[0] * norms[1])
 
 
 # ----------------------------------------------------------------------

@@ -285,10 +285,12 @@ def prefactor(params: TrialParams, label: StateLabel, x, channel: str):
 
 
 def channel_factor(params: TrialParams, label: StateLabel,
-                   setup: PhysicalSetup, x, channel: str, logscale: float):
+                   setup: PhysicalSetup, x, channel: str, logscale: float,
+                   phase=None):
     """(X, X', X'') of one channel (sans its (x^2-1)^(L/2) factor) on x,
-    times exp(logscale)."""
-    phi, dphi, ddphi = channel_phase(params, label, setup, x, channel)
+    times exp(logscale), reusing `phase` (channel_phase on x) when given."""
+    phi, dphi, ddphi = phase or channel_phase(params, label, setup, x,
+                                              channel)
     g, dg, ddg = prefactor(params, label, x, channel)
     e = np.exp(-(phi - logscale))
     return (g * e, (dg - g * dphi) * e,

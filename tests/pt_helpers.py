@@ -155,8 +155,8 @@ def _first_order(params, label, setup, p_phys, channel, grid):
     def parts(x):
         X, dX, ddX = channel_factor(params, label, setup, x, channel, scale)
         w = (x * x - 1.0) ** lam
-        wX2, VwX2 = nl._parts(params, label, setup, p_phys, x, scale,
-                              channel)
+        wX2, VwX2, _ = nl._parts(params, label, setup, p_phys, x, scale,
+                                 channel)
         return wX2, VwX2, w * X * dX
 
     wX2, QwX2, _ = parts(rule.nodes)
@@ -207,11 +207,12 @@ def hermite_corrections(state, xi_pts=XI_PTS, eta_pts=ETA_PTS):
         sl = slice(0, max(tail, 8))
         x1_ip, phi1_ip = hermite(grid[sl], x1[sl], dx1[sl])
         hi = grid[sl][-1]
-        xi_data = nl.ChannelPT(
-            "xi", A, lambda x: phi1_ip(np.asarray(x, dtype=float)),
-            lambda x: np.where(np.asarray(x) >= hi, 0.0,
-                               x1_ip(np.asarray(x, dtype=float))),
-            lambda: math.nan)
+
+        def xi_pair(x):
+            x = np.asarray(x, dtype=float)
+            return phi1_ip(x), np.where(x >= hi, 0.0, x1_ip(x))
+
+        xi_data = nl.ChannelPT("xi", A, xi_pair, lambda: math.nan)
     else:
         xi_data = _node(params, label, setup, p_phys, grid, A, tab, scale0)
 
@@ -224,10 +225,12 @@ def hermite_corrections(state, xi_pts=XI_PTS, eta_pts=ETA_PTS):
     y1_ip, rho1_anti = hermite(full, np.concatenate([y1, -y1[-2::-1]]),
                                np.concatenate([dy1, dy1[-2::-1]]))
     mid = float(rho1_anti(0.0))
-    eta_data = nl.ChannelPT(
-        "eta", A_eta,
-        lambda x: rho1_anti(np.asarray(x, dtype=float)) - mid,
-        lambda x: y1_ip(np.asarray(x, dtype=float)), lambda: math.nan)
+
+    def eta_pair(x):
+        x = np.asarray(x, dtype=float)
+        return rho1_anti(x) - mid, y1_ip(x)
+
+    eta_data = nl.ChannelPT("eta", A_eta, eta_pair, lambda: math.nan)
     return xi_data, eta_data
 
 
@@ -268,11 +271,12 @@ def _node(params, label, setup, p_phys, grid, A1, tab, scale0):
     rp, = _cumulative(lambda x: (dr_fn(x),), grid)
     r0 = -(f1 / (grid[0] - xi0) + c1 * math.log(abs(grid[0] - xi0)))
     r_ip = hermite(grid, rp + r0, dr_fn(grid))[0]
-    return nl.NodeCorrection(
-        f1=f1, c1=c1, r=lambda x: r_ip(np.asarray(x, dtype=float)),
-        dr=lambda x: dr_fn(np.clip(np.asarray(x, dtype=float), grid[0],
-                                   grid[-1])),
-        xi0=xi0, A1=A1)
+
+    def regular(x):
+        x = np.asarray(x, dtype=float)
+        return r_ip(x), dr_fn(np.clip(x, grid[0], grid[-1]))
+
+    return nl.NodeCorrection(f1=f1, c1=c1, xi0=xi0, A1=A1, regular=regular)
 
 
 def bulk_points(state, tau_max=40.0, bulk=1e-2, points=4001):

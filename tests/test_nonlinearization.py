@@ -256,8 +256,14 @@ def test_panel_interpolant_matches_barycentric():
                                        - 2.0 * np.cos(2.0 * u)) / 4.09
         return F(x) - F(1.0)
 
-    value = panels.interpolant(f(panels.nodes))
-    integral = panels.antiderivative(f(panels.nodes))
+    table = panels.table(f(panels.nodes))
+
+    def value(u):
+        return table(u)[1]
+
+    def integral(u):
+        return table(u)[0]
+
     x = np.linspace(1.0, 11.0, 7919)
     which = np.minimum(np.searchsorted(panels.edges, x, side="right") - 1,
                        panels.half.size - 1)
@@ -281,10 +287,9 @@ def test_panel_interpolant_matches_barycentric():
                 - np.polynomial.polynomial.polyval(-5.0, np.r_[0.0, c]))
 
     panels = _Panels(np.linspace(1.0, 11.0, 4))
-    assert np.max(np.abs(panels.interpolant(poly(panels.nodes))(x)
-                         - poly(x))) <= 1e-12 * np.max(np.abs(poly(x)))
-    assert np.max(np.abs(panels.antiderivative(poly(panels.nodes))(x)
-                         - poly_anti(x))) \
+    integral, value = panels.table(poly(panels.nodes))(x)
+    assert np.max(np.abs(value - poly(x))) <= 1e-12 * np.max(np.abs(poly(x)))
+    assert np.max(np.abs(integral - poly_anti(x))) \
         <= 1e-12 * np.max(np.abs(poly_anti(x)))
 
 
@@ -379,6 +384,104 @@ def test_bound_is_sampled_only_when_read(bank, label, R, monkeypatch):
                                                p_phys)[1]
 
 
+@pytest.mark.parametrize("label,R", [(GS, 2.0), (StateLabel(1, 0, 0, -1),
+                                                4.0)], ids=["1ssg", "3psu"])
+def test_one_phase_evaluation_per_pass(bank, label, R, monkeypatch):
+    # each first-order pass evaluates its channel's phase once, on the
+    # panel nodes, and takes its log scale from those same values; the
+    # bound is still not sampled
+    import twocenter.nonlinearization as nl
+    import twocenter.trial as trial
+
+    real, calls = trial.channel_phase, []
+
+    def counted(*args):
+        calls.append(args[-1])
+        return real(*args)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pass sampled the perturbation bound")
+
+    st = bank.get(label, R)
+    p_phys = p_from_energy(st.energy.E_total, st.setup)
+    xi_pass = (nl.first_correction_xi if label.n == 0
+               else nl.node_correction_xi)
+    for binding in (nl, trial):
+        monkeypatch.setattr(binding, "channel_phase", counted)
+    monkeypatch.setattr(nl, "build_V1_xi", refuse)
+    monkeypatch.setattr(nl, "build_W1_eta", refuse)
+    for run, channel in (
+            (lambda: xi_pass(st.params, label, st.setup, p_phys), "xi"),
+            (lambda: nl.first_correction_eta(st.params, label, p_phys),
+             "eta")):
+        calls.clear()
+        run()
+        assert calls == [channel]
+
+
+def _separate_reads(panels, vals, start):
+    """(phase, slope) callables of a slope's panel values, each read by its
+    own panel search and per-coefficient Horner pass: the pair that
+    _Panels.table serves from one search and one gather."""
+    from twocenter.nonlinearization import _C, _PANEL_N
+
+    def piecewise(coef, left=None):
+        coef = coef.T.copy()
+
+        def evaluate(u):
+            u = np.asarray(u, dtype=float)
+            i = np.minimum(np.maximum(np.searchsorted(panels.edges, u,
+                                                      "right") - 1, 0),
+                           panels.half.size - 1)
+            s = np.minimum(np.maximum((u - panels.mid[i]) / panels.half[i],
+                                      -1.0), 1.0)
+            out = coef[-1, i]
+            for c in coef[-2::-1]:
+                out = out * s + c[i]
+            if left is None:
+                return np.where(u > panels.edges[-1], 0.0, out)
+            return left[i] + (1.0 + s) * out
+        return evaluate
+
+    p = vals @ _C.T
+    a = panels.half[:, None] * p / np.arange(1, _PANEL_N + 1)
+    q = np.empty_like(a)
+    q[:, -1] = a[:, -1]
+    for k in range(_PANEL_N - 2, -1, -1):
+        q[:, k] = a[:, k] - q[:, k + 1]
+    tot = 2.0 * np.sum(q, axis=1)
+    return piecewise(q, start + np.cumsum(tot) - tot), piecewise(p)
+
+
+@pytest.mark.parametrize("name,R", [("1ssg", 2.0), ("3psu", 4.0),
+                                    ("3ddg", 50.0)])
+def test_table_pair_is_the_separate_reads(bank, name, R):
+    # a table's (phase, slope) pair is, to the bit, what reading each
+    # polynomial alone gives: on the panel nodes, at every edge, before
+    # the first edge and beyond the last one, and at a scalar point
+    import twocenter.nonlinearization as nl
+    from twocenter.model import label_from_designation
+
+    label = label_from_designation(name)
+    st = bank.get(label, R)
+    p_phys = p_from_energy(st.energy.E_total, st.setup)
+    for channel in ("xi", "eta"):
+        _, panels, _, F, D, _ = nl._first_order(
+            st.params, label, st.setup, p_phys, channel)
+        lo, hi = panels.edges[0], panels.edges[-1]
+        u = np.concatenate([panels.nodes.ravel(), panels.edges,
+                            np.nextafter(panels.edges, -np.inf),
+                            [lo - 0.5, hi + 1e-9, hi + 0.5, 2.0 * hi + 3.0]])
+        phase, slope = _separate_reads(panels, F / D, 0.3)
+        pair = panels.table(F / D, 0.3)
+        got = pair(u)
+        assert got[0].tobytes() == phase(u).tobytes()
+        assert got[1].tobytes() == slope(u).tobytes()
+        assert np.all(got[1][u > hi] == 0.0)
+        for x in (float(panels.nodes[1, 3]), hi + 0.5):
+            assert pair(x) == (float(phase(x)), float(slope(x)))
+
+
 @pytest.mark.parametrize("name", ["2ssg", "3psu"])
 @pytest.mark.parametrize("R", [2.0, 10.0])
 def test_node_correction_finite_at_xi_one(bank, name, R, monkeypatch):
@@ -415,7 +518,8 @@ def test_node_correction_finite_at_xi_one(bank, name, R, monkeypatch):
 
     def undefined_at_one(*args):
         x = args[4]
-        return tuple(np.where(x == 1.0, math.nan, v) for v in parts(*args))
+        *vals, scale = parts(*args)
+        return (*(np.where(x == 1.0, math.nan, v) for v in vals), scale)
 
     monkeypatch.setattr(nl, "_parts", undefined_at_one)
     undefined = nl.node_correction_xi(st.params, label, st.setup, p_phys)

@@ -165,6 +165,50 @@ def test_kind_dispatch(bank):
 
 
 # ----------------------------------------------------------------------
+# normalization on the pair's own rule
+
+
+# every (kind, final label) pair of the reference tables, all from 1ssg;
+# each holds a cell at every tabulated R
+_TABLE_PAIRS = sorted({(kind, column[2:]) for kind in ("E1", "B1", "E2")
+                       for column in oscillator_table(kind)[0]
+                       if column.startswith("f_")
+                       and not column.endswith("_ext")})
+
+
+@pytest.mark.parametrize("R", [row["R"] for row in oscillator_table("e1")])
+def test_pair_rule_norms_match_own_rule_norms(bank, R):
+    # a strength takes |i| |f| from the pair's 96-point rule; normalized
+    # by each state's own-rule norm_squared() instead, every tabulated
+    # strength moves by at most 5e-11 relative (2.2e-11 measured)
+    from twocenter.model import label_from_designation
+    from twocenter.transitions import _pair_moments
+
+    g = bank.get(GS, R, corrected=True)
+    for kind, name in _TABLE_PAIRS:
+        f = bank.get(label_from_designation(name), R, corrected=True)
+        strength = oscillator_strength(kind, g, f).f
+        pair_norm2 = _pair_moments(g, f)[2] ** 2
+        own = strength * pair_norm2 / (g.norm_squared() * f.norm_squared())
+        assert own == pytest.approx(strength, rel=5e-11, abs=0.0), \
+            (kind, name)
+
+
+def test_strength_pass_reads_no_own_norm(bank, monkeypatch):
+    # the strength path has one normalization: the pair's rule
+    def refuse(self, rules=None):
+        raise AssertionError("a strength read a state's own-rule norm")
+
+    g = bank.get(GS, 2.0, corrected=True)
+    finals = {name: bank.get(label, 2.0, corrected=True)
+              for name, label in _FINALS.items()}
+    monkeypatch.setattr(SolvedState, "norm_squared", refuse)
+    for kind, name in (("E1", "2ppu"), ("E1", "2psu"), ("B1", "3dpg"),
+                       ("E2", "3dpg"), ("E2", "3ddg"), ("E2", "2ssg")):
+        assert oscillator_strength(kind, g, finals[name]).f > 0.0
+
+
+# ----------------------------------------------------------------------
 # E1 1ssg -> 3psu against the exact eigenfunctions
 
 
