@@ -192,13 +192,17 @@ def _from_edge(f, half, order=0, left=True):
 class _Panels:
     """Panels between increasing edges, each carrying the _PANEL_N
     Gauss-Legendre nodes (Greengard, SIAM J. Numer. Anal. 28, 1071
-    (1991)); node values are one row per panel."""
+    (1991)); node values are one row per panel.  The nodes are built on
+    first read: the panels of a finished table never read them."""
 
     def __init__(self, edges):
         self.edges = np.asarray(edges, dtype=float)
         self.half = 0.5 * np.diff(self.edges)
         self.mid = 0.5 * (self.edges[1:] + self.edges[:-1])
-        self.nodes = self.mid[:, None] + self.half[:, None] * _T
+
+    @functools.cached_property
+    def nodes(self):
+        return self.mid[:, None] + self.half[:, None] * _T
 
     def integrals(self, f):
         """(int_edge0^x f, int_x^edgeN f) on the nodes, by panel and totals."""

@@ -24,10 +24,14 @@ A bound state is a minimal solution that also satisfies the k = 0 row,
 i.e. a zero in A of the continued fraction F(A) = A + c_0 + alpha_0 r_1,
 r_k = g_k/g_{k-1} = -gamma_k / (A + c_k + alpha_k r_{k+1}), evaluated
 backward.  At fixed p the zeros are the radial eigenvalues A_0(p) <
-A_1(p) < ..., the n-th one with n interior nodes: the n-th eigenvalue of
-a small truncated matrix seeds Newton steps on F, whose slopes the
-backward loop carries beside r_k, and the sign changes of sum g_k t^k
-verify n.
+A_1(p) < ..., the n-th one with n interior nodes, found by Newton steps
+on F, whose slopes the backward loop carries beside r_k.  The same loop
+counts its negative pivots A + c_k + alpha_k r_{k+1}, k = K..1: at A_n
+exactly n of the K are non-negative, an index check as free as the
+angular Sturm count.  A polish that settles on a root without that count
+runs again from the n-th eigenvalue of a 24-row truncated matrix, the
+only dense eigensolve left.  The sign changes of sum g_k t^k verify n on
+the result.
 
 The joint solve is the root in p of D(p) = A_n(p) - A_ang(p), which
 increases with p (its p^2-derivative is <xi^2> - <eta^2> > 0), by Newton
@@ -36,16 +40,24 @@ trial functions, so it is the ground truth for the variational results.
 At the root, exact_channels evaluates the exact eigenfunctions: the
 series above, and the angular eigenvector summed over the Legendre basis.
 
-Each piece of work is done once per p.  The rows of both recurrences
-depend on k alone, so each channel keeps one table per p: the radial
-one serves the truncated estimate, every Newton polish, every tail and
-the series, and grows in place; the angular one is built once per
-length.  A tail is settled when F over it matches F over half of it; the
-half-length sweep only gives that value, so it runs without slopes, and
-the angular sweep from row 0 up to the twist, which no tail changes,
-runs once per fraction.  find_root starts each p-step's radial polish at
-the tail length the previous step settled on, and the result keeps the
-angular eigenvector that exact_channels sums.
+Each piece of work is done once per p, and the dense radial estimate
+only where a Newton start lands on another root.  Each p-step solves the
+angular channel first; its A_ang starts the first step's radial Newton,
+and each later step starts at the last one's tangent A_n(p_prev) +
+dA_n/dp (p - p_prev), checked by the pivot count.  The rows of both
+recurrences depend on k alone, so each channel keeps one table per p:
+the radial one is built once, at the rows of a tail check that doubles
+once, serves every Newton polish, every tail and the series, and grows
+in place; the angular one is built once per length.  A tail is settled
+when F over it matches F over half of it; the half-length sweep only
+gives that value, so it runs without slopes, a polish's sweeps keep no
+ratios, and the angular sweep from row 0 up to the twist, which no tail
+changes, runs once per fraction.  A radial sweep starts from the ratios'
+large-k expansion where that holds (_Radial.tail).  find_root starts
+each p-step's radial polish at the tail length the previous step settled
+on, the verification at p(E) reads the last p-step's table when that
+step was at p(E), and the result keeps the angular eigenvector that
+exact_channels sums.
 """
 
 from __future__ import annotations
@@ -89,7 +101,7 @@ class OracleResult:
 _K0 = 24              # angular basis starts at _K0 + lam functions
 _K_ANG = 4096         # longest angular tail tried
 # 6..48 terms give cold solves the same roots to 4 ulp; 24 polishes least
-_N_ESTIMATE = 24      # truncated recurrence whose n-th eigenvalue seeds A_n(p)
+_N_ESTIMATE = 24      # rows of the dense A_n estimate, run when a start fails
 _K_MAX = 1 << 16      # longest continued-fraction tail tried
 _K_RADIAL = 16        # first radial tail of a polish; doubling finds the rest
 _MAX_STEPS = 100      # Newton steps before a polish or find_root gives up
@@ -99,13 +111,13 @@ _MAX_STEPS = 100      # Newton steps before a polish or find_root gives up
 # continued fractions
 
 
-def _sweep(A: float, c, outer, inner, dc, douter, dinner, ks):
+def _sweep(A: float, c, outer, inner, dc, douter, dinner, ks, x=0.0):
     """A continued fraction swept over the rows ks of a three-term
-    recurrence, toward the row it closes on: the pivot den = A + c_k
-    + outer_k x and the ratio x <- -inner_k / den, with the A- and
-    p-slopes of x beside it.  Returns the last x with its slopes, the
-    count of negative pivots and every x."""
-    x = xA = xp = 0.0
+    recurrence, toward the row it closes on, from the ratio x past them:
+    the pivot den = A + c_k + outer_k x and the ratio x <- -inner_k / den,
+    with the A- and p-slopes of x beside it.  Returns the last x with its
+    slopes, the count of negative pivots and every x."""
+    xA = xp = 0.0
     below, xs = 0, []
     for k in ks:
         den = A + c[k] + outer[k] * x
@@ -118,10 +130,9 @@ def _sweep(A: float, c, outer, inner, dc, douter, dinner, ks):
     return x, xA, xp, below, xs
 
 
-def _ratio(A: float, c, outer, inner, ks) -> float:
+def _ratio(A: float, c, outer, inner, ks, x=0.0) -> float:
     """The last x of _sweep over the same rows, alone: the value a tail
     check compares, to the same bits."""
-    x = 0.0
     for k in ks:
         x = -inner[k] / (A + c[k] + outer[k] * x)
     return x
@@ -302,28 +313,74 @@ class _Radial:
             zero.extend([0.0] * (n - size))
         return self.cols
 
+    def tail(self, k: int) -> float:
+        """Where a sweep over the rows below k starts: the minimal
+        solution's ratio r_k = 1 - 2 sqrt(p/k) + (2p - kappa - 3/4)/k, to
+        O((max(1, p)/k)^(3/2)), from the recurrence's leading orders in k
+        (minimal solutions: Gautschi, SIAM Rev. 9, 24 (1967)).  The
+        expansion is in sqrt(p/k), so it is taken from k = 64 p on, where
+        it is good to about 1%, and 0 below that."""
+        p = self.p
+        if k < 64.0 * p:
+            return 0.0
+        return (1.0 - 2.0 * math.sqrt(p / k)
+                + (2.0 * p - 0.5 * self.b / p - 0.75) / k)
 
-def _fraction(A: float, rad: _Radial, K: int = 64):
-    """Scaled F(A), its slopes (F_A, F_p) on the same scale, and the ratios
-    r_0..r_K (r_0 = 1), swept backward from the tail, which doubles from K
-    terms until F settles at the rounding level of its terms.  The rows
-    come from rad, the table at F's p; the first tail only gives the value
-    the next one is checked against, so it sweeps that value alone."""
+
+def _ratios(A: float, cols, ks, x: float):
+    """_sweep over the radial rows ks from x: the last ratio, its A- and
+    p-slopes and every ratio."""
+    alpha, c, gamma, dc, dgamma, dalpha = cols
+    x, xA, xp, _, xs = _sweep(A, c, alpha, gamma, dc, dalpha, dgamma, ks, x)
+    return x, xA, xp, xs
+
+
+def _pivots(A: float, cols, ks, x: float):
+    """_sweep over the radial rows ks from x, to its bits, without the
+    ratio list and alpha's p-slope, which is zero: the last ratio, its A-
+    and p-slopes and the count of negative pivots."""
+    alpha, c, gamma, dc, dgamma, _ = cols
+    xA = xp = 0.0
+    below = 0
+    for k in ks:
+        den = A + c[k] + alpha[k] * x
+        below += den < 0.0
+        slope = dc[k] + alpha[k] * xp
+        x = -gamma[k] / den
+        xA = -x * (1.0 + alpha[k] * xA) / den
+        xp = -(dgamma[k] + x * slope) / den
+    return x, xA, xp, below
+
+
+def _settle(A: float, rad: _Radial, K: int, sweep):
+    """Scaled F(A), its slopes (F_A, F_p) on the same scale, the settled
+    tail length and the last item of sweep (_ratios or _pivots) over it.
+    The tail doubles from K terms until F settles at the rounding level of
+    its terms, each sweep starting at rad.tail.  The rows come from rad,
+    the table at F's p; the first tail only gives the value the next one
+    is checked against, so it sweeps that value alone."""
     alpha, c, gamma = rad.rows(2 * K + 1)[:3]  # both tails of a check
-    prev = A + c[0] + alpha[0] * _ratio(A, c, alpha, gamma, range(K, 0, -1))
+    prev = A + c[0] + alpha[0] * _ratio(A, c, alpha, gamma, range(K, 0, -1),
+                                        rad.tail(K + 1))
     while (K := 2 * K) <= _K_MAX:
-        alpha, c, gamma, dc, dgamma, dalpha = rad.rows(K + 1)
-        rk, rA, rp, _, rs = _sweep(A, c, alpha, gamma, dc, dalpha, dgamma,
-                                   range(K, 0, -1))
+        cols = rad.rows(K + 1)
+        alpha, c, _, dc = cols[:4]
+        rk, rA, rp, out = sweep(A, cols, range(K, 0, -1), rad.tail(K + 1))
         F = A + c[0] + alpha[0] * rk
         scale = abs(A) + abs(c[0]) + abs(alpha[0] * rk)
         if abs(F - prev) <= 1e-15 * scale:
             slopes = (1.0 + alpha[0] * rA, dc[0] + alpha[0] * rp)
-            return F / scale, tuple(d / scale for d in slopes), \
-                [1.0] + rs[::-1]
+            return F / scale, tuple(d / scale for d in slopes), K, out
         prev = F
     raise OracleConvergenceError(f"continued fraction unsettled after "
                                  f"{_K_MAX} terms (p={rad.p}, A={A})")
+
+
+def _fraction(A: float, rad: _Radial, K: int = 64):
+    """Scaled F(A), its slopes (F_A, F_p) on the same scale, and the ratios
+    r_0..r_K (r_0 = 1) of the settled tail (see _settle)."""
+    F, slopes, _, rs = _settle(A, rad, K, _ratios)
+    return F, slopes, [1.0] + rs[::-1]
 
 
 def _settled(step: float, prev: float, x: float) -> bool:
@@ -332,27 +389,39 @@ def _settled(step: float, prev: float, x: float) -> bool:
             or abs(step) <= 1e-12 * x and abs(step) > 0.5 * abs(prev))
 
 
-def _radial_eigenvalue(p: float, b: float, lam: int, n: int,
-                       K: int = _K_RADIAL):
-    """A_n(p), its slope dA_n/dp = -F_p/F_A and the settled tail length:
-    the n-th eigenvalue of the truncated recurrence, polished by Newton
-    steps on the continued fraction, whose first tail is K terms.  The
-    estimate and every polish share one table, first built for the
-    longer of the estimate and the first tail check."""
-    rad = _Radial(p, b, lam)
+def _estimate(rad: _Radial, n: int) -> float:
+    """The n-th eigenvalue of the recurrence truncated to its first
+    _N_ESTIMATE rows."""
     alpha, c, gamma = (np.array(col[:_N_ESTIMATE]) for col in
-                       rad.rows(max(_N_ESTIMATE, K + 1))[:3])
+                       rad.rows(_N_ESTIMATE)[:3])
     M = -(np.diag(c) + np.diag(alpha[:-1], 1) + np.diag(gamma[1:], -1))
-    A = float(np.sort(np.linalg.eigvals(M).real)[n])
-    step = math.inf
-    for _ in range(_MAX_STEPS):
-        F, (F_A, F_p), r = _fraction(A, rad, K // 2)
-        if F_A == 0.0:
-            break
-        K, prev, step = len(r) - 1, step, F / F_A
-        A -= step
-        if _settled(step, prev, max(1.0, abs(A))):
-            return A, -F_p / F_A, K
+    return float(np.sort(np.linalg.eigvals(M).real)[n])
+
+
+def _radial_eigenvalue(p: float, b: float, lam: int, n: int,
+                       K: int = _K_RADIAL, A: float | None = None):
+    """A_n(p), its slope dA_n/dp = -F_p/F_A, the settled tail length and
+    the table at p: Newton steps on the continued fraction from A, whose
+    first tail is K terms.  The settled sweep at A_n has exactly n
+    non-negative pivots, so a root without them is another A_m, and the
+    polish runs again from _estimate, which also starts it when A is None.
+    The table is built once, for a first tail check that doubles once."""
+    rad = _Radial(p, b, lam)
+    rad.rows(2 * K + 1)
+    for start in (A, None) if A is not None else (None,):
+        A = _estimate(rad, n) if start is None else start
+        K_polish, step = K, math.inf
+        for _ in range(_MAX_STEPS):
+            F, (F_A, F_p), K_polish, below = _settle(A, rad, K_polish // 2,
+                                                     _pivots)
+            if F_A == 0.0:
+                break
+            prev, step = step, F / F_A
+            A -= step
+            if _settled(step, prev, max(1.0, abs(A))):
+                if start is None or K_polish - below == n:
+                    return A, -F_p / F_A, K_polish, rad
+                break
     raise OracleConvergenceError(f"Newton on A_{n}(p={p}) did not settle")
 
 
@@ -374,7 +443,11 @@ def radial_solution(E_total: float, A: float, setup: PhysicalSetup, lam: int,
     if E_prime >= 0.0:
         raise ValueError("radial solution needs a bound channel (E' < 0)")
     p = math.sqrt(-E_prime) * setup.R / 2.0
-    rad = _Radial(p, (setup.Z1 + setup.Z2) * setup.R, lam)
+    return _defect(A, _Radial(p, (setup.Z1 + setup.Z2) * setup.R, lam), K)
+
+
+def _defect(A: float, rad: _Radial, K: int):
+    """radial_solution on the table rad, at its p."""
     defect, _, r = _fraction(A, rad, K)
     return defect, _sign_changes(A, rad, r)[2].size
 
@@ -403,18 +476,21 @@ def find_root(label: StateLabel, setup: PhysicalSetup, E_seed: float):
     narrows a bracket (lo, hi); a step that leaves it bisects, or doubles
     p while no upper bound is known.  The last p evaluated is the root
     once a step is within 4 ulp of it, or within 1e-12 p and no longer
-    halving (the noise floor of D).  Each p-step's radial polish starts
-    from the tail length the previous one settled on.  Returns E there,
-    A_ang at p(E) with its eigenvector, the radial tail length and the
-    number of p-steps.
+    halving (the noise floor of D).  The first p-step's radial polish
+    starts at A_ang(p), each later one at the tangent of the last,
+    A_n(p_prev) + dA_n/dp (p - p_prev), and from the tail length the
+    last one settled on.  Returns E there, A_ang at p(E) with its
+    eigenvector, the radial tail length, the number of p-steps and the
+    last p-step's radial table.
     """
     b = (setup.Z1 + setup.Z2) * setup.R
     p = p_from_energy(E_seed, setup)
     lo, hi, step, K_rad = 0.0, math.inf, math.inf, _K_RADIAL
     for steps in range(1, _MAX_STEPS + 1):
-        A_n, dA_n, K_rad = _radial_eigenvalue(p, b, label.lam, label.n,
-                                              K_rad)
         A, dA, _, v = _angular(p, label.lam, label.m, label.parity)
+        start = A if steps == 1 else A_n + dA_n * (p - rad.p)
+        A_n, dA_n, K_rad, rad = _radial_eigenvalue(p, b, label.lam, label.n,
+                                                   K_rad, start)
         D, slope = A_n - A, dA_n - dA
         lo, hi = (p, hi) if D < 0.0 else (lo, p)
         new = p - D / slope if slope > 0.0 else math.nan
@@ -426,7 +502,7 @@ def find_root(label: StateLabel, setup: PhysicalSetup, E_seed: float):
             p_E = p_from_energy(E, setup)
             if p_E != p:  # the result's A is taken at E's own p
                 A, _, _, v = _angular(p_E, label.lam, label.m, label.parity)
-            return E, A, v, K_rad, steps
+            return E, A, v, K_rad, steps, rad
         p = new
     raise RadialRootError(
         f"no bispectral root with n={label.n} near E={E_seed}")
@@ -443,13 +519,18 @@ def solve_bispectral(label: StateLabel, setup: PhysicalSetup,
     """Joint (E, A) solve; E_seed defaults to the one-center estimate.
 
     The seed only places find_root's first p: the root is the one with
-    label.n radial nodes, verified through radial_mismatch.
+    label.n radial nodes, verified as radial_mismatch does, on find_root's
+    last radial table when that is at p(E).
     """
     E = E_seed if E_seed is not None else hydrogenic_seed(label, setup)
-    E, A, v, K_rad, steps = find_root(label, setup, E)
-    mism = radial_mismatch(E, A, setup, label.lam, label.n, K_rad // 2)
-    return OracleResult(label, setup, E, A, p_from_energy(E, setup), v.size,
-                        mism, steps, v)
+    E, A, v, K_rad, steps, rad = find_root(label, setup, E)
+    p = p_from_energy(E, setup)
+    mism, nodes = (_defect(A, rad, K_rad // 2) if rad.p == p else
+                   radial_solution(E, A, setup, label.lam, K_rad // 2))
+    if nodes != label.n:
+        raise RadialRootError(
+            f"node count {nodes} != {label.n} at E={E} (A={A})")
+    return OracleResult(label, setup, E, A, p, v.size, mism, steps, v)
 
 
 # ----------------------------------------------------------------------

@@ -150,7 +150,8 @@ def _eta_model(eta, log_y, weights, p: float, nu: float, odd: bool):
 
 
 def _fit_eta(starts, eta, log_y, weights, p: float, nu: float, odd: bool):
-    """The best fit of _eta_model from the start shapes in its domain."""
+    """The best fit of _eta_model from the start shapes in its domain;
+    ParamDomainError when no start is in it."""
     model = _eta_model(eta, log_y, weights, p, nu, odd)
     best = None
     for start in starts:
@@ -160,6 +161,8 @@ def _fit_eta(starts, eta, log_y, weights, p: float, nu: float, odd: bool):
             continue
         if best is None or fit[1] < best[1]:
             best = fit
+    if best is None:
+        raise ParamDomainError("no eta start shape in the parameter domain")
     return best[0]
 
 

@@ -10,9 +10,10 @@ from scipy.special import obl_cv
 from twocenter.model import (SUPPORTED_LABELS, PhysicalSetup, StateLabel,
                              label_from_designation, p_from_energy)
 from twocenter.oracle import (RadialRootError, _Angular, _Radial, _angular,
-                              _angular_fraction, _angular_matrix, _fraction,
-                              _legendre_terms, _radial_eigenvalue, _ratio,
-                              _recurrence, _sign_changes, _sweep,
+                              _angular_fraction, _angular_matrix, _defect,
+                              _fraction, _legendre_terms, _pivots,
+                              _radial_eigenvalue, _ratio, _recurrence,
+                              _sign_changes, _sweep,
                               angular_eigenvalue,
                               exact_channels, exact_node,
                               find_root, hydrogenic_seed, radial_mismatch,
@@ -217,22 +218,27 @@ def test_cold_solves_toward_the_united_atom(label):
 @pytest.mark.parametrize("label", SUPPORTED_LABELS, ids=str)
 def test_small_seed_truncation_lands_on_the_same_roots(label, monkeypatch):
     # the n-th eigenvalue of the truncated recurrence only seeds the Newton
-    # polish of A_n(p): cold solves from the 24-term truncation and from
+    # polish of A_n(p) on the dense path: at the p of cold solves and of
+    # their one-center seeds, polishes from the 24-term truncation and from
     # the 48-term one agree in node count and to 8e-15 relative
     import twocenter.oracle as oracle
 
-    setups = [PhysicalSetup(float(R)) for R in np.geomspace(0.05, 50.0, 10)]
-    small = [solve_bispectral(label, setup) for setup in setups]
+    cases = []
+    for R in np.geomspace(0.05, 50.0, 10):
+        setup = PhysicalSetup(float(R))
+        cases += [(solve_bispectral(label, setup).p, 2.0 * R),
+                  (p_from_energy(hydrogenic_seed(label, setup), setup),
+                   2.0 * R)]
+    small = [_radial_eigenvalue(p, b, label.lam, label.n)
+             for p, b in cases]
     monkeypatch.setattr(oracle, "_N_ESTIMATE", 48)
-    for res, setup in zip(small, setups):
-        ref = solve_bispectral(label, setup)
-        assert radial_solution(res.E_total, res.A, setup, label.lam)[1] \
-            == radial_solution(ref.E_total, ref.A, setup, label.lam)[1] \
-            == label.n
-        E_prime = abs(ref.E_total - setup.repulsion)
-        assert abs(res.E_total - ref.E_total) <= 8e-15 * E_prime
-        assert abs(res.A - ref.A) <= 8e-15 * max(1.0, abs(ref.A))
-        assert abs(res.p - ref.p) <= 8e-15 * ref.p
+    for (A, dA, K, rad), (p, b) in zip(small, cases):
+        A_ref, dA_ref, K_ref, rad_ref = _radial_eigenvalue(p, b, label.lam,
+                                                           label.n)
+        assert _defect(A, rad, K // 2)[1] == _defect(
+            A_ref, rad_ref, K_ref // 2)[1] == label.n
+        assert abs(A - A_ref) <= 8e-15 * max(1.0, abs(A_ref))
+        assert abs(dA - dA_ref) <= 1e-12 * max(1.0, abs(dA_ref))
 
 
 @pytest.mark.parametrize("label", SUPPORTED_LABELS, ids=str)
@@ -373,6 +379,8 @@ class _FreshRadial:
                                                 0, n)]
         return (*cols, [0.0] * n)
 
+    tail = _Radial.tail  # the tail start at its own (p, b)
+
 
 class _FreshAngular:
     """An angular table that builds every request anew at its exact
@@ -468,11 +476,11 @@ def test_carried_radial_tail_lands_on_the_same_roots(label, monkeypatch):
                for setup, E in zip(setups, seeds)]
     polish = oracle._radial_eigenvalue
     monkeypatch.setattr(oracle, "_radial_eigenvalue",
-                        lambda p, b, lam, n, K: polish(p, b, lam, n,
-                                                       oracle._K_RADIAL))
+                        lambda p, b, lam, n, K, A: polish(
+                            p, b, lam, n, oracle._K_RADIAL, A))
     for got, setup, E in zip(carried, setups, seeds):
-        E_r, A_r, v_r, K_r, steps_r = find_root(label, setup, E)
-        E_c, A_c, v_c, K_c, steps_c = got
+        E_r, A_r, v_r, K_r, steps_r, _ = find_root(label, setup, E)
+        E_c, A_c, v_c, K_c, steps_c, _ = got
         assert (E_c, A_c, K_c, steps_c) == (E_r, A_r, K_r, steps_r)
         assert v_c.tobytes() == v_r.tobytes()
 
@@ -498,14 +506,17 @@ def test_kept_eigenvector_matches_a_fresh_angular_solve(label):
 
 def test_each_p_step_builds_its_tables_once(monkeypatch):
     # over criterion 7's 21 reference-seeded solves and the default 1ssg
-    # probe toward the united atom: every p-step and every verification
-    # starts one radial table, which only ever grows by rows it has not
-    # computed, and no angular matrix is built twice at one length
+    # probe toward the united atom: every p-step starts one radial table,
+    # at 2K + 1 rows for the tail length K it carries, and extends it only
+    # for a tail settled past them; the verification reads the last
+    # p-step's table, and only the 3 solves whose p(E) is not that step's
+    # p start one of their own.  Rows are computed once, no angular matrix
+    # is built twice at one length, and no dense estimate runs
     import twocenter.oracle as oracle
     import twocenter.united_atom as united_atom
 
     GS, US = StateLabel(0, 0, 0, +1), StateLabel(0, 0, 0, -1)
-    radial, angular, tables = [], [], []
+    radial, angular, tables, polishes = [], [], [], []
     recurrence, matrix = oracle._recurrence, oracle._angular_matrix
 
     def counted_recurrence(p, b, lam, lo, hi):
@@ -516,6 +527,9 @@ def test_each_p_step_builds_its_tables_once(monkeypatch):
         angular.append((p, lam, parity, K))
         return matrix(p, lam, parity, K)
 
+    def no_eigvals(M):
+        raise AssertionError("a dense radial estimate ran")
+
     def tables_started_in(fn):
         def wrapped(*args, **kwargs):
             first = len(radial)
@@ -524,12 +538,21 @@ def test_each_p_step_builds_its_tables_once(monkeypatch):
             return out
         return wrapped
 
+    polish = oracle._radial_eigenvalue
+
+    def recorded_polish(p, b, lam, n, K, A):
+        first = len(radial)
+        out = polish(p, b, lam, n, K, A)
+        polishes.append((K, out[2], [row[1:] for row in radial[first:]]))
+        return out
+
     monkeypatch.setattr(oracle, "_recurrence", counted_recurrence)
     monkeypatch.setattr(oracle, "_angular_matrix", counted_matrix)
+    monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
     monkeypatch.setattr(oracle, "_radial_eigenvalue",
-                        tables_started_in(oracle._radial_eigenvalue))
-    monkeypatch.setattr(oracle, "radial_mismatch",
-                        tables_started_in(oracle.radial_mismatch))
+                        tables_started_in(recorded_polish))
+    monkeypatch.setattr(oracle, "radial_solution",
+                        tables_started_in(oracle.radial_solution))
 
     refs = {(row["label"], row["R"]): row["E"]
             for which in ("1ssg", "2psu", "lam12", "node")
@@ -554,9 +577,16 @@ def test_each_p_step_builds_its_tables_once(monkeypatch):
     assert len(results) == 26
     steps = sum(res.bracket_iterations for res in results)
 
-    # one table per p-step and one per verification, and nothing else
+    # one table per p-step and one per radial_solution, and nothing else
+    assert len(polishes) == steps
     assert tables == [1] * len(tables)
-    assert len(tables) == steps + len(results)
+    assert len(tables) == steps + 3
+    # a p-step builds rows 0..2K once, then one extension per doubling of
+    # the tail past them
+    for K, K_settled, builds in polishes:
+        assert builds[0] == (0, 2 * K + 1)
+        assert len(builds) == 1 + max(0, (K_settled // (2 * K)).bit_length()
+                                      - 1)
     # a table's rows are computed once: each extension starts where the
     # rows so far end
     end = {}
@@ -564,3 +594,85 @@ def test_each_p_step_builds_its_tables_once(monkeypatch):
         assert lo == 0 or lo == end[p]
         end[p] = hi
     assert len(set(angular)) == len(angular)
+
+
+# ----------------------------------------------------------------------
+# warm radial starts checked by the pivot count
+
+
+@pytest.mark.parametrize("label", SUPPORTED_LABELS, ids=str)
+def test_settled_radial_sweep_has_n_non_negative_pivots(label, monkeypatch):
+    # at every p-step of cold solves from R = 0.01 to 1000, the sweep over
+    # the settled tail at A_n has exactly n non-negative pivots, and the
+    # series there has n nodes: the count that checks each warm start
+    # picks the root the node count verifies
+    import twocenter.oracle as oracle
+
+    polish, seen = oracle._radial_eigenvalue, []
+
+    def checked(p, b, lam, n, K, A):
+        A_n, dA_n, K_n, rad = polish(p, b, lam, n, K, A)
+        below = _pivots(A_n, rad.rows(K_n + 1), range(K_n, 0, -1),
+                        rad.tail(K_n + 1))[3]
+        seen.append((K_n - below, _defect(A_n, rad, K_n // 2)[1]))
+        return A_n, dA_n, K_n, rad
+
+    monkeypatch.setattr(oracle, "_radial_eigenvalue", checked)
+    for R in np.geomspace(0.01, 1000.0, 31):
+        solve_bispectral(label, PhysicalSetup(float(R)))
+    assert len(seen) > 31
+    assert set(seen) == {(label.n, label.n)}
+
+
+@pytest.mark.parametrize("label", SUPPORTED_LABELS, ids=str)
+def test_start_on_another_root_falls_back_to_one_estimate(label,
+                                                          monkeypatch):
+    # a first radial start forced onto the neighbouring root A_(1-n)
+    # settles there with the wrong pivot count; the polish runs again
+    # from the dense estimate, once, and the solve returns the unforced
+    # E, A and p
+    import twocenter.oracle as oracle
+
+    polish, estimate = oracle._radial_eigenvalue, oracle._estimate
+    for R in (1.0, 10.0):
+        setup = PhysicalSetup(R)
+        E_seed = solve_bispectral(label, setup).E_total
+        ref = solve_bispectral(label, setup, E_seed)
+        p = p_from_energy(E_seed, setup)
+        other = polish(p, 2.0 * R, label.lam, 1 - label.n)[0]
+        starts, estimates = [], []
+
+        def forced(p, b, lam, n, K, A):
+            starts.append(A)
+            return polish(p, b, lam, n, K, other if len(starts) == 1 else A)
+
+        def counted(rad, n):
+            estimates.append(n)
+            return estimate(rad, n)
+
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_radial_eigenvalue", forced)
+            m.setattr(oracle, "_estimate", counted)
+            res = solve_bispectral(label, setup, E_seed)
+        assert estimates == [label.n]
+        assert (res.E_total, res.A, res.p) == (ref.E_total, ref.A, ref.p)
+
+
+@pytest.mark.parametrize("name,R", [("1ssg", 0.03125), ("2ppu", 0.1),
+                                    ("3psu", 1.0), ("3ddg", 6.0),
+                                    ("2ssg", 10.0)])
+def test_tail_start_is_near_a_long_sweep(name, R):
+    # where the radial sweeps start from it (k >= 64 p), the ratios'
+    # large-k expansion is within 5 (max(1, p)/k)^(3/2) of the r_k that a
+    # 4096-term sweep from 0 gives at the oracle's root
+    label = label_from_designation(name)
+    res = solve_bispectral(label, PhysicalSetup(R))
+    rad = _Radial(res.p, 2.0 * R, label.lam)
+    alpha, c, gamma, dc, dgamma, dalpha = rad.rows(4097)
+    xs = _sweep(res.A, c, alpha, gamma, dc, dalpha, dgamma,
+                range(4096, 0, -1))[4]
+    ks = [k for k in (64, 128, 256, 512, 1024) if k >= 64.0 * res.p]
+    assert ks
+    for k in ks:
+        r_k = xs[4096 - k]
+        assert abs(rad.tail(k) - r_k) <= 5.0 * (max(1.0, res.p) / k) ** 1.5

@@ -577,6 +577,18 @@ def test_eta_fit_projects_out_log_c(monkeypatch, label, R):
     assert np.abs(jacobian() @ sw).max() <= 1e-12
 
 
+@pytest.mark.parametrize("label,R", _EVEN_ODD_SEEDS)
+def test_eta_fit_without_a_start_in_the_domain_raises_by_type(monkeypatch,
+                                                               label, R):
+    # when every start shape is off the domain, D(1) = 1 + b2 + b3 <= 0
+    # on both branches, the fit raises ParamDomainError
+    from twocenter.presets import _fit_eta
+
+    _, inputs = _eta_fit_inputs(monkeypatch, label, R)
+    with pytest.raises(ParamDomainError, match="no eta start"):
+        _fit_eta([(1.0, 0.0, -2.0, 0.5), (0.5, 0.0, -1.0, 0.0)], *inputs)
+
+
 def test_seed_is_reproducible_around_another_seed():
     # the fit's reuse of J^T J and of the model's D and w stays inside
     # one call: the same seed twice, with another label's seed between
