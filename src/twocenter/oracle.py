@@ -30,8 +30,8 @@ counts its negative pivots A + c_k + alpha_k r_{k+1}, k = K..1: at A_n
 exactly n of the K are non-negative, an index check as free as the
 angular Sturm count.  A polish that settles on a root without that count
 runs again from the n-th eigenvalue of a 24-row truncated matrix, the
-only dense eigensolve left.  The sign changes of sum g_k t^k verify n on
-the result.
+only dense eigensolve left.  The result is verified by the same count,
+on a sweep of its own at p(E).
 
 The joint solve is the root in p of D(p) = A_n(p) - A_ang(p), which
 increases with p (its p^2-derivative is <xi^2> - <eta^2> > 0), by Newton
@@ -40,24 +40,23 @@ trial functions, so it is the ground truth for the variational results.
 At the root, exact_channels evaluates the exact eigenfunctions: the
 series above, and the angular eigenvector summed over the Legendre basis.
 
-Each piece of work is done once per p, and the dense radial estimate
-only where a Newton start lands on another root.  Each p-step solves the
-angular channel first; its A_ang starts the first step's radial Newton,
-and each later step starts at the last one's tangent A_n(p_prev) +
-dA_n/dp (p - p_prev), checked by the pivot count.  The rows of both
-recurrences depend on k alone, so each channel keeps one table per p:
-the radial one is built once, at the rows of a tail check that doubles
-once, serves every Newton polish, every tail and the series, and grows
-in place; the angular one is built once per length.  A tail is settled
-when F over it matches F over half of it; the half-length sweep only
-gives that value, so it runs without slopes, a polish's sweeps keep no
-ratios, and the angular sweep from row 0 up to the twist, which no tail
-changes, runs once per fraction.  A radial sweep starts from the ratios'
-large-k expansion where that holds (_Radial.tail).  find_root starts
-each p-step's radial polish at the tail length the previous step settled
-on, the verification at p(E) reads the last p-step's table when that
-step was at p(E), and the result keeps the angular eigenvector that
-exact_channels sums.
+Each piece of work is done once per p-step, and the dense radial
+estimate only where a Newton start lands on another root.  Each p-step
+solves the angular channel first; its A_ang starts the first step's
+radial Newton, and each later step starts at the last one's tangent
+A_n(p_prev) + dA_n/dp (p - p_prev), checked by the pivot count.  The rows
+of both recurrences depend on k alone, so each channel keeps one table
+per p-step, and the verification one of its own: the radial one is built
+once, at the rows of a tail check that doubles once, serves every Newton
+polish, every tail and the series, and grows in place; the angular one
+is built once per length.  A tail is settled when F over it matches F
+over half of it; the half-length sweep only gives that value, so it runs
+without slopes, a polish's sweeps keep no ratios, and the angular sweep
+from row 0 up to the twist, which no tail changes, runs once per
+fraction.  A radial sweep starts from the ratios' large-k expansion where
+that holds (_Radial.tail).  find_root starts each p-step's radial polish
+at the tail length the previous step settled on, and the result keeps
+the angular eigenvector that exact_channels sums.
 """
 
 from __future__ import annotations
@@ -425,37 +424,22 @@ def _radial_eigenvalue(p: float, b: float, lam: int, n: int,
     raise OracleConvergenceError(f"Newton on A_{n}(p={p}) did not settle")
 
 
-def _node_grid(A: float, p: float, b: float) -> np.ndarray:
-    """t = (xi-1)/(xi+1) on (0, t_far]: no node lies beyond the outer
-    turning point of A + b xi - p^2 xi^2."""
-    xi_far = (b + math.sqrt(b * b + 4.0 * p * p * max(A, 0.0))) \
-        / (2.0 * p * p) + 1.0 / p
-    return np.linspace(0.0, 1.0, 1400)[1:] * (xi_far - 1.0) / (xi_far + 1.0)
-
-
 def radial_solution(E_total: float, A: float, setup: PhysicalSetup, lam: int,
                     K: int = 64):
     """Scaled continued-fraction defect F(A)/(|A|+|c_0|+|alpha_0 r_1|) at
-    p(E_total), and the interior node count of the minimal solution: the
-    sign changes of Jaffe's series on the node grid, as exact_node finds
-    them.  The fraction's tail doubles from K terms."""
-    E_prime = E_total - setup.repulsion
-    if E_prime >= 0.0:
-        raise ValueError("radial solution needs a bound channel (E' < 0)")
-    p = math.sqrt(-E_prime) * setup.R / 2.0
-    return _defect(A, _Radial(p, (setup.Z1 + setup.Z2) * setup.R, lam), K)
-
-
-def _defect(A: float, rad: _Radial, K: int):
-    """radial_solution on the table rad, at its p."""
-    defect, _, r = _fraction(A, rad, K)
-    return defect, _sign_changes(A, rad, r)[2].size
+    p(E_total), and the root index: the count of non-negative pivots of the
+    settled sweep, n at A_n and on both sides close to it.  The fraction's tail
+    doubles from K terms, on a table of its own."""
+    b = (setup.Z1 + setup.Z2) * setup.R
+    rad = _Radial(p_from_energy(E_total, setup), b, lam)
+    defect, _, K, below = _settle(A, rad, K, _pivots)
+    return defect, K - below
 
 
 def radial_mismatch(E_total: float, A: float, setup: PhysicalSetup, lam: int,
                     n: int, K: int = 64) -> float:
-    """Continued-fraction defect; raises when the interior node count
-    differs from n."""
+    """Continued-fraction defect; raises when the root index of
+    radial_solution, the interior node count at a root, differs from n."""
     mism, nodes = radial_solution(E_total, A, setup, lam, K)
     if nodes != n:
         raise RadialRootError(
@@ -480,8 +464,7 @@ def find_root(label: StateLabel, setup: PhysicalSetup, E_seed: float):
     starts at A_ang(p), each later one at the tangent of the last,
     A_n(p_prev) + dA_n/dp (p - p_prev), and from the tail length the
     last one settled on.  Returns E there, A_ang at p(E) with its
-    eigenvector, the radial tail length, the number of p-steps and the
-    last p-step's radial table.
+    eigenvector, the radial tail length and the number of p-steps.
     """
     b = (setup.Z1 + setup.Z2) * setup.R
     p = p_from_energy(E_seed, setup)
@@ -502,7 +485,7 @@ def find_root(label: StateLabel, setup: PhysicalSetup, E_seed: float):
             p_E = p_from_energy(E, setup)
             if p_E != p:  # the result's A is taken at E's own p
                 A, _, _, v = _angular(p_E, label.lam, label.m, label.parity)
-            return E, A, v, K_rad, steps, rad
+            return E, A, v, K_rad, steps
         p = new
     raise RadialRootError(
         f"no bispectral root with n={label.n} near E={E_seed}")
@@ -519,18 +502,13 @@ def solve_bispectral(label: StateLabel, setup: PhysicalSetup,
     """Joint (E, A) solve; E_seed defaults to the one-center estimate.
 
     The seed only places find_root's first p: the root is the one with
-    label.n radial nodes, verified as radial_mismatch does, on find_root's
-    last radial table when that is at p(E).
+    label.n radial nodes, verified by radial_mismatch at p(E).
     """
     E = E_seed if E_seed is not None else hydrogenic_seed(label, setup)
-    E, A, v, K_rad, steps, rad = find_root(label, setup, E)
-    p = p_from_energy(E, setup)
-    mism, nodes = (_defect(A, rad, K_rad // 2) if rad.p == p else
-                   radial_solution(E, A, setup, label.lam, K_rad // 2))
-    if nodes != label.n:
-        raise RadialRootError(
-            f"node count {nodes} != {label.n} at E={E} (A={A})")
-    return OracleResult(label, setup, E, A, p, v.size, mism, steps, v)
+    E, A, v, K_rad, steps = find_root(label, setup, E)
+    mism = radial_mismatch(E, A, setup, label.lam, label.n, K_rad // 2)
+    return OracleResult(label, setup, E, A, p_from_energy(E, setup), v.size,
+                        mism, steps, v)
 
 
 # ----------------------------------------------------------------------
@@ -563,10 +541,14 @@ def _series(A: float, rad: _Radial, t_max: float, r):
 
 
 def _sign_changes(A: float, rad: _Radial, r):
-    """The node grid t, the series coefficients g on it (from the ratios
-    r on the table rad), and the indices i where sum g_k t^k changes sign
-    between t[i] and t[i+1]."""
-    t = _node_grid(A, rad.p, rad.b)
+    """The node grid t = (xi-1)/(xi+1) on (0, t_far], the series
+    coefficients g on it (from the ratios r on the table rad), and the
+    indices i where sum g_k t^k changes sign between t[i] and t[i+1].  No
+    node lies beyond the outer turning point of A + b xi - p^2 xi^2."""
+    p, b = rad.p, rad.b
+    xi_far = (b + math.sqrt(b * b + 4.0 * p * p * max(A, 0.0))) \
+        / (2.0 * p * p) + 1.0 / p
+    t = np.linspace(0.0, 1.0, 1400)[1:] * (xi_far - 1.0) / (xi_far + 1.0)
     g, _ = _series(A, rad, t[-1], r)
     s = np.sign(np.polynomial.polynomial.polyval(t, g))
     return t, g, np.flatnonzero(s[:-1] * s[1:] < 0.0)

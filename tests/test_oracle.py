@@ -10,16 +10,23 @@ from scipy.special import obl_cv
 from twocenter.model import (SUPPORTED_LABELS, PhysicalSetup, StateLabel,
                              label_from_designation, p_from_energy)
 from twocenter.oracle import (RadialRootError, _Angular, _Radial, _angular,
-                              _angular_fraction, _angular_matrix, _defect,
+                              _angular_fraction, _angular_matrix,
                               _fraction, _legendre_terms, _pivots,
                               _radial_eigenvalue, _ratio, _recurrence,
-                              _sign_changes, _sweep,
+                              _settle, _sign_changes, _sweep,
                               angular_eigenvalue,
                               exact_channels, exact_node,
                               find_root, hydrogenic_seed, radial_mismatch,
                               radial_solution, solve_bispectral)
 from twocenter.reference import energy_table
 from twocenter.united_atom import limit_form
+
+
+def _series_nodes(A, rad, K=64):
+    # the interior node count as the sign changes of Jaffe's series on the
+    # node grid, as exact_node finds them: the check independent of the
+    # pivot count that radial_solution reads
+    return _sign_changes(A, rad, _fraction(A, rad, K)[2])[2].size
 
 
 @pytest.mark.parametrize("lam,m,parity,l", [
@@ -94,12 +101,14 @@ def test_angular_table_trend():
 
 
 def test_radial_root_at_reference_energy():
-    # the mismatch changes sign across the tabulated ground-state energy
+    # the mismatch changes sign across the tabulated ground-state energy,
+    # and the pivot count reads the root's index, 0, on both sides
     setup = PhysicalSetup(2.0)
     A = 0.8117295846248
-    lo = radial_solution(-1.20526842899 - 1e-7, A, setup, 0)[0]
-    hi = radial_solution(-1.20526842899 + 1e-7, A, setup, 0)[0]
+    lo, lo_index = radial_solution(-1.20526842899 - 1e-7, A, setup, 0)
+    hi, hi_index = radial_solution(-1.20526842899 + 1e-7, A, setup, 0)
     assert lo * hi < 0.0
+    assert (lo_index, hi_index) == (0, 0)
 
 
 def test_radial_node_count():
@@ -202,7 +211,7 @@ def test_cold_solves_toward_the_united_atom(label):
     # of A_n(p) once ran away there, and the p root it gave failed the
     # node count, for 2ssg at R = 0.02247 and 0.025 and for 3psu at
     # 0.01963, 0.02 and 0.02571.  The node count is checked inside
-    # solve_bispectral and again here.
+    # solve_bispectral, and again here by the pivots and by the series.
     # The first radial node r = R xi0 / 2 tends to the united-atom
     # orbital's, N (l + 1) / (Z1 + Z2), as R -> 0.
     N, l, _ = limit_form(label).orbital
@@ -210,6 +219,8 @@ def test_cold_solves_toward_the_united_atom(label):
         res = solve_bispectral(label, PhysicalSetup(float(R)))
         assert radial_solution(res.E_total, res.A, res.setup,
                                label.lam)[1] == label.n
+        assert _series_nodes(res.A, _Radial(res.p, 2.0 * R,
+                                            label.lam)) == label.n
         if label.n == 1:
             r_node = R * exact_node(res) / 2.0
             assert abs(r_node - N * (l + 1) / 2.0) <= 2.0 * R * R
@@ -232,11 +243,15 @@ def test_small_seed_truncation_lands_on_the_same_roots(label, monkeypatch):
     small = [_radial_eigenvalue(p, b, label.lam, label.n)
              for p, b in cases]
     monkeypatch.setattr(oracle, "_N_ESTIMATE", 48)
+
+    def index(A, rad, K):
+        K, below = _settle(A, rad, K // 2, _pivots)[2:]
+        return K - below
+
     for (A, dA, K, rad), (p, b) in zip(small, cases):
         A_ref, dA_ref, K_ref, rad_ref = _radial_eigenvalue(p, b, label.lam,
                                                            label.n)
-        assert _defect(A, rad, K // 2)[1] == _defect(
-            A_ref, rad_ref, K_ref // 2)[1] == label.n
+        assert index(A, rad, K) == index(A_ref, rad_ref, K_ref) == label.n
         assert abs(A - A_ref) <= 8e-15 * max(1.0, abs(A_ref))
         assert abs(dA - dA_ref) <= 1e-12 * max(1.0, abs(dA_ref))
 
@@ -479,8 +494,8 @@ def test_carried_radial_tail_lands_on_the_same_roots(label, monkeypatch):
                         lambda p, b, lam, n, K, A: polish(
                             p, b, lam, n, oracle._K_RADIAL, A))
     for got, setup, E in zip(carried, setups, seeds):
-        E_r, A_r, v_r, K_r, steps_r, _ = find_root(label, setup, E)
-        E_c, A_c, v_c, K_c, steps_c, _ = got
+        E_r, A_r, v_r, K_r, steps_r = find_root(label, setup, E)
+        E_c, A_c, v_c, K_c, steps_c = got
         assert (E_c, A_c, K_c, steps_c) == (E_r, A_r, K_r, steps_r)
         assert v_c.tobytes() == v_r.tobytes()
 
@@ -508,9 +523,8 @@ def test_each_p_step_builds_its_tables_once(monkeypatch):
     # over criterion 7's 21 reference-seeded solves and the default 1ssg
     # probe toward the united atom: every p-step starts one radial table,
     # at 2K + 1 rows for the tail length K it carries, and extends it only
-    # for a tail settled past them; the verification reads the last
-    # p-step's table, and only the 3 solves whose p(E) is not that step's
-    # p start one of their own.  Rows are computed once, no angular matrix
+    # for a tail settled past them; each solve's verification starts one
+    # table of its own at p(E).  Rows are computed once, no angular matrix
     # is built twice at one length, and no dense estimate runs
     import twocenter.oracle as oracle
     import twocenter.united_atom as united_atom
@@ -580,7 +594,7 @@ def test_each_p_step_builds_its_tables_once(monkeypatch):
     # one table per p-step and one per radial_solution, and nothing else
     assert len(polishes) == steps
     assert tables == [1] * len(tables)
-    assert len(tables) == steps + 3
+    assert len(tables) == steps + len(results)
     # a p-step builds rows 0..2K once, then one extension per doubling of
     # the tail past them
     for K, K_settled, builds in polishes:
@@ -605,23 +619,34 @@ def test_settled_radial_sweep_has_n_non_negative_pivots(label, monkeypatch):
     # at every p-step of cold solves from R = 0.01 to 1000, the sweep over
     # the settled tail at A_n has exactly n non-negative pivots, and the
     # series there has n nodes: the count that checks each warm start
-    # picks the root the node count verifies
+    # picks the root the node count verifies.  The same holds at each
+    # solve's verification point, A_ang at p(E), on a fresh table there
     import twocenter.oracle as oracle
 
-    polish, seen = oracle._radial_eigenvalue, []
+    polish, verify, seen, verified = (oracle._radial_eigenvalue,
+                                      oracle.radial_solution, [], [])
 
     def checked(p, b, lam, n, K, A):
         A_n, dA_n, K_n, rad = polish(p, b, lam, n, K, A)
         below = _pivots(A_n, rad.rows(K_n + 1), range(K_n, 0, -1),
                         rad.tail(K_n + 1))[3]
-        seen.append((K_n - below, _defect(A_n, rad, K_n // 2)[1]))
+        seen.append((K_n - below, _series_nodes(A_n, rad, K_n // 2)))
         return A_n, dA_n, K_n, rad
 
+    def checked_verification(E, A, setup, lam, K):
+        defect, index = verify(E, A, setup, lam, K)
+        rad = _Radial(p_from_energy(E, setup), 2.0 * setup.R, lam)
+        verified.append((index, _series_nodes(A, rad, K)))
+        return defect, index
+
     monkeypatch.setattr(oracle, "_radial_eigenvalue", checked)
+    monkeypatch.setattr(oracle, "radial_solution", checked_verification)
     for R in np.geomspace(0.01, 1000.0, 31):
         solve_bispectral(label, PhysicalSetup(float(R)))
     assert len(seen) > 31
     assert set(seen) == {(label.n, label.n)}
+    assert len(verified) == 31
+    assert set(verified) == {(label.n, label.n)}
 
 
 @pytest.mark.parametrize("label", SUPPORTED_LABELS, ids=str)
