@@ -10,13 +10,15 @@ density w X_ex^2 of its channel:
 - xi: with q = 1 + n + L - kappa fixed and u = gamma + xi,
   -log|X_ex/P_n| - q log u - p xi^2/u = alpha xi/u + c is linear in
   (alpha, c), so gamma in (-1, 20] is a bounded 1-D search over weighted
-  linear fits; P_1 = xi - xi0 at the exact node;
+  linear fits in closed form; P_1 = xi - xi0 at the exact node;
 - eta: log|Y_ex| = log C + log|cosh or sinh w| - nu log D is a weighted
   least-squares fit over the shape (a1, a2, b2, b3) from two starts, a
   generic shape and one of the branch's own, and the lower residual
   wins.  log C enters linearly, so it is projected out (variable
   projection: Golub and Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)),
   and Levenberg-Marquardt runs over the shape alone, within 50 evaluations.
+  D and w D = eta N come from one product over fixed rows in eta, and
+  each damped 4x4 step is an unrolled Cholesky solve on Python floats.
   The even branch starts from Levy's linearized rational fit of w D = eta N
   (IRE Trans. Autom. Control 4, 37 (1959)), iterated as Sanathanan and
   Koerner do (IEEE Trans. Autom. Control 8, 56 (1963)); the odd branch
@@ -51,19 +53,32 @@ def _density(log_w, log_f, base, lam: int):
     return np.exp(d[keep] - d.max()), keep
 
 
-def _fit_xi(x, log_x, weights, p: float, q: float):
-    """(alpha, gamma) of the xi phase fitted to log|X_ex/P_n|."""
-    sw = np.sqrt(weights)
+def _xi_regression(x, log_x, weights, p: float, q: float):
+    """gamma -> (alpha, c, cost) of the weighted fit of alpha xi/u + c to
+    -log|X_ex/P_n| - q log u - p xi^2/u, u = gamma + xi, from weighted means:
+    alpha = sum w dz dy / sum w dz^2 for the deviations dz of z = xi/u and dy,
+    c = mean(y) - alpha mean(z), cost = sum w (dy - alpha dz)^2."""
+    total, y0, px = weights.sum(), -log_x, p * x
 
     def fit(gamma):
         u = gamma + x
-        rhs = (-log_x - q * np.log(u) - p * x * x / u) * sw
-        M = np.column_stack([x / u, np.ones_like(x)]) * sw[:, None]
-        coef, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-        return coef, float(np.sum((rhs - M @ coef) ** 2))
+        z = x / u
+        y = y0 - q * np.log(u) - px * z
+        z_bar, y_bar = weights @ z / total, weights @ y / total
+        dz, dy = z - z_bar, y - y_bar
+        wdz = weights * dz
+        szz = wdz @ dz  # 0 at gamma = 0, where z = 1 leaves alpha free
+        alpha = (wdz @ dy) / szz if szz > 0.0 else 0.0
+        res = dy - alpha * dz
+        return alpha, y_bar - alpha * z_bar, float(weights @ (res * res))
+    return fit
 
-    gamma = _brent_min(lambda g: fit(g)[1], -1.0, 20.0, 1e-8)
-    return fit(gamma)[0][0], gamma
+
+def _fit_xi(x, log_x, weights, p: float, q: float):
+    """(alpha, gamma) of the xi phase fitted to log|X_ex/P_n|."""
+    fit = _xi_regression(x, log_x, weights, p, q)
+    gamma = _brent_min(lambda g: fit(g)[2], -1.0, 20.0, 1e-8)
+    return fit(gamma)[0], gamma
 
 
 def _brent_min(f, a: float, b: float, xtol: float) -> float:
@@ -123,27 +138,35 @@ def _eta_model(eta, log_y, weights, p: float, nu: float, odd: bool):
     """theta = (a1, a2, b2, b3) -> (r, jacobian): r = sw (log C + log|cosh
     or sinh w| - nu log D - log|Y_ex|) at the log C that minimizes |r|, the
     weighted mean offset, i.e. projected off sw; jacobian() gives r's
-    transposed Jacobian, projected alike, from the same D and w."""
+    transposed Jacobian, projected alike, from the same D and w.  D and
+    eta N = w D are one product over the rows (1, eta^2, eta^4, eta,
+    p eta^3, p eta^5), and the Jacobian is formed from the same rows."""
     sw = np.sqrt(weights)
     u = sw / math.sqrt(weights.sum())
     e2 = eta * eta
-    # d(w D)/d(a1, a2, b2, b3) at fixed w is rows - w * dD, dD = dD/d(...)
-    rows = np.array([eta, p * eta * e2, 0.0 * eta, p * eta * e2 * e2])
-    dD = np.array([0.0 * eta, 0.0 * eta, e2, e2 * e2])
+    rows = np.array([np.ones_like(eta), e2, e2 * e2,
+                     eta, p * eta * e2, p * eta * e2 * e2])
+    zero = np.zeros_like(eta)
+    # d(eta N) and dD by (a1, a2, b2, b3), from the same rows
+    dN = np.array([rows[3], rows[4], zero, rows[5]])
+    dD = np.array([zero, zero, rows[1], rows[2]])
 
     def model(theta):
         a1, a2, b2, b3 = theta
         check_eta_shape(a1, a2, b2, b3, p, odd)
-        D = 1.0 + (b2 + b3 * e2) * e2
-        w = eta * (a1 + p * (a2 + b3 * e2) * e2) / D
+        D, wD = np.array([[1.0, b2, b3, 0.0, 0.0, 0.0],
+                          [0.0, 0.0, 0.0, a1, a2, b3]]) @ rows
+        w = wD / D
         # log|cosh or sinh w| up to the constant log 2; w > 0 when odd
         branch = (w + np.log(-np.expm1(-2.0 * w)) if odd
                   else np.abs(w) + np.log1p(np.exp(-2.0 * np.abs(w))))
         r = sw * (branch - nu * np.log(D) - log_y)
 
         def jacobian():
-            slope = 1.0 / np.tanh(w) if odd else np.tanh(w)
-            Jt = (slope * (rows - w * dD) - nu * dD) * (sw / D)
+            # dw = (d(eta N) - w dD)/D and d log|cosh or sinh w| = slope dw
+            swD = sw / D
+            s = (1.0 / np.tanh(w) if odd else np.tanh(w)) * swD
+            Jt = s * dN - (s * w + nu * swD) * dD
             return Jt - np.outer(Jt @ u, u)
         return r - u * (u @ r), jacobian
     return model
@@ -156,7 +179,7 @@ def _fit_eta(starts, eta, log_y, weights, p: float, nu: float, odd: bool):
     best = None
     for start in starts:
         try:
-            fit = _levenberg_marquardt(model, np.array(start, dtype=float))
+            fit = _levenberg_marquardt(model, [float(v) for v in start])
         except ParamDomainError:  # a start off the domain
             continue
         if best is None or fit[1] < best[1]:
@@ -168,32 +191,35 @@ def _fit_eta(starts, eta, log_y, weights, p: float, nu: float, odd: bool):
 
 def _levenberg_marquardt(model, x):
     """(x, cost) of a least-squares minimum of model(x)[0] near x, by
-    Levenberg-Marquardt steps scaled by the Jacobian's row norms, within
-    _ETA_EVALS evaluations, a step off the domain (ParamDomainError) or of
-    a singular system rejected.  A rejected step only raises mu; mu follows
-    the gain ratio by Nielsen's rule (IMM-REP-1999-05), which stops it
-    see-sawing along curved valleys.  Written out rather than taken from
-    MINPACK, whose result varies in the last bits with the heap addresses
-    of its work arrays."""
+    Levenberg-Marquardt steps scaled by the running maximum of diag(J^T J),
+    within _ETA_EVALS evaluations, a step off the domain (ParamDomainError)
+    or of a system without a positive Cholesky pivot rejected.  A rejected
+    step only raises mu; mu follows the gain ratio by Nielsen's rule
+    (IMM-REP-1999-05), which stops it see-sawing along curved valleys.
+    Written out rather than taken from MINPACK, whose result varies in the
+    last bits with the heap addresses of its work arrays; the 4x4 steps
+    run on Python floats, where numpy's call overhead would outweigh them."""
     r, jacobian = model(x)
-    cost, mu, grow, scale, moved = float(r @ r), 1e-3, 2.0, 0.0, True
+    cost, mu, grow, scale, moved = float(r @ r), 1e-3, 2.0, [0.0] * 4, True
     for _ in range(_ETA_EVALS - 1):
         if moved:
             Jt = jacobian()
-            scale = np.maximum(scale, np.sqrt(np.sum(Jt * Jt, axis=1)))
-            JtJ, g = Jt @ Jt.T, Jt @ r
+            JtJ, b = (Jt @ Jt.T).tolist(), (Jt @ -r).tolist()
+            scale = [max(s, JtJ[i][i]) for i, s in enumerate(scale)]
         try:
-            damp = mu * scale * scale
-            step = np.linalg.solve(JtJ + np.diag(damp), -g)
-            r_try, jacobian_try = model(x + step)
+            damp = [mu * s for s in scale]
+            step = _damped_step(JtJ, damp, b)
+            x_try = [v + h for v, h in zip(x, step)]
+            r_try, jacobian_try = model(x_try)
             cost_try = float(r_try @ r_try)
         except (np.linalg.LinAlgError, ParamDomainError):
             cost_try = math.inf
         moved = cost_try < cost
         if moved:
-            rho = (cost - cost_try) / (step @ (damp * step) - g @ step)
+            rho = (cost - cost_try) / sum(
+                h * (d * h + c) for h, d, c in zip(step, damp, b))
             done = cost - cost_try <= _ETA_FTOL * cost
-            x, r, cost, jacobian = x + step, r_try, cost_try, jacobian_try
+            x, r, cost, jacobian = x_try, r_try, cost_try, jacobian_try
             if done:
                 break
             mu, grow = max(mu * max(1 / 3, 1 - (2 * rho - 1) ** 3), 1e-12), 2.0
@@ -202,6 +228,35 @@ def _levenberg_marquardt(model, x):
             if mu > 1e12:
                 break
     return x, cost
+
+
+def _pivot(d: float) -> float:
+    if not d > 0.0:  # a NaN pivot too
+        raise np.linalg.LinAlgError("damped system not positive definite")
+    return math.sqrt(d)
+
+
+def _damped_step(A, damp, b):
+    """h with (A + diag(damp)) h = b, A symmetric 4x4 (nested lists), by an
+    unrolled Cholesky factorization L L^T on Python floats; LinAlgError
+    on a pivot that is not positive."""
+    (a00, a01, a02, a03), (_, a11, a12, a13), (_, _, a22, a23), \
+        (_, _, _, a33) = A
+    l00 = _pivot(a00 + damp[0])
+    l10, l20, l30 = a01 / l00, a02 / l00, a03 / l00
+    l11 = _pivot(a11 + damp[1] - l10 * l10)
+    l21, l31 = (a12 - l20 * l10) / l11, (a13 - l30 * l10) / l11
+    l22 = _pivot(a22 + damp[2] - l20 * l20 - l21 * l21)
+    l32 = (a23 - l30 * l20 - l31 * l21) / l22
+    l33 = _pivot(a33 + damp[3] - l30 * l30 - l31 * l31 - l32 * l32)
+    y0 = b[0] / l00
+    y1 = (b[1] - l10 * y0) / l11
+    y2 = (b[2] - l20 * y0 - l21 * y1) / l22
+    y3 = (b[3] - l30 * y0 - l31 * y1 - l32 * y2) / l33
+    h3 = y3 / l33
+    h2 = (y2 - l32 * h3) / l22
+    h1 = (y1 - l21 * h2 - l31 * h3) / l11
+    return (y0 - l10 * h1 - l20 * h2 - l30 * h3) / l00, h1, h2, h3
 
 
 def _levy_start(eta, log_y, log_y0, weights, p: float, nu: float):

@@ -589,6 +589,140 @@ def test_eta_fit_without_a_start_in_the_domain_raises_by_type(monkeypatch,
         _fit_eta([(1.0, 0.0, -2.0, 0.5), (0.5, 0.0, -1.0, 0.0)], *inputs)
 
 
+def test_damped_step_matches_numpy_solve(monkeypatch):
+    # the unrolled Cholesky step is numpy's dense solve of the same damped
+    # normal equations, on the first and last system of each start behind
+    # the seeds: to 1e-10, or to the condition number times 10 eps where
+    # the late steps' small damping leaves the system near singular; each
+    # is backward stable, and where numpy finds the system singular the
+    # step is rejected too
+    import twocenter.presets as presets
+
+    runs = []
+    step, fit = presets._damped_step, presets._levenberg_marquardt
+
+    def recorded(A, damp, b):
+        runs[-1].append((A, damp, b))
+        return step(A, damp, b)
+
+    def started(model, x):
+        runs.append([])
+        return fit(model, x)
+
+    monkeypatch.setattr(presets, "_damped_step", recorded)
+    monkeypatch.setattr(presets, "_levenberg_marquardt", started)
+    for label in SUPPORTED_LABELS:
+        for R in (1.0, 10.0, 50.0):
+            seed_for(label, R)
+    systems = [system for run in runs if run for system in (run[0], run[-1])]
+    assert len(systems) >= 2 * 3 * len(SUPPORTED_LABELS)
+    eps = np.finfo(float).eps
+    for A, damp, b in systems:
+        M = np.array(A) + np.diag(damp)
+        try:
+            ref = np.linalg.solve(M, b)
+        except np.linalg.LinAlgError:
+            with pytest.raises(np.linalg.LinAlgError):
+                step(A, damp, b)
+            continue
+        h = np.array(step(A, damp, b))
+        assert np.linalg.norm(h - ref) \
+            <= max(1e-10, 10.0 * eps * np.linalg.cond(M)) * np.linalg.norm(ref)
+        assert np.linalg.norm(M @ h - b) \
+            <= 1e-15 * np.linalg.norm(M) * np.linalg.norm(h)
+
+
+def test_damped_step_rejects_a_non_positive_pivot():
+    # a pivot at zero, below it or NaN, at each position, raises as a
+    # singular np.linalg.solve does, so the fit rejects the step
+    from twocenter.presets import _damped_step
+
+    for k in range(4):
+        for pivot in (0.0, -1e-3, math.nan):
+            A = np.eye(4)
+            A[k, k] = pivot
+            with pytest.raises(np.linalg.LinAlgError):
+                _damped_step(A.tolist(), [0.0] * 4, [1.0] * 4)
+    rank_one = np.ones((4, 4)).tolist()  # the second pivot cancels to 0
+    with pytest.raises(np.linalg.LinAlgError):
+        _damped_step(rank_one, [0.0] * 4, [1.0] * 4)
+    assert _damped_step(rank_one, [1.0] * 4, [5.0] * 4) \
+        == pytest.approx((1.0, 1.0, 1.0, 1.0), rel=1e-15)
+
+
+@pytest.mark.parametrize("label,R", [(GS, 2.0), (StateLabel(1, 0, 0, -1), 6.0),
+                                     (StateLabel(0, 0, 2, +1), 40.0)])
+def test_xi_regression_matches_lstsq(monkeypatch, label, R):
+    # the closed-form regression at fixed gamma is the weighted linear
+    # least-squares fit of the same columns, and leaves the same cost
+    import twocenter.presets as presets
+
+    calls = []
+    fit = presets._fit_xi
+
+    def watched(*inputs):
+        calls.append(inputs)
+        return fit(*inputs)
+
+    monkeypatch.setattr(presets, "_fit_xi", watched)
+    seed_for(label, R)
+    ((x, log_x, weights, p, q),) = calls
+    regression = presets._xi_regression(x, log_x, weights, p, q)
+    sw = np.sqrt(weights)
+    for gamma in (-0.5, 0.0, 2.0, 19.0):
+        u = gamma + x
+        y = -log_x - q * np.log(u) - p * x * x / u
+        M = np.column_stack([x / u, np.ones_like(x)]) * sw[:, None]
+        coef, *_ = np.linalg.lstsq(M, y * sw, rcond=None)
+        alpha, c, cost = regression(gamma)
+        assert abs(cost - np.sum((y * sw - M @ coef) ** 2)) \
+            <= 1e-12 * (weights @ (y * y))
+        if gamma != 0.0:  # at 0 the columns coincide: only alpha + c is fixed
+            assert alpha == pytest.approx(coef[0], rel=1e-12)
+            assert c == pytest.approx(coef[1], rel=1e-12)
+        assert alpha + c == pytest.approx(coef[0] + coef[1], rel=1e-12)
+
+
+def test_eta_fit_stays_within_its_cap(monkeypatch):
+    # each Levenberg-Marquardt run evaluates the model at most _ETA_EVALS
+    # times, and some runs reach the cap
+    import twocenter.presets as presets
+
+    counts = []
+    fit = presets._levenberg_marquardt
+
+    def counted(model, x):
+        counts.append(0)
+
+        def evaluated(theta):
+            counts[-1] += 1
+            return model(theta)
+        return fit(evaluated, x)
+
+    monkeypatch.setattr(presets, "_levenberg_marquardt", counted)
+    for label in SUPPORTED_LABELS:
+        for R in (1.0, 10.0, 30.0):
+            seed_for(label, R)
+    assert len(counts) == 2 * 3 * len(SUPPORTED_LABELS)
+    assert max(counts) == presets._ETA_EVALS
+
+
+def test_eta_fit_keeps_the_first_of_equal_starts(monkeypatch):
+    # the lower cost wins, and of equal costs the first start's fit
+    import twocenter.presets as presets
+
+    costs = {}
+    monkeypatch.setattr(presets, "_levenberg_marquardt",
+                        lambda model, x: (x, costs[tuple(x)]))
+    first, second = (0.5, 0.0, 0.0, 0.0), (1.5, 0.0, 0.0, 0.0)
+    eta = np.linspace(0.1, 0.9, 9)
+    inputs = (eta, np.zeros_like(eta), np.ones_like(eta), 1.0, 0.25, False)
+    for cost_1, cost_2, kept in ((1.0, 1.0, first), (1.0, 0.5, second),
+                                 (0.5, 1.0, first)):
+        costs.update({first: cost_1, second: cost_2})
+        assert tuple(presets._fit_eta([first, second], *inputs)) == kept
+
+
 def test_seed_is_reproducible_around_another_seed():
     # the fit's reuse of J^T J and of the model's D and w stays inside
     # one call: the same seed twice, with another label's seed between
