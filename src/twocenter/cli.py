@@ -78,7 +78,10 @@ def parse_grid(args) -> list[float]:
         raise CliError(f"bad --R-grid {args.R_grid!r} (must be finite)", 2)
     if step <= 0 or stop < start:
         raise CliError("grid must ascend", 2)
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
+    count = (stop - start) / step
+    if not math.isfinite(count):
+        raise CliError(f"bad --R-grid {args.R_grid!r} (step too small)", 2)
+    n = int(math.floor(count + 1e-9)) + 1
     return [start + i * step for i in range(n)]
 
 

@@ -25,8 +25,8 @@ polynomial interpolant of its node values on their panel, and its phase
 that polynomial's exact antiderivative, so every (phase, slope) pair is
 derivative-consistent; one call reads both, from one panel search.  The
 channel builders keep only what differs: the xi tail cut, the eta
-mirror, and the node's log-regular split.  The sampled bound of the
-perturbation, which only reports print, is computed when it is read.
+mirror, and the node's log-regular split.  The same pass reports the
+perturbation's bound: the largest |Q| on the nodes where it integrates Q.
 The physical p entering V and W comes from the variational energy, not
 from the shape parameter p; with that choice the two channel estimates
 A1_xi and A1_eta coincide identically for equal charges, so their spread
@@ -52,23 +52,23 @@ import numpy as np
 
 from .model import PhysicalSetup, StateLabel
 from .quadrature import _gauss
-from .trial import (TrialParams, channel_factor, channel_phase, prefactor,
-                    phase_of_trial_eta, phase_of_trial_xi)
+from .trial import (TrialParams, channel_factor, channel_phase,
+                    phase_of_trial_xi)
 
 @dataclass
 class ChannelPT:
-    """First-order perturbation data of one channel.  The bound of the
-    perturbation is sampled only when bound_C is read: the pass itself
-    never needs it."""
+    """First-order perturbation data of one channel, with bound_C the
+    largest |Q| (V1 at first order) on the nodes where its pass
+    integrates Q."""
 
     channel: str                       # "xi" or "eta"
     A1: float
     correction: Callable               # x -> (phi1, x1 = phi1') on xi, or
                                        # (rho1, y1 = rho1') on eta
-    perturbation_bound: Callable[[], float]  # samples bound_C
+    bound_C: float
 
     def __post_init__(self):
-        if not math.isfinite(self.A1):
+        if not (math.isfinite(self.A1) and math.isfinite(self.bound_C)):
             raise ValueError("non-finite first-order correction data")
 
     def correction_phase(self, x):
@@ -79,47 +79,9 @@ class ChannelPT:
         """x1 (xi) or y1 (eta) on x."""
         return self.correction(x)[1]
 
-    @property
-    def bound_C(self) -> float:
-        """sup of |V1| on the sampled domain."""
-        return self.perturbation_bound()
-
 
 # ----------------------------------------------------------------------
-# channel potentials
-
-
-def channel_potential_xi(params: TrialParams, label: StateLabel,
-                         setup: PhysicalSetup, xi):
-    """V0 reconstructed from the trial xi channel (pole at an f0 zero)."""
-    xi = np.asarray(xi, dtype=float)
-    _, dphi, ddphi = phase_of_trial_xi(params, label, setup, xi)
-    f, df, ddf = prefactor(params, label, xi, "xi")
-    lam = label.lam
-    base = (xi * xi - 1.0) * (dphi * dphi - ddphi) - 2.0 * (lam + 1.0) * xi * dphi
-    extra = (xi * xi - 1.0) * (ddf - 2.0 * df * dphi) + 2.0 * (lam + 1.0) * xi * df
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = base + extra / f
-    return out
-
-
-def channel_potential_eta(params: TrialParams, label: StateLabel, eta):
-    """W0 reconstructed from the trial eta channel (smooth on [-1, 1])."""
-    eta = np.asarray(eta, dtype=float)
-    _, drho, ddrho = phase_of_trial_eta(params, label, eta)
-    lam = label.lam
-    base = (eta * eta - 1.0) * (drho * drho - ddrho) - 2.0 * (lam + 1.0) * eta * drho
-    if label.parity == +1:
-        return base
-    # the odd branch has g = eta, the kinematic eta=0 zero; the ratio terms
-    # stay smooth because drho/eta is even (rho0 is even)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(eta != 0.0, drho / eta, 0.0)
-    if np.any(eta == 0.0):
-        # rho0'(0)/0 -> rho0''(0), from the analytic second derivative
-        idx = np.nonzero(eta == 0.0)
-        ratio[idx] = ddrho[idx]
-    return base + 2.0 * (lam + 1.0) - 2.0 * (eta * eta - 1.0) * ratio
+# the true channel potentials
 
 
 def true_potential_xi(setup: PhysicalSetup, p_phys: float, xi):
@@ -135,7 +97,6 @@ def true_potential_eta(p_phys: float, eta):
 # ----------------------------------------------------------------------
 # the first-order pass shared by both channels and all orders
 
-_SAMPLE_MAX = 50.0    # V1 is sampled on [1, _SAMPLE_MAX] for its bound
 _TAU_CUT = 30.0       # the xi panels end at 2 p (xi-1) = _TAU_CUT
 _TAU_KEEP = 24.0      # the xi slope is kept up to 2 p (xi-1) = _TAU_KEEP
 _PANEL_N = 12         # Gauss-Legendre nodes per panel
@@ -307,17 +268,19 @@ def _parts(params, label, setup, p_phys, x, scale, channel):
 
 
 def _first_order(params, label, setup, p_phys, channel, q=None):
-    """(A, panels, f, F, D, scale) on the panel nodes: f = (A-Q) w X0^2
-    and F = int f, Q the pole-free V1 (or q at higher orders), and A =
+    """(A, panels, f, F, D, scale, bound) on the panel nodes: f = (A-Q)
+    w X0^2 and F = int f, Q the pole-free V1 (or q at higher orders), A =
     int Q w X0^2 / int w X0^2 on the panels, where the consistency pass
-    A -> A - F(end)/G(end) puts it.  F vanishes at both ends, so each node
-    takes it from the end nearer in the mass of f: a short integral, not
-    a cancelling difference, where D vanishes or its division grows."""
+    A -> A - F(end)/G(end) puts it, and bound the largest |Q| there.  F
+    vanishes at both ends, so each node takes it from the end nearer in
+    the mass of f: a short integral, not a cancelling difference, where D
+    vanishes or its division grows."""
     panels = (_xi_panels(params) if channel == "xi"  # eta: mirrored later
               else _eta_panels(params.p, label.parity))
     x = panels.nodes.ravel()
     wX2, QwX2, scale = _parts(params, label, setup, p_phys, x, None, channel)
     QwX2 = QwX2 if q is None else q(x) * wX2
+    bound = float(np.max(np.abs(QwX2 / wX2)))
     wts = (panels.half[:, None] * _W).ravel()
     A = math.fsum((wts * QwX2).tolist()) / math.fsum((wts * wX2).tolist())
     wX2, QwX2 = (v.reshape(panels.nodes.shape) for v in (wX2, QwX2))
@@ -328,34 +291,11 @@ def _first_order(params, label, setup, p_phys, channel, q=None):
     F = np.where(nearer_left[:, None], left, -right)
     # at xi = 1 and eta = -1, where D vanishes, f vanishes to order L
     F[0] = _from_edge(f[0], panels.half[0], label.lam)
-    return A, panels, f, F, (panels.nodes ** 2 - 1.0) * wX2, scale
+    return A, panels, f, F, (panels.nodes ** 2 - 1.0) * wX2, scale, bound
 
 
 # ----------------------------------------------------------------------
 # first-order corrections, xi channel
-
-
-def _sup(Q, xs) -> float:
-    """max |Q| on the sample points xs, which must be finite."""
-    bound = float(np.max(np.abs(Q(xs))))
-    if not math.isfinite(bound):
-        raise ValueError("perturbation potential unbounded on sample set")
-    return bound
-
-
-def build_V1_xi(params: TrialParams, label: StateLabel, setup: PhysicalSetup,
-                p_phys: float | None = None):
-    """Perturbation V1 = V - V0 as a callable, with its sampled bound."""
-    p = p_phys if p_phys is not None else params.p
-
-    def V1(xi):
-        return true_potential_xi(setup, p, xi) \
-            - channel_potential_xi(params, label, setup, xi)
-    pole = params.xi0
-    xs = np.linspace(1.0, _SAMPLE_MAX, 4001)
-    if pole is not None:
-        xs = xs[np.abs(xs - pole) > 0.05]
-    return V1, _sup(V1, xs), pole
 
 
 def first_correction_xi(params: TrialParams, label: StateLabel,
@@ -364,17 +304,16 @@ def first_correction_xi(params: TrialParams, label: StateLabel,
     channel (single-node states go through node_correction_xi)."""
     if label.n != 0:
         raise ValueError("first_correction_xi needs a nodeless state")
-    return _nodeless_xi(params, label, setup, p_phys,
-                        lambda: build_V1_xi(params, label, setup, p_phys)[1])
+    return _nodeless_xi(params, label, setup, p_phys)
 
 
-def _nodeless_xi(params, label, setup, p_phys, bound, q=None) -> ChannelPT:
+def _nodeless_xi(params, label, setup, p_phys, q=None) -> ChannelPT:
     # the slope is cut at the _TAU_KEEP edge, where the exponentially
     # growing division has nothing left to resolve; phi1 is the exact
     # antiderivative of the slope's panel polynomials, so the pair is
     # derivative-consistent and the corrected state stays variational
-    A1, panels, _, F, D, _ = _first_order(params, label, setup, p_phys,
-                                          "xi", q)
+    A1, panels, _, F, D, _, bound = _first_order(params, label, setup,
+                                                 p_phys, "xi", q)
     cut = np.argmin(np.abs(panels.edges - 1.0 - _TAU_KEEP / (2.0 * params.p)))
     keep, x1 = _Panels(panels.edges[:cut + 1]), (F / D)[:cut]
     return ChannelPT("xi", A1, keep.table(x1), bound)
@@ -384,27 +323,18 @@ def _nodeless_xi(params, label, setup, p_phys, bound, q=None) -> ChannelPT:
 # first-order corrections, eta channel
 
 
-def build_W1_eta(params: TrialParams, label: StateLabel, p_phys: float):
-    """Perturbation W1 = W - W0 as a callable, with its sampled bound."""
-    def W1(eta):
-        return true_potential_eta(p_phys, eta) \
-            - channel_potential_eta(params, label, eta)
-    return W1, _sup(W1, np.linspace(-1.0, 1.0, 4001))
-
-
 def first_correction_eta(params: TrialParams, label: StateLabel,
                          p_phys: float) -> ChannelPT:
     """A1_eta and the tabulated phase correction rho1 (even in eta)."""
-    A1, panels, _, F, D, _ = _first_order(params, label, None, p_phys,
-                                          "eta")
+    A1, panels, _, F, D, _, bound = _first_order(params, label, None,
+                                                 p_phys, "eta")
     # tabulated on [-1, 0] and mirrored: y1 is odd, rho1 even, and the
     # gauge is rho1(0) = 0
     y1 = F / D
     gauge = -np.sum(panels.half * (y1 @ _W))
     full = _Panels(np.concatenate([panels.edges, -panels.edges[-2::-1]]))
     y1 = np.concatenate([y1, -y1[::-1, ::-1]])
-    return ChannelPT("eta", A1, full.table(y1, gauge),
-                     lambda: build_W1_eta(params, label, p_phys)[1])
+    return ChannelPT("eta", A1, full.table(y1, gauge), bound)
 
 
 # ----------------------------------------------------------------------
@@ -443,8 +373,8 @@ def node_correction_xi(params: TrialParams, label: StateLabel,
     lam, xi0 = label.lam, params.xi0
     # h' = -F/D has a double pole at xi0 (D = (xi^2-1)^(L+1) X0^2 holds
     # the node's d^2): split off its log-regular part
-    A1, panels, f, F, D, scale0 = _first_order(params, label, setup,
-                                               p_phys, "xi")
+    A1, panels, f, F, D, scale0, _ = _first_order(params, label, setup,
+                                                  p_phys, "xi")
     k = int(np.searchsorted(panels.edges, xi0))  # xi0 is edge k
     tot, m = (panels.half * (g @ _W) for g in (f, np.abs(f)))
     F0 = np.sum(tot[:k]) if np.sum(m[:k]) <= np.sum(m[k:]) else -np.sum(tot[k:])
@@ -497,5 +427,4 @@ def next_correction_xi(params: TrialParams, label: StateLabel,
     def qn(x):
         return higher_Q_xi([c.correction_slope for c in prev], x)
 
-    return _nodeless_xi(params, label, setup, params.p,
-                        lambda: _sup(qn, _xi_panels(params).nodes), qn)
+    return _nodeless_xi(params, label, setup, params.p, qn)

@@ -48,6 +48,11 @@ class TransitionOrderingError(ValueError):
     """Final state not above the initial state."""
 
 
+class UnwiredTransitionError(ValueError):
+    """A pair whose matrix element is not wired: B1 beyond sigma -> pi,
+    E2 from a non-sigma initial state."""
+
+
 @dataclass(frozen=True)
 class TransitionRecord:
     kind: str                  # "E1", "B1" or "E2"
@@ -153,7 +158,8 @@ def magnetic_matrix_element(state_i: SolvedState,
     if abs(lf.lam - li.lam) != 1 or _parity_flips(li, lf):
         return 0.0
     if li.lam != 0 or lf.lam != 1:
-        raise NotImplementedError("magnetic elements wired for sigma -> pi")
+        raise UnwiredTransitionError(
+            f"magnetic elements wired for sigma -> pi only, not {li} -> {lf}")
     a3 = state_i.setup.a**3
     X, Y, norm = _pair_moments(state_i, state_f, (1, 1), (3, 0), (1, 0),
                                gradient=True)
@@ -175,7 +181,8 @@ def quadrupole_matrix_element(state_i: SolvedState,
     if dlam > 2 or _parity_flips(li, lf):
         return 0.0
     if li.lam != 0:
-        raise NotImplementedError("quadrupole elements wired for sigma initial")
+        raise UnwiredTransitionError(
+            f"quadrupole elements wired for a sigma initial state, not {li}")
     if dlam == 0:
         X, Y, norm = _pair_moments(state_i, state_f, (4, 0), (2, 0), (0, 0))
         raw = 0.5 * (3.0 * X[4, 0] * Y[2, 0]

@@ -1,5 +1,9 @@
 """Checks of the perturbation theory that only the tests use.
 
+channel_potential_xi and channel_potential_eta reconstruct V0 and W0 from
+the trial phases in Riccati form, independently of the pole-free products
+the first-order pass forms; V1 gives V - V0 (or W - W0) from them, the
+perturbation that the pass's bound_C is held against.
 residual_custom_phase is the Riccati residual of an analytically given
 phase, for the exact one-center fixtures; p_reopt_shift measures how far
 the phase correction moves the re-optimized p (acceptance criterion 6).
@@ -21,7 +25,50 @@ from twocenter.oracle import exact_channels, solve_bispectral
 from twocenter.quadrature import build_rules, integrate, rayleigh_quotient
 from twocenter.states import SolvedState
 from twocenter.trial import (channel_factor, channel_phase, eta_channel,
-                             phase_of_trial_xi, xi_channel)
+                             phase_of_trial_eta, phase_of_trial_xi,
+                             prefactor, xi_channel)
+
+
+def channel_potential_xi(params, label, setup, xi):
+    """V0 reconstructed from the trial xi channel (pole at an f0 zero)."""
+    xi = np.asarray(xi, dtype=float)
+    _, dphi, ddphi = phase_of_trial_xi(params, label, setup, xi)
+    f, df, ddf = prefactor(params, label, xi, "xi")
+    lam = label.lam
+    base = (xi * xi - 1.0) * (dphi * dphi - ddphi) - 2.0 * (lam + 1.0) * xi * dphi
+    extra = (xi * xi - 1.0) * (ddf - 2.0 * df * dphi) + 2.0 * (lam + 1.0) * xi * df
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = base + extra / f
+    return out
+
+
+def channel_potential_eta(params, label, eta):
+    """W0 reconstructed from the trial eta channel (smooth on [-1, 1])."""
+    eta = np.asarray(eta, dtype=float)
+    _, drho, ddrho = phase_of_trial_eta(params, label, eta)
+    lam = label.lam
+    base = (eta * eta - 1.0) * (drho * drho - ddrho) - 2.0 * (lam + 1.0) * eta * drho
+    if label.parity == +1:
+        return base
+    # the odd branch has g = eta, the kinematic eta=0 zero; the ratio terms
+    # stay smooth because drho/eta is even (rho0 is even)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(eta != 0.0, drho / eta, 0.0)
+    if np.any(eta == 0.0):
+        # rho0'(0)/0 -> rho0''(0), from the analytic second derivative
+        idx = np.nonzero(eta == 0.0)
+        ratio[idx] = ddrho[idx]
+    return base + 2.0 * (lam + 1.0) - 2.0 * (eta * eta - 1.0) * ratio
+
+
+def V1(params, label, setup, p_phys, x, channel):
+    """V - V0 on x of the xi channel, or W - W0 of the eta one (where
+    setup is unused), from the reconstructed potentials."""
+    if channel == "xi":
+        return (nl.true_potential_xi(setup, p_phys, x)
+                - channel_potential_xi(params, label, setup, x))
+    return (nl.true_potential_eta(p_phys, x)
+            - channel_potential_eta(params, label, x))
 
 
 def residual_custom_phase(phi_d1, phi_d2, V, A, lam, x):
@@ -176,14 +223,15 @@ def _first_order(params, label, setup, p_phys, channel, grid):
     return A, (F, A * wX2 - QwX2, base * wX2, dlog), scale
 
 
-def _slope(lam, grid, tab, A, Q):
+def _slope(lam, grid, tab, A, Q0):
     """x1 = F / D on the grid and its slope F'/D - x1 D'/D; where D
-    vanishes, the regular limit and the slope of a four-point cubic."""
+    vanishes (at grid[0], where the perturbation is Q0), the regular
+    limit and the slope of a four-point cubic."""
     F, dF, D, dlog = tab
     with np.errstate(divide="ignore", invalid="ignore"):
         x1 = np.where(D != 0.0, F / D, 0.0)
         dx1 = dF / D - x1 * dlog
-    x1[0] = (A - float(Q(grid[:1])[0])) / (2.0 * (lam + 1.0)) * grid[0]
+    x1[0] = (A - Q0) / (2.0 * (lam + 1.0)) * grid[0]
     for i in np.flatnonzero(D == 0.0):
         side = slice(i, None) if i == 0 else slice(i, None, -1)
         dx1[i] = _end_slope(grid[side], x1[side])
@@ -193,14 +241,15 @@ def _slope(lam, grid, tab, A, Q):
 def hermite_corrections(state, xi_pts=XI_PTS, eta_pts=ETA_PTS):
     """(xi data, eta ChannelPT) of a solved state on fixed grids of
     xi_pts and eta_pts points: the xi data is a ChannelPT for a nodeless
-    state and a NodeCorrection for a single-node one."""
+    state and a NodeCorrection for a single-node one.  Each ChannelPT's
+    bound is the largest |V1| on its grid."""
     params, label, setup = state.params, state.label, state.setup
     p_phys = p_from_energy(state.energy.E_total, setup)
     grid = xi_grid(params.p, xi_pts)
     A, tab, scale0 = _first_order(params, label, setup, p_phys, "xi", grid)
     if label.n == 0:
-        x1, dx1 = _slope(label.lam, grid, tab, A,
-                         nl.build_V1_xi(params, label, setup, p_phys)[0])
+        v1 = V1(params, label, setup, p_phys, grid, "xi")
+        x1, dx1 = _slope(label.lam, grid, tab, A, v1[0])
         tail = int(np.searchsorted(grid, 1.0 + nl._TAU_KEEP
                                    / (2.0 * params.p)))
         x1[tail:] = dx1[tail:] = 0.0
@@ -212,14 +261,15 @@ def hermite_corrections(state, xi_pts=XI_PTS, eta_pts=ETA_PTS):
             x = np.asarray(x, dtype=float)
             return phi1_ip(x), np.where(x >= hi, 0.0, x1_ip(x))
 
-        xi_data = nl.ChannelPT("xi", A, xi_pair, lambda: math.nan)
+        xi_data = nl.ChannelPT("xi", A, xi_pair,
+                               float(np.max(np.abs(v1))))
     else:
         xi_data = _node(params, label, setup, p_phys, grid, A, tab, scale0)
 
     egrid = np.linspace(-1.0, 0.0, eta_pts)
     A_eta, tab, _ = _first_order(params, label, None, p_phys, "eta", egrid)
-    y1, dy1 = _slope(label.lam, egrid, tab, A_eta,
-                     nl.build_W1_eta(params, label, p_phys)[0])
+    w1 = V1(params, label, None, p_phys, egrid, "eta")
+    y1, dy1 = _slope(label.lam, egrid, tab, A_eta, w1[0])
     y1[-1] = 0.0
     full = np.concatenate([egrid, -egrid[-2::-1]])
     y1_ip, rho1_anti = hermite(full, np.concatenate([y1, -y1[-2::-1]]),
@@ -230,7 +280,8 @@ def hermite_corrections(state, xi_pts=XI_PTS, eta_pts=ETA_PTS):
         x = np.asarray(x, dtype=float)
         return rho1_anti(x) - mid, y1_ip(x)
 
-    eta_data = nl.ChannelPT("eta", A_eta, eta_pair, lambda: math.nan)
+    eta_data = nl.ChannelPT("eta", A_eta, eta_pair,
+                           float(np.max(np.abs(w1))))
     return xi_data, eta_data
 
 
@@ -245,8 +296,7 @@ def _node(params, label, setup, p_phys, grid, A1, tab, scale0):
     f1 = float(Fip(xi0)) / D0
     c1 = f1 * float(2.0 * (lam + 1.0) * xi0 / (xi0**2 - 1.0)
                     - 2.0 * dphi0_0[0])
-    hp_1 = -(A1 - float(nl.build_V1_xi(params, label, setup,
-                                      p_phys)[0](1.0))) \
+    hp_1 = -(A1 - float(V1(params, label, setup, p_phys, 1.0, "xi"))) \
         / (2.0 * (lam + 1.0))
 
     def dr_raw(x):

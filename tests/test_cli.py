@@ -41,6 +41,21 @@ def test_non_finite_R_exit_code(capsys, flags):
     assert "finite" in capsys.readouterr().err
 
 
+def test_grid_step_too_small_to_count_exit_code(capsys):
+    # (stop - start) / step overflows to inf: a bad grid, not a crash
+    assert main(["oracle", "--state", "1ssg", "--R-grid", "1:2:5e-324"]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["B1", "E2"])
+def test_unwired_transition_exit_code(capsys, kind):
+    assert main(["transitions", "--kind", kind, "--initial", "2ppu",
+                 "--final", "4fdu", "--R", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "wired" in err and "Traceback" not in err
+
+
 def test_huge_R_exit_code(capsys):
     # finite but beyond any molecular scale: a validation failure, not an
     # overflow inside the oracle

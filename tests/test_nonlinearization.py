@@ -5,10 +5,7 @@ import pytest
 
 from twocenter.model import (SUPPORTED_LABELS, PhysicalSetup, StateLabel,
                              p_from_energy)
-from twocenter.nonlinearization import (build_V1_xi, build_W1_eta,
-                                        channel_potential_eta,
-                                        channel_potential_xi,
-                                        first_correction_eta,
+from twocenter.nonlinearization import (ChannelPT, first_correction_eta,
                                         first_correction_xi,
                                         next_correction_xi,
                                         true_potential_xi)
@@ -16,7 +13,8 @@ from twocenter.states import (StateBank, attach_corrections,
                               correction_energy_shift)
 from twocenter.trial import TrialParams
 
-from pt_helpers import residual_custom_phase
+from pt_helpers import (V1, channel_potential_eta, channel_potential_xi,
+                        residual_custom_phase)
 
 GS = StateLabel(0, 0, 0, +1)
 
@@ -79,23 +77,23 @@ def test_exact_phase_gives_constant_perturbation():
     p = R / 2.0
     pars = TrialParams(alpha=p * 1.1, gamma=1.1, a1=0.5, a2=0.0, b2=0.0,
                        b3=0.0, p=p)
-    V1, bound, pole = build_V1_xi(pars, GS, setup, p_phys=p)
     xs = np.linspace(1.0, 30.0, 500)
-    assert np.max(np.abs(V1(xs) - p * p)) <= 1e-10
-    assert pole is None
+    assert np.max(np.abs(V1(pars, GS, setup, p, xs, "xi") - p * p)) <= 1e-10
     pt = first_correction_xi(pars, GS, setup, p_phys=p)
     assert pt.A1 == pytest.approx(p * p, abs=1e-10)
+    assert pt.bound_C == pytest.approx(p * p, abs=1e-10)
     assert np.max(np.abs(pt.correction_phase(np.linspace(1, 8, 100)))) <= 1e-12
 
 
 def test_perturbation_bounded_no_poles(bank):
-    st = bank.get(GS, 2.0)
+    st = bank.get(GS, 2.0, corrected=True)
     p_phys = p_from_energy(st.energy.E_total, st.setup)
-    V1, bound, pole = build_V1_xi(st.params, GS, st.setup, p_phys)
-    assert pole is None
-    assert math.isfinite(bound)
+    assert st.params.xi0 is None
+    assert math.isfinite(st.pt_xi.bound_C)
     # tail flattens to a constant: growing terms are matched exactly
-    assert abs(V1(80.0) - V1(40.0)) < 2e-3 * abs(V1(40.0))
+    far, mid = V1(st.params, GS, st.setup, p_phys, np.array([80.0, 40.0]),
+                  "xi")
+    assert abs(far - mid) < 2e-3 * abs(mid)
 
 
 def test_first_corrections_match_reference(bank):
@@ -150,7 +148,7 @@ def test_odd_branch_midplane_regular(bank):
 
 
 def test_A1_invariant_under_rescaling(bank, monkeypatch):
-    from twocenter import nonlinearization, trial
+    from twocenter import trial
 
     st = bank.get(GS, 2.0)
     p_phys = p_from_energy(st.energy.E_total, st.setup)
@@ -163,7 +161,6 @@ def test_A1_invariant_under_rescaling(bank, monkeypatch):
 
     # Y -> 2 Y: the eta prefactor of the same state, with its derivatives
     monkeypatch.setattr(trial, "prefactor", doubled)
-    monkeypatch.setattr(nonlinearization, "prefactor", doubled)
     b = first_correction_eta(st.params, GS, p_phys=p_phys)
     assert b.A1 == pytest.approx(a.A1, rel=1e-13)
 
@@ -174,15 +171,15 @@ def test_bound_grows_for_reduced_parameter_set(bank):
 
     st = bank.get(GS, 2.0)
     p_phys = p_from_energy(st.energy.E_total, st.setup)
-    W1_full, _ = build_W1_eta(st.params, GS, p_phys)
     seed = seed_for(GS, 2.0).replace(a2=0.0, b2=0.0)
     red = optimize_state(GS, PhysicalSetup(2.0), seed,
                          frozen={"a2": 0.0, "b2": 0.0})
     p_red = p_from_energy(red.energy.E_total, red.setup)
-    W1_red, _ = build_W1_eta(red.params, GS, p_red)
     es = np.linspace(-1.0, 1.0, 801)
-    defect_full = np.max(np.abs(W1_full(es) - np.mean(W1_full(es))))
-    defect_red = np.max(np.abs(W1_red(es) - np.mean(W1_red(es))))
+    W1_full = V1(st.params, GS, None, p_phys, es, "eta")
+    W1_red = V1(red.params, GS, None, p_red, es, "eta")
+    defect_full = np.max(np.abs(W1_full - np.mean(W1_full)))
+    defect_red = np.max(np.abs(W1_red - np.mean(W1_red)))
     # the defect around the constant shift is what convergence cares about
     assert defect_red > 3.0 * defect_full
 
@@ -364,32 +361,37 @@ def test_panels_match_the_hermite_pass_on_finer_grids(bank, label):
             for name, (vals, floor) in ref[0].items()})
 
 
-@pytest.mark.parametrize("label,R", [(GS, 2.0), (StateLabel(1, 0, 0, -1),
-                                                4.0)], ids=["1ssg", "3psu"])
-def test_bound_is_sampled_only_when_read(bank, label, R, monkeypatch):
-    from twocenter import nonlinearization
+@pytest.mark.parametrize("label", SUPPORTED_LABELS, ids=str)
+def test_bound_is_the_largest_perturbation_on_the_pass_nodes(bank, label):
+    # bound_C is the largest |V1| on the panel nodes where the pass
+    # integrates V1: the same as V - V0 from the reconstructed reference
+    # potentials there, on every nodeless xi channel and every eta one
+    import twocenter.nonlinearization as nl
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("the pass sampled the perturbation bound")
+    for R in PT_RS:
+        st = bank.get(label, R, corrected=True)
+        p_phys = p_from_energy(st.energy.E_total, st.setup)
+        channels = [(st.pt_eta, nl._eta_panels(st.params.p, label.parity))]
+        if label.n == 0:
+            channels.append((st.pt_xi, nl._xi_panels(st.params)))
+        for pt, panels in channels:
+            ref = np.max(np.abs(V1(st.params, label, st.setup, p_phys,
+                                   panels.nodes, pt.channel)))
+            assert pt.bound_C == pytest.approx(ref, rel=1e-10), (R, pt.channel)
 
-    st = bank.get(label, R)
-    with monkeypatch.context() as m:
-        m.setattr(nonlinearization, "build_V1_xi", refuse)
-        m.setattr(nonlinearization, "build_W1_eta", refuse)
-        attach_corrections(st)
-    p_phys = p_from_energy(st.energy.E_total, st.setup)
-    assert st.pt_eta.bound_C == build_W1_eta(st.params, label, p_phys)[1]
-    if label.n == 0:
-        assert st.pt_xi.bound_C == build_V1_xi(st.params, label, st.setup,
-                                               p_phys)[1]
+
+@pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf])
+def test_channel_pt_rejects_a_non_finite_bound(bound):
+    with pytest.raises(ValueError):
+        ChannelPT("xi", 0.5, lambda x: (x, x), bound)
 
 
 @pytest.mark.parametrize("label,R", [(GS, 2.0), (StateLabel(1, 0, 0, -1),
                                                 4.0)], ids=["1ssg", "3psu"])
 def test_one_phase_evaluation_per_pass(bank, label, R, monkeypatch):
     # each first-order pass evaluates its channel's phase once, on the
-    # panel nodes, and takes its log scale from those same values; the
-    # bound is still not sampled
+    # panel nodes, and takes its log scale and the perturbation's bound
+    # from those same values
     import twocenter.nonlinearization as nl
     import twocenter.trial as trial
 
@@ -399,17 +401,12 @@ def test_one_phase_evaluation_per_pass(bank, label, R, monkeypatch):
         calls.append(args[-1])
         return real(*args)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("the pass sampled the perturbation bound")
-
     st = bank.get(label, R)
     p_phys = p_from_energy(st.energy.E_total, st.setup)
     xi_pass = (nl.first_correction_xi if label.n == 0
                else nl.node_correction_xi)
     for binding in (nl, trial):
         monkeypatch.setattr(binding, "channel_phase", counted)
-    monkeypatch.setattr(nl, "build_V1_xi", refuse)
-    monkeypatch.setattr(nl, "build_W1_eta", refuse)
     for run, channel in (
             (lambda: xi_pass(st.params, label, st.setup, p_phys), "xi"),
             (lambda: nl.first_correction_eta(st.params, label, p_phys),
@@ -466,7 +463,7 @@ def test_table_pair_is_the_separate_reads(bank, name, R):
     st = bank.get(label, R)
     p_phys = p_from_energy(st.energy.E_total, st.setup)
     for channel in ("xi", "eta"):
-        _, panels, _, F, D, _ = nl._first_order(
+        _, panels, _, F, D, _, _ = nl._first_order(
             st.params, label, st.setup, p_phys, channel)
         lo, hi = panels.edges[0], panels.edges[-1]
         u = np.concatenate([panels.nodes.ravel(), panels.edges,

@@ -9,6 +9,7 @@ from twocenter.oracle import OracleResult, exact_channels, solve_bispectral
 from twocenter.reference import oscillator_table
 from twocenter.states import SolvedState
 from twocenter.transitions import (TransitionOrderingError,
+                                   UnwiredTransitionError,
                                    dipole_matrix_element,
                                    magnetic_matrix_element,
                                    oscillator_strength,
@@ -61,6 +62,17 @@ def test_ordering_error(bank):
     u = bank.get(StateLabel(0, 0, 1, +1), 2.0)
     with pytest.raises(TransitionOrderingError):
         oscillator_strength("E1", u, g)
+
+
+@pytest.mark.parametrize("kind", ["B1", "E2"])
+def test_unwired_pair_is_a_value_error(bank, kind):
+    # B1 is wired for sigma -> pi and E2 from sigma; 2ppu -> 4fdu is
+    # allowed by both selection rules but wired for neither
+    pi = bank.get(StateLabel(0, 0, 1, +1), 2.0)
+    delta = bank.get(StateLabel(0, 0, 2, -1), 2.0)
+    with pytest.raises(UnwiredTransitionError):
+        oscillator_strength(kind, pi, delta)
+    assert issubclass(UnwiredTransitionError, ValueError)
 
 
 @pytest.mark.parametrize("element, final", [
