@@ -20,6 +20,7 @@ import argparse
 import json
 import math
 import sys
+from typing import Iterable
 
 from .model import (PhysicalSetup, StateLabel, UnsupportedStateError,
                     label_from_designation, united_atom_designation)
@@ -62,7 +63,9 @@ def parse_state(text: str) -> StateLabel:
     raise CliError(f"unrecognized state {text!r}", 2)
 
 
-def parse_grid(args) -> list[float]:
+def parse_grid(args) -> Iterable[float]:
+    """The R values of --R or --R-grid, checked before the first one is
+    read; a grid's points are made as they are read."""
     if args.R is not None and args.R_grid is not None:
         raise CliError("give either --R or --R-grid, not both", 2)
     if args.R is not None:
@@ -78,11 +81,11 @@ def parse_grid(args) -> list[float]:
         raise CliError(f"bad --R-grid {args.R_grid!r} (must be finite)", 2)
     if step <= 0 or stop < start:
         raise CliError("grid must ascend", 2)
-    count = (stop - start) / step
-    if not math.isfinite(count):
+    # a step below R's resolution would repeat R values
+    if step < math.ulp(max(abs(start), abs(stop))):
         raise CliError(f"bad --R-grid {args.R_grid!r} (step too small)", 2)
-    n = int(math.floor(count + 1e-9)) + 1
-    return [start + i * step for i in range(n)]
+    n = int(math.floor((stop - start) / step + 1e-9)) + 1
+    return (start + i * step for i in range(n))
 
 
 def emit(rows: list[dict], args) -> None:
@@ -184,17 +187,18 @@ def cmd_pt(args) -> int:
             base = args.emit_tables
             xs = np.linspace(1.0, 1.0 + 12.0 / st.params.p, 801)
             es = np.linspace(-1.0, 1.0, 401)
+            # a single-node state's xi correction is its regular part r
+            xi = (("phi1", st.pt_xi.correction) if st.node is None
+                  else ("r", st.node.regular))
             try:
-                # the exact R (its repr) keeps nearby R values apart
-                with open(f"{base}_phi1_R{R!r}.csv", "w") as fh:
-                    fh.write("xi,phi1\n")
-                    if st.pt_xi is not None:
-                        for x, v in zip(xs, st.pt_xi.correction_phase(xs)):
-                            fh.write(f"{fmt(x)},{fmt(v)}\n")
-                with open(f"{base}_rho1_R{R!r}.csv", "w") as fh:
-                    fh.write("eta,rho1\n")
-                    for x, v in zip(es, st.pt_eta.correction_phase(es)):
-                        fh.write(f"{fmt(x)},{fmt(v)}\n")
+                for axis, x, kind, table in (
+                        ("xi", xs, *xi),
+                        ("eta", es, "rho1", st.pt_eta.correction)):
+                    # the exact R (its repr) keeps nearby R values apart
+                    with open(f"{base}_{kind}_R{R!r}.csv", "w") as fh:
+                        fh.write(f"{axis},{kind}\n")
+                        for u, v in zip(x, table(x)[0]):
+                            fh.write(f"{fmt(u)},{fmt(v)}\n")
             except OSError as exc:
                 raise CliError(f"cannot write tables: {exc}", 4) from None
     emit(rows, args)
@@ -374,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pt", help="first-order corrections")
     common(p, "state", "grid", "quad")
     p.add_argument("--emit-tables", metavar="PREFIX",
-                   help="write (xi, phi1)/(eta, rho1) CSV tables")
+                   help="write (xi, phi1 or r)/(eta, rho1) CSV tables")
     p.set_defaults(func=cmd_pt)
 
     p = sub.add_parser("transitions", help="oscillator strengths")

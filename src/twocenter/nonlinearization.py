@@ -11,11 +11,13 @@ separation constant and phase correction are
     phi1(xi) = int_1^xi x1,                 phi1(1) = 0,
 
 and the eta channel mirrors this with W(eta) = p^2 eta^2 on [-1, 1].
-Higher orders of a nodeless xi channel repeat the step with
-Q_n = -(xi^2-1) sum x_i x_{n-i} in place of V1.  Both channels and every
-order run one shared pass on panels of 12 Gauss-Legendre nodes, graded
-geometrically toward the zeros of D = (x^2-1)^(L+1) X0^2 (xi = 1,
-eta = -1, and eta = 0 on the odd branch), where no node sits.  One
+Order n of either channel of a nodeless state repeats the step with
+Q_n = -(x^2-1) sum_{i=1}^{n-1} y_i y_{n-i}, from the slopes of the
+orders below (the builders' prev), in place of V1; p then drops out.
+Both channels and every order run one pass on panels of 12
+Gauss-Legendre nodes, graded geometrically toward the zeros of
+D = (x^2-1)^(L+1) X0^2 (xi = 1, eta = -1, and eta = 0 on the odd
+branch), where no node sits.  One
 evaluation of the trial phase per node gives the pass's log scale (the
 phase's minimum on the nodes), and A and F by each panel's spectral
 integration and the running panel totals, with A the panel quadrature
@@ -57,27 +59,19 @@ from .trial import (TrialParams, channel_factor, channel_phase,
 
 @dataclass
 class ChannelPT:
-    """First-order perturbation data of one channel, with bound_C the
-    largest |Q| (V1 at first order) on the nodes where its pass
-    integrates Q."""
+    """Perturbation data of one channel at order n: A1 holds A_n, and
+    bound_C the largest |Q_n| (V1 at first order) on the nodes where its
+    pass integrates Q_n."""
 
     channel: str                       # "xi" or "eta"
     A1: float
-    correction: Callable               # x -> (phi1, x1 = phi1') on xi, or
-                                       # (rho1, y1 = rho1') on eta
+    correction: Callable               # x -> (phi_n, x_n = phi_n') on xi,
+                                       # or (rho_n, y_n = rho_n') on eta
     bound_C: float
 
     def __post_init__(self):
         if not (math.isfinite(self.A1) and math.isfinite(self.bound_C)):
-            raise ValueError("non-finite first-order correction data")
-
-    def correction_phase(self, x):
-        """phi1 (xi) or rho1 (eta) on x."""
-        return self.correction(x)[0]
-
-    def correction_slope(self, x):
-        """x1 (xi) or y1 (eta) on x."""
-        return self.correction(x)[1]
+            raise ValueError("non-finite perturbation data")
 
 
 # ----------------------------------------------------------------------
@@ -267,19 +261,24 @@ def _parts(params, label, setup, p_phys, x, scale, channel):
     return wX2, V * wX2 - lhs, scale
 
 
-def _first_order(params, label, setup, p_phys, channel, q=None):
-    """(A, panels, f, F, D, scale, bound) on the panel nodes: f = (A-Q)
-    w X0^2 and F = int f, Q the pole-free V1 (or q at higher orders), A =
-    int Q w X0^2 / int w X0^2 on the panels, where the consistency pass
-    A -> A - F(end)/G(end) puts it, and bound the largest |Q| there.  F
-    vanishes at both ends, so each node takes it from the end nearer in
-    the mass of f: a short integral, not a cancelling difference, where D
-    vanishes or its division grows."""
+def _first_order(params, label, setup, p_phys, channel, prev=()):
+    """(A, panels, f, F, D, scale, bound) of order n = len(prev) + 1 on
+    the panel nodes: f = (A-Q) w X0^2 and F = int f, Q the pole-free V1
+    at n = 1 and Q_n = -(x^2-1) sum_{i=1}^{n-1} y_i y_{n-i} from the
+    slopes of the orders prev below it, A = int Q w X0^2 / int w X0^2 on
+    the panels, where the consistency pass A -> A - F(end)/G(end) puts
+    it, and bound the largest |Q| there.  F vanishes at both ends, so
+    each node takes it from the end nearer in the mass of f: a short
+    integral, not a cancelling difference, where D vanishes or its
+    division grows."""
     panels = (_xi_panels(params) if channel == "xi"  # eta: mirrored later
               else _eta_panels(params.p, label.parity))
     x = panels.nodes.ravel()
     wX2, QwX2, scale = _parts(params, label, setup, p_phys, x, None, channel)
-    QwX2 = QwX2 if q is None else q(x) * wX2
+    if prev:
+        y = [c.correction(x)[1] for c in prev]
+        Q = -(x * x - 1.0) * sum(y[i] * y[-1 - i] for i in range(len(y)))
+        QwX2 = Q * wX2
     bound = float(np.max(np.abs(QwX2 / wX2)))
     wts = (panels.half[:, None] * _W).ravel()
     A = math.fsum((wts * QwX2).tolist()) / math.fsum((wts * wX2).tolist())
@@ -295,46 +294,41 @@ def _first_order(params, label, setup, p_phys, channel, q=None):
 
 
 # ----------------------------------------------------------------------
-# first-order corrections, xi channel
+# the nodeless corrections of every order, xi and eta channels
 
 
 def first_correction_xi(params: TrialParams, label: StateLabel,
-                        setup: PhysicalSetup, p_phys: float) -> ChannelPT:
-    """A1_xi and the tabulated phase correction phi1 of a nodeless xi
-    channel (single-node states go through node_correction_xi)."""
+                        setup: PhysicalSetup, p_phys: float,
+                        prev=()) -> ChannelPT:
+    """A_n and the tabulated phase correction phi_n of a nodeless xi
+    channel at order n = len(prev) + 1, prev its corrections of orders
+    1 .. n-1 (single-node states go through node_correction_xi)."""
     if label.n != 0:
         raise ValueError("first_correction_xi needs a nodeless state")
-    return _nodeless_xi(params, label, setup, p_phys)
-
-
-def _nodeless_xi(params, label, setup, p_phys, q=None) -> ChannelPT:
     # the slope is cut at the _TAU_KEEP edge, where the exponentially
-    # growing division has nothing left to resolve; phi1 is the exact
+    # growing division has nothing left to resolve; phi_n is the exact
     # antiderivative of the slope's panel polynomials, so the pair is
     # derivative-consistent and the corrected state stays variational
-    A1, panels, _, F, D, _, bound = _first_order(params, label, setup,
-                                                 p_phys, "xi", q)
+    A, panels, _, F, D, _, bound = _first_order(params, label, setup,
+                                                p_phys, "xi", prev)
     cut = np.argmin(np.abs(panels.edges - 1.0 - _TAU_KEEP / (2.0 * params.p)))
     keep, x1 = _Panels(panels.edges[:cut + 1]), (F / D)[:cut]
-    return ChannelPT("xi", A1, keep.table(x1), bound)
-
-
-# ----------------------------------------------------------------------
-# first-order corrections, eta channel
+    return ChannelPT("xi", A, keep.table(x1), bound)
 
 
 def first_correction_eta(params: TrialParams, label: StateLabel,
-                         p_phys: float) -> ChannelPT:
-    """A1_eta and the tabulated phase correction rho1 (even in eta)."""
-    A1, panels, _, F, D, _, bound = _first_order(params, label, None,
-                                                 p_phys, "eta")
-    # tabulated on [-1, 0] and mirrored: y1 is odd, rho1 even, and the
-    # gauge is rho1(0) = 0
-    y1 = F / D
-    gauge = -np.sum(panels.half * (y1 @ _W))
+                         p_phys: float, prev=()) -> ChannelPT:
+    """A_n and the tabulated phase correction rho_n (even in eta) at
+    order n = len(prev) + 1, prev its corrections of orders 1 .. n-1."""
+    A, panels, _, F, D, _, bound = _first_order(params, label, None,
+                                                p_phys, "eta", prev)
+    # tabulated on [-1, 0] and mirrored: y_n is odd, rho_n even, and the
+    # gauge is rho_n(0) = 0
+    y = F / D
+    gauge = -np.sum(panels.half * (y @ _W))
     full = _Panels(np.concatenate([panels.edges, -panels.edges[-2::-1]]))
-    y1 = np.concatenate([y1, -y1[::-1, ::-1]])
-    return ChannelPT("eta", A1, full.table(y1, gauge), bound)
+    y = np.concatenate([y, -y[::-1, ::-1]])
+    return ChannelPT("eta", A, full.table(y, gauge), bound)
 
 
 # ----------------------------------------------------------------------
@@ -348,7 +342,8 @@ class NodeCorrection:
     The corrected channel function is
         X = exp(-phi0) [ d + f1 + c1 d log|d| + d r(d) ],   d = xi - xi0,
     where r (regular) is tabulated; f1 is the node displacement
-    (node moves to xi0 - f1 at first order).
+    (node moves to xi0 - f1 at first order).  There is no second order
+    yet: x1 carries f1/d, so Q2 w X0^2 is not integrable at the node.
     """
 
     f1: float
@@ -356,14 +351,6 @@ class NodeCorrection:
     xi0: float
     A1: float
     regular: Callable  # xi -> (r, r'), tabulated
-
-    def r(self, x):
-        """r on x."""
-        return self.regular(x)[0]
-
-    def dr(self, x):
-        """r' on x."""
-        return self.regular(x)[1]
 
 
 def node_correction_xi(params: TrialParams, label: StateLabel,
@@ -402,29 +389,3 @@ def node_correction_xi(params: TrialParams, label: StateLabel,
     # on the left branch; it is flat beyond the last edge, where r' = 0
     return NodeCorrection(f1=f1, c1=c1, xi0=xi0, A1=A1, regular=panels.table(
         dr, -(f1 / (1.0 - xi0) + c1 * math.log(xi0 - 1.0))))
-
-
-# ----------------------------------------------------------------------
-# generic higher-order recurrence (nodeless gauge f_k = 0 for k >= 1)
-
-
-def higher_Q_xi(prev_slopes: list, x):
-    """Q_n for nodeless states: -(xi^2-1) sum_{i=1}^{n-1} x_i x_{n-i}."""
-    x = np.asarray(x, dtype=float)
-    n = len(prev_slopes) + 1
-    acc = np.zeros_like(x)
-    for i in range(1, n):
-        acc += prev_slopes[i - 1](x) * prev_slopes[n - i - 1](x)
-    return -(x * x - 1.0) * acc
-
-
-def next_correction_xi(params: TrialParams, label: StateLabel,
-                       setup: PhysicalSetup, prev: list) -> ChannelPT:
-    """Order-(len(prev)+1) correction of a nodeless xi channel."""
-    if label.n != 0:
-        raise ValueError("higher orders are implemented for nodeless states")
-
-    def qn(x):
-        return higher_Q_xi([c.correction_slope for c in prev], x)
-
-    return _nodeless_xi(params, label, setup, params.p, qn)

@@ -361,21 +361,21 @@ def correction_values(state, xi_data, eta_data):
     floor_x = 1e-15 * (abs(xi_data.A1) + (p * np.max(xs)) ** 2)
     floor_e = 1e-15 * (abs(eta_data.A1) + p * p)
 
-    def phase(fn, x):
-        vals = fn(x)
+    def phase(pair, x):
+        vals = pair(x)[0]
         return vals[1:] - vals[0]
 
-    tables = {"rho1": (phase(eta_data.correction_phase, es), 2.0 * floor_e),
-              "y1": (eta_data.correction_slope(es[1:]), floor_e)}
+    tables = {"rho1": (phase(eta_data.correction, es), 2.0 * floor_e),
+              "y1": (eta_data.correction(es[1:])[1], floor_e)}
     scalars = {"A1_xi": xi_data.A1, "A1_eta": eta_data.A1}
     xs_len = np.max(xs) - 1.0
     if state.label.n == 0:
-        tables["phi1"] = (phase(xi_data.correction_phase, xs),
+        tables["phi1"] = (phase(xi_data.correction, xs),
                           xs_len * floor_x)
-        tables["x1"] = (xi_data.correction_slope(xs[1:]), floor_x)
+        tables["x1"] = (xi_data.correction(xs[1:])[1], floor_x)
     else:
-        tables["r"] = (xi_data.r(xs[1:]), xs_len * floor_x)
-        tables["dr"] = (xi_data.dr(xs[1:]), floor_x)
+        tables["r"] = (xi_data.regular(xs[1:])[0], xs_len * floor_x)
+        tables["dr"] = (xi_data.regular(xs[1:])[1], floor_x)
         scalars.update(f1=xi_data.f1, c1=xi_data.c1)
     return tables, scalars
 

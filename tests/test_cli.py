@@ -1,14 +1,17 @@
+import argparse
+import itertools
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import twocenter
 
-from twocenter.cli import main, parse_state
+from twocenter.cli import fmt, main, parse_grid, parse_state
 from twocenter.model import StateLabel
 
 
@@ -46,6 +49,19 @@ def test_grid_step_too_small_to_count_exit_code(capsys):
     assert main(["oracle", "--state", "1ssg", "--R-grid", "1:2:5e-324"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+
+
+def test_grid_step_below_R_resolution_exit_code(capsys):
+    # 1e300 points that are all R = 1: a bad grid, not an endless list
+    assert main(["oracle", "--state", "1ssg", "--R-grid", "1:2:1e-300"]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+def test_long_grid_is_read_lazily():
+    # 1e12 points: only those read are made
+    args = argparse.Namespace(R=None, R_grid="1:1000:1e-9")
+    assert list(itertools.islice(parse_grid(args), 2)) == [1.0, 1.000000001]
 
 
 @pytest.mark.parametrize("kind", ["B1", "E2"])
@@ -114,6 +130,32 @@ def test_pt_subcommand_and_tables(tmp_path):
     phi_table = (tmp_path / "corr_phi1_R2.0.csv").read_text().splitlines()
     assert phi_table[0] == "xi,phi1"
     assert len(phi_table) > 100
+
+
+def test_pt_tables_hold_the_attached_corrections(tmp_path):
+    # a nodeless state's tables are phi1 and rho1 on their grids; a
+    # single-node state's xi table is the regular part r of its node
+    # correction, and it writes no phi1 table
+    from twocenter.states import StateBank
+
+    prefix = tmp_path / "t"
+    bank = StateBank()
+    for name, xi_kind in (("1ssg", "phi1"), ("2ssg", "r")):
+        assert main(["pt", "--state", name, "--R", "4.0",
+                     "--out", str(tmp_path / "pt.csv"),
+                     "--emit-tables", f"{prefix}_{name}"]) == 0
+        st = bank.get(parse_state(name), 4.0, corrected=True)
+        xs = np.linspace(1.0, 1.0 + 12.0 / st.params.p, 801)
+        es = np.linspace(-1.0, 1.0, 401)
+        xi_pair = st.pt_xi.correction if st.node is None else st.node.regular
+        for axis, x, kind, pair in (("xi", xs, xi_kind, xi_pair),
+                                    ("eta", es, "rho1", st.pt_eta.correction)):
+            text = (tmp_path / f"t_{name}_{kind}_R4.0.csv").read_text()
+            assert text == "".join(
+                [f"{axis},{kind}\n"]
+                + [f"{fmt(u)},{fmt(v)}\n" for u, v in zip(x, pair(x)[0])])
+            assert len(text.splitlines()) == 1 + x.size
+    assert not (tmp_path / "t_2ssg_phi1_R4.0.csv").exists()
 
 
 def test_pt_tables_key_by_exact_R(tmp_path):

@@ -7,7 +7,6 @@ from twocenter.model import (SUPPORTED_LABELS, PhysicalSetup, StateLabel,
                              p_from_energy)
 from twocenter.nonlinearization import (ChannelPT, first_correction_eta,
                                         first_correction_xi,
-                                        next_correction_xi,
                                         true_potential_xi)
 from twocenter.states import (StateBank, attach_corrections,
                               correction_energy_shift)
@@ -82,7 +81,7 @@ def test_exact_phase_gives_constant_perturbation():
     pt = first_correction_xi(pars, GS, setup, p_phys=p)
     assert pt.A1 == pytest.approx(p * p, abs=1e-10)
     assert pt.bound_C == pytest.approx(p * p, abs=1e-10)
-    assert np.max(np.abs(pt.correction_phase(np.linspace(1, 8, 100)))) <= 1e-12
+    assert np.max(np.abs(pt.correction(np.linspace(1, 8, 100))[0])) <= 1e-12
 
 
 def test_perturbation_bounded_no_poles(bank):
@@ -124,15 +123,15 @@ def test_consistency_degrades_with_raw_shape_p(bank):
 def test_phase_correction_magnitude_and_gauge(bank):
     st = bank.get(GS, 2.0, corrected=True)
     xs = np.linspace(1.0, 10.0, 200)
-    assert st.pt_xi.correction_phase(1.0) == 0.0
-    sup = np.max(np.abs(st.pt_xi.correction_phase(xs)))
+    assert st.pt_xi.correction(1.0)[0] == 0.0
+    sup = np.max(np.abs(st.pt_xi.correction(xs)[0]))
     assert 1e-7 < sup < 1e-4
     es = np.linspace(-1.0, 1.0, 201)
-    sup_e = np.max(np.abs(st.pt_eta.correction_phase(es)))
+    sup_e = np.max(np.abs(st.pt_eta.correction(es)[0]))
     assert sup_e < 1e-4
     # rho1 is even and gauged to zero at the midplane
-    assert st.pt_eta.correction_phase(0.0) == pytest.approx(0.0, abs=1e-15)
-    evens = st.pt_eta.correction_phase(es) - st.pt_eta.correction_phase(-es)
+    assert st.pt_eta.correction(0.0)[0] == pytest.approx(0.0, abs=1e-15)
+    evens = st.pt_eta.correction(es)[0] - st.pt_eta.correction(-es)[0]
     assert np.max(np.abs(evens)) <= 1e-14
 
 
@@ -141,7 +140,7 @@ def test_odd_branch_midplane_regular(bank):
     # cancels analytically; the tabulated slope stays finite and odd
     st = bank.get(StateLabel(0, 0, 0, -1), 2.0, corrected=True)
     es = np.array([-1e-3, -1e-5, 0.0, 1e-5, 1e-3])
-    slopes = st.pt_eta.correction_slope(es)
+    slopes = st.pt_eta.correction(es)[1]
     assert np.all(np.isfinite(slopes))
     assert slopes[2] == pytest.approx(0.0, abs=1e-10)
     assert slopes[4] == pytest.approx(-slopes[0], rel=1e-6, abs=1e-12)
@@ -213,12 +212,110 @@ def test_first_correction_xi_rejects_node_state(bank):
 
 def test_second_order_is_much_smaller(bank):
     st = bank.get(GS, 2.0, corrected=True)
-    second = next_correction_xi(st.params, GS, st.setup, [st.pt_xi])
+    p_phys = p_from_energy(st.energy.E_total, st.setup)
+    second = first_correction_xi(st.params, GS, st.setup, p_phys,
+                                 prev=[st.pt_xi])
     assert abs(second.A1) < 1e-6 * abs(st.pt_xi.A1)
     xs = np.linspace(1.0, 8.0, 100)
-    sup2 = np.max(np.abs(second.correction_phase(xs)))
-    sup1 = np.max(np.abs(st.pt_xi.correction_phase(xs)))
+    sup2 = np.max(np.abs(second.correction(xs)[0]))
+    sup1 = np.max(np.abs(st.pt_xi.correction(xs)[0]))
     assert sup2 < 1e-2 * sup1
+
+
+NODELESS = [label for label in SUPPORTED_LABELS if label.n == 0]
+
+
+def _second_order(st):
+    """(xi, eta) ChannelPT of order 2 on a corrected nodeless state."""
+    p_phys = p_from_energy(st.energy.E_total, st.setup)
+    return (first_correction_xi(st.params, st.label, st.setup, p_phys,
+                                prev=[st.pt_xi]),
+            first_correction_eta(st.params, st.label, p_phys,
+                                 prev=[st.pt_eta]))
+
+
+@pytest.mark.parametrize("label", NODELESS, ids=str)
+def test_second_order_signs(bank, label):
+    # Q2 = -(x^2-1) y1^2 is <= 0 on xi and >= 0 on eta, and the pass
+    # divides two sums of one sign each: A2_xi <= 0 <= A2_eta exactly
+    for R in PT_RS:
+        xi2, eta2 = _second_order(bank.get(label, R, corrected=True))
+        assert xi2.A1 <= 0.0 <= eta2.A1, (R, xi2.A1, eta2.A1)
+
+
+@pytest.mark.parametrize("label", NODELESS, ids=str)
+def test_order_n_is_Q_n_from_the_slopes_below(bank, label):
+    # at order n the pass integrates Q_n = -(x^2-1) sum y_i y_(n-i) from
+    # the lower orders' slopes: bound_C is its largest modulus on the
+    # pass's nodes, for n = 2 and 3 on both channels.  rho2 is even and
+    # gauged to zero at the midplane, as rho1 is
+    import twocenter.nonlinearization as nl
+
+    es = np.linspace(-1.0, 1.0, 201)
+    for R in (0.5, 2.0, 50.0):
+        st = bank.get(label, R, corrected=True)
+        p_phys = p_from_energy(st.energy.E_total, st.setup)
+        for first, nodes, build in (
+                (st.pt_xi, nl._xi_panels(st.params).nodes,
+                 lambda prev: first_correction_xi(st.params, label, st.setup,
+                                                  p_phys, prev=prev)),
+                (st.pt_eta, nl._eta_panels(st.params.p, label.parity).nodes,
+                 lambda prev: first_correction_eta(st.params, label, p_phys,
+                                                   prev=prev))):
+            second = build([first])
+            third = build([first, second])
+            y1, y2 = first.correction(nodes)[1], second.correction(nodes)[1]
+            for pt, Q in ((second, -(nodes**2 - 1.0) * y1 * y1),
+                          (third, -(nodes**2 - 1.0) * 2.0 * y1 * y2)):
+                top = np.max(np.abs(Q))
+                assert pt.bound_C == pytest.approx(top, rel=1e-12), R
+        rho2 = second.correction(es)[0]
+        top = np.max(np.abs(rho2))
+        assert np.max(np.abs(rho2 - second.correction(-es)[0])) <= 1e-12 * top
+        assert abs(second.correction(0.0)[0]) <= 1e-12 * top
+
+
+@pytest.mark.parametrize("name,R", [("1ssg", 2.0), ("3dpg", 20.0),
+                                    ("4fdu", 50.0)])
+def test_second_order_matches_an_adaptive_quadrature(bank, name, R):
+    # A2 = int Q2 w X0^2 / int w X0^2 by scipy's adaptive quad, with the
+    # panel edges as break points, the xi slope cut at 2p(xi-1) = 24 and
+    # the xi norm taken to 2p(xi-1) = 30, as the pass does
+    from scipy.integrate import quad
+
+    import twocenter.nonlinearization as nl
+    from twocenter.model import label_from_designation
+    from twocenter.trial import channel_factor, channel_phase
+
+    label = label_from_designation(name)
+    st = bank.get(label, R, corrected=True)
+    p = st.params.p
+    keep = 1.0 + nl._TAU_KEEP / (2.0 * p)
+    half = nl._eta_panels(p, label.parity).edges
+    domains = {"xi": (st.setup, nl._xi_panels(st.params).edges, st.pt_xi),
+               "eta": (None, np.r_[half, -half[-2::-1]], st.pt_eta)}
+    for pt2 in _second_order(st):
+        setup, edges, first = domains[pt2.channel]
+        lo, hi = edges[0], edges[-1]
+        scale = float(np.min(channel_phase(st.params, label, setup,
+                                           np.linspace(lo, hi, 101),
+                                           pt2.channel)[0]))
+
+        def wX2(x):
+            X = channel_factor(st.params, label, setup, np.array([x]),
+                               pt2.channel, scale)[0][0]
+            return (x * x - 1.0) ** label.lam * X * X
+
+        def Q2wX2(x):
+            return -(x * x - 1.0) * first.correction(x)[1] ** 2 * wX2(x)
+
+        top = keep if pt2.channel == "xi" else hi
+        inner = edges[(edges > lo) & (edges < top)]
+        num = quad(Q2wX2, lo, top, points=inner, limit=500, epsabs=0.0)[0]
+        den = quad(wX2, lo, hi, points=edges[1:-1], limit=500,
+                   epsabs=0.0)[0]
+        assert abs(pt2.A1) >= 1e-20
+        assert num / den == pytest.approx(pt2.A1, rel=1e-9), pt2.channel
 
 
 def test_channel_potentials_finite_on_domains(bank):
@@ -389,9 +486,10 @@ def test_channel_pt_rejects_a_non_finite_bound(bound):
 @pytest.mark.parametrize("label,R", [(GS, 2.0), (StateLabel(1, 0, 0, -1),
                                                 4.0)], ids=["1ssg", "3psu"])
 def test_one_phase_evaluation_per_pass(bank, label, R, monkeypatch):
-    # each first-order pass evaluates its channel's phase once, on the
-    # panel nodes, and takes its log scale and the perturbation's bound
-    # from those same values
+    # each pass, of the first order or of the second, evaluates its
+    # channel's phase once, on the panel nodes, and takes its log scale
+    # and the perturbation's bound from those same values; the second
+    # order reads the first one's slopes from its tables
     import twocenter.nonlinearization as nl
     import twocenter.trial as trial
 
@@ -401,16 +499,21 @@ def test_one_phase_evaluation_per_pass(bank, label, R, monkeypatch):
         calls.append(args[-1])
         return real(*args)
 
-    st = bank.get(label, R)
+    st = bank.get(label, R, corrected=True)
     p_phys = p_from_energy(st.energy.E_total, st.setup)
     xi_pass = (nl.first_correction_xi if label.n == 0
                else nl.node_correction_xi)
+    passes = [
+        (lambda: xi_pass(st.params, label, st.setup, p_phys), "xi"),
+        (lambda: nl.first_correction_eta(st.params, label, p_phys), "eta"),
+        (lambda: nl.first_correction_eta(st.params, label, p_phys,
+                                         prev=[st.pt_eta]), "eta")]
+    if label.n == 0:
+        passes.append((lambda: nl.first_correction_xi(
+            st.params, label, st.setup, p_phys, prev=[st.pt_xi]), "xi"))
     for binding in (nl, trial):
         monkeypatch.setattr(binding, "channel_phase", counted)
-    for run, channel in (
-            (lambda: xi_pass(st.params, label, st.setup, p_phys), "xi"),
-            (lambda: nl.first_correction_eta(st.params, label, p_phys),
-             "eta")):
+    for run, channel in passes:
         calls.clear()
         run()
         assert calls == [channel]
@@ -495,16 +598,16 @@ def test_node_correction_finite_at_xi_one(bank, name, R, monkeypatch):
     nc = st.node
     x = np.array([1.0, 1.0 + 1e-9, 1.0 + 1e-7, 1.0 + 1e-5])
     ca = st.xi_arrays(x)
-    for vals in (nc.r(x), nc.dr(x), ca.vals, ca.dvals):
+    for vals in (*nc.regular(x), ca.vals, ca.dvals):
         assert np.all(np.isfinite(vals))
     # on the first panel, r's central differences are r' to 1e-7 of its
     # largest value there
     g0, g1 = nl._xi_panels(st.params).edges[:2]
     h = 1e-4 * (g1 - g0)
     u = np.linspace(g0 + h, g1, 33)
-    central = (nc.r(u + h) - nc.r(u - h)) / (2.0 * h)
-    assert np.max(np.abs(central - nc.dr(u))) \
-        <= 1e-7 * np.max(np.abs(nc.dr(u)))
+    central = (nc.regular(u + h)[0] - nc.regular(u - h)[0]) / (2.0 * h)
+    dr = nc.regular(u)[1]
+    assert np.max(np.abs(central - dr)) <= 1e-7 * np.max(np.abs(dr))
     # with the channel left undefined at xi = 1, A1, f1, c1, r and r'
     # from xi = 1 on and the gated strength are the same bits
     gs = bank.get(GS, R, corrected=True)
@@ -523,8 +626,8 @@ def test_node_correction_finite_at_xi_one(bank, name, R, monkeypatch):
     assert (undefined.A1, undefined.f1, undefined.c1) \
         == (nc.A1, nc.f1, nc.c1)
     beyond = np.linspace(1.0, 1.0 + 20.0 / st.params.p, 200)
-    assert undefined.r(beyond).tobytes() == nc.r(beyond).tobytes()
-    assert undefined.dr(beyond).tobytes() == nc.dr(beyond).tobytes()
+    for got, ref in zip(undefined.regular(beyond), nc.regular(beyond)):
+        assert got.tobytes() == ref.tobytes()
     st.node = undefined
     assert oscillator_strength(kind, gs, st).f == f
 
@@ -546,14 +649,15 @@ def test_node_correction_flat_beyond_the_table(bank, name, R):
     h = 1e-6 * (end - 1.0)
 
     def central(u):
-        return (nc.r(u + h) - nc.r(u - h)) / (2.0 * h)
+        return (nc.regular(u + h)[0] - nc.regular(u - h)[0]) / (2.0 * h)
 
     bulk = np.linspace(1.0 + 2.0 * h, end, 401)
-    assert np.max(np.abs(central(bulk) - nc.dr(bulk))) \
-        <= 1e-5 * np.max(np.abs(nc.dr(bulk)))
+    dr = nc.regular(bulk)[1]
+    assert np.max(np.abs(central(bulk) - dr)) <= 1e-5 * np.max(np.abs(dr))
     beyond = np.r_[end + 2.0 * h, np.linspace(end + 1.0, 10.0 * end, 50)]
-    assert np.array_equal(central(beyond), nc.dr(beyond))
-    assert np.all(nc.dr(beyond) == 0.0)
+    dr = nc.regular(beyond)[1]
+    assert np.array_equal(central(beyond), dr)
+    assert np.all(dr == 0.0)
 
 
 def _edge_jump(fn, edges):
@@ -586,18 +690,23 @@ def test_tables_continuous_and_derivative_consistent(bank, label):
         eta_edges = np.r_[half, -half]
         if label.n == 0:
             xi_edges = xi_edges[xi_edges < 1.0 + nl._TAU_KEEP / (2.0 * p)]
-            phase, slope, A1 = (st.pt_xi.correction_phase,
-                                st.pt_xi.correction_slope, st.pt_xi.A1)
+            xi_pair, A1 = st.pt_xi.correction, st.pt_xi.A1
         else:
-            phase, slope, A1 = st.node.r, st.node.dr, st.node.A1
+            xi_pair, A1 = st.node.regular, st.node.A1
         channels = (
-            (phase, slope, xs, xi_edges,
+            (xi_pair, xs, xi_edges,
              1e-15 * (abs(A1) + (p * np.max(xs)) ** 2),
              lambda x: xi_channel(st.params, label, st.setup, x).vals),
-            (st.pt_eta.correction_phase, st.pt_eta.correction_slope, es,
-             eta_edges, 1e-15 * (abs(st.pt_eta.A1) + p * p),
+            (st.pt_eta.correction, es, eta_edges,
+             1e-15 * (abs(st.pt_eta.A1) + p * p),
              lambda x: eta_channel(st.params, label, x).vals))
-        for phase, slope, pts, edges, floor, channel in channels:
+        for pair, pts, edges, floor, channel in channels:
+            def phase(x):
+                return pair(x)[0]
+
+            def slope(x):
+                return pair(x)[1]
+
             h = 1e-4 * (np.max(pts) - np.min(pts))
             u = pts[(pts - 2.0 * h >= np.min(pts))
                     & (pts + 2.0 * h <= np.max(pts))]
@@ -615,9 +724,8 @@ def test_tables_continuous_and_derivative_consistent(bank, label):
                 st.eta_arrays(np.array([-1.0, 0.0, 1.0]))]
         for ca in ends:
             assert np.all(np.isfinite(ca.vals)) and np.all(np.isfinite(ca.dvals))
-        for fn in (phase, slope, st.pt_eta.correction_phase,
-                   st.pt_eta.correction_slope):
-            assert np.all(np.isfinite(fn(np.array([-1.0, 0.0, 1.0]))))
+        for pair in (xi_pair, st.pt_eta.correction):
+            assert np.all(np.isfinite(pair(np.array([-1.0, 0.0, 1.0]))))
 
 
 @pytest.mark.parametrize("label", SUPPORTED_LABELS, ids=str)
