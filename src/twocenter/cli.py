@@ -24,8 +24,7 @@ from typing import Iterable
 
 from .model import (PhysicalSetup, StateLabel, UnsupportedStateError,
                     label_from_designation, united_atom_designation)
-from .oracle import (AngularConvergenceError, OracleConvergenceError,
-                     RadialRootError)
+from .oracle import OracleConvergenceError, RadialRootError
 from .quadrature import QuadratureError
 from .reference import energy_table, oscillator_table, separation_table
 from .states import StateBank, correction_energy_shift
@@ -448,7 +447,7 @@ def main(argv=None) -> int:
             UntabulatedLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (QuadratureError, AngularConvergenceError, OracleConvergenceError,
+    except (QuadratureError, OracleConvergenceError,
             RadialRootError) as exc:  # numerical non-convergence
         print(f"error: {exc}", file=sys.stderr)
         return 3

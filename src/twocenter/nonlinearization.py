@@ -53,7 +53,7 @@ from typing import Callable
 import numpy as np
 
 from .model import PhysicalSetup, StateLabel
-from .quadrature import _gauss
+from .quadrature import QuadratureError, _gauss
 from .trial import (TrialParams, channel_factor, channel_phase,
                     phase_of_trial_xi)
 
@@ -71,7 +71,7 @@ class ChannelPT:
 
     def __post_init__(self):
         if not (math.isfinite(self.A1) and math.isfinite(self.bound_C)):
-            raise ValueError("non-finite perturbation data")
+            raise QuadratureError("non-finite perturbation data")
 
 
 # ----------------------------------------------------------------------

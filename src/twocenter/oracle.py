@@ -44,19 +44,19 @@ Each piece of work is done once per p-step, and the dense radial
 estimate only where a Newton start lands on another root.  Each p-step
 solves the angular channel first; its A_ang starts the first step's
 radial Newton, and each later step starts at the last one's tangent
-A_n(p_prev) + dA_n/dp (p - p_prev), checked by the pivot count.  The rows
-of both recurrences depend on k alone, so each channel keeps one table
-per p-step, and the verification one of its own: the radial one is built
-once, at the rows of a tail check that doubles once, serves every Newton
-polish, every tail and the series, and grows in place; the angular one
-is built once per length.  A tail is settled when F over it matches F
-over half of it; the half-length sweep only gives that value, so it runs
-without slopes, a polish's sweeps keep no ratios, and the angular sweep
-from row 0 up to the twist, which no tail changes, runs once per
-fraction.  A radial sweep starts from the ratios' large-k expansion where
-that holds (_Radial.tail).  find_root starts each p-step's radial polish
-at the tail length the previous step settled on, and the result keeps
-the angular eigenvector that exact_channels sums.
+A_n(p_prev) + dA_n/dp (p - p_prev), checked by the pivot count.  Both
+channels run on one engine.  The rows of either recurrence depend on k
+alone, so each channel keeps one table per p-step (_Table), and the
+verification one of its own; a table builds each row once and grows in
+place to the longest tail asked of it.  One loop settles both fractions
+(_settle): a tail is settled when F over it matches F over half of it;
+the half-length sweep only gives that value, so it runs without slopes,
+a polish's sweeps keep no ratios, and the sweep from row 0 up to the
+angular twist, which no tail changes, runs once per fraction.  A radial
+tail starts from the ratios' large-k expansion where that holds
+(_Radial.tail), an angular one from 0.  find_root starts each p-step's
+radial polish at the tail length the previous step settled on, and the
+result keeps the angular eigenvector that exact_channels sums.
 """
 
 from __future__ import annotations
@@ -68,11 +68,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import PhysicalSetup, StateLabel, energy_from_p, p_from_energy
-
-
-class AngularConvergenceError(RuntimeError):
-    """The angular continued fraction or its Newton polish failed to
-    settle."""
 
 
 class RadialRootError(RuntimeError):
@@ -110,12 +105,45 @@ _MAX_STEPS = 100      # Newton steps before a polish or find_root gives up
 # continued fractions
 
 
+class _Table:
+    """A three-term recurrence at one p as lists in one column order: c,
+    outer, inner and their p-slopes dc, douter, dinner, whose row k reads
+    (A + c_k) v_k + outer_k v_(k+1) + inner_k v_(k-1) = 0.  build(lo, hi)
+    gives the columns of the rows lo <= k < hi; a row depends on k alone,
+    so the table grows in place to the length of a request that runs past
+    it and builds each row once.
+
+    The class holds the angular channel's conventions: a tail of K terms
+    sweeps the rows K - 1 + lead .. j + 1 from tail(K + lead), and a
+    fraction doubles it up to cap terms."""
+
+    lead, cap = 0, _K_ANG
+
+    def __init__(self, p: float, build):
+        self.p, self.build = p, build
+        self.cols = ([], [], [], [], [], [])
+
+    def rows(self, n: int):
+        """The columns, holding at least the rows k < n."""
+        size = len(self.cols[0])
+        if size < n:
+            for col, new in zip(self.cols, self.build(size, n)):
+                col += new
+        return self.cols
+
+    def tail(self, k: int) -> float:
+        """Where a sweep over the rows below k starts: 0, the ratio of a
+        recurrence cut off at row k."""
+        return 0.0
+
+
 def _sweep(A: float, c, outer, inner, dc, douter, dinner, ks, x=0.0):
     """A continued fraction swept over the rows ks of a three-term
     recurrence, toward the row it closes on, from the ratio x past them:
     the pivot den = A + c_k + outer_k x and the ratio x <- -inner_k / den,
     with the A- and p-slopes of x beside it.  Returns the last x with its
-    slopes, the count of negative pivots and every x."""
+    slopes, the count of negative pivots and every x.  A sweep up from row
+    0 passes the columns with outer and inner traded."""
     xA = xp = 0.0
     below, xs = 0, []
     for k in ks:
@@ -137,6 +165,62 @@ def _ratio(A: float, c, outer, inner, ks, x=0.0) -> float:
     return x
 
 
+def _pivots(A: float, c, outer, inner, dc, douter, dinner, ks, x: float):
+    """_sweep over the rows ks from x, to its bits, for a table whose outer
+    has no p-slope (the radial alpha), without douter and the ratio list:
+    the last ratio, its A- and p-slopes and the count of negative
+    pivots."""
+    xA = xp = 0.0
+    below = 0
+    for k in ks:
+        den = A + c[k] + outer[k] * x
+        below += den < 0.0
+        slope = dc[k] + outer[k] * xp
+        x = -inner[k] / den
+        xA = -x * (1.0 + outer[k] * xA) / den
+        xp = -(dinner[k] + x * slope) / den
+    return x, xA, xp, below
+
+
+def _settle(A: float, tab: _Table, j: int, K: int, sweep):
+    """Scaled F(A) = A + c_j + outer_j r + inner_j s, the fraction of tab's
+    recurrence twisted at row j (Leaver's inversion), its slopes (F_A,
+    F_p) on the same scale, the settled tail length, and what the sweeps
+    return: _sweep's up to row j and sweep's (_sweep or _pivots) over the
+    tail.
+
+    s = v_(j-1)/v_j runs up from row 0, once, since no tail changes it;
+    where j = 0 it is 0, that sweep is skipped and the terms in s add
+    +-0.0.  r = v_(j+1)/v_j runs down from the tail, which doubles from K
+    terms until F settles at the rounding level of its terms.  The rows
+    come from tab, the table at F's p; the first tail only gives the
+    value the next one is checked against, so it sweeps that value alone."""
+    lead = tab.lead
+    c, outer, inner, dc, douter, dinner = tab.rows(2 * K + lead)
+    low = (_sweep(A, c, inner, outer, dc, dinner, douter, range(j)) if j
+           else (0.0, 0.0, 0.0, 0, ()))
+    s = low[0]
+    prev = (A + c[j] + outer[j] * _ratio(A, c, outer, inner,
+                                         range(K + lead - 1, j, -1),
+                                         tab.tail(K + lead))
+            + inner[j] * s)
+    while (K := 2 * K) <= tab.cap:
+        c, outer, inner, dc, douter, dinner = tab.rows(K + lead)
+        out = sweep(A, c, outer, inner, dc, douter, dinner,
+                    range(K + lead - 1, j, -1), tab.tail(K + lead))
+        r = out[0]
+        F = A + c[j] + outer[j] * r + inner[j] * s
+        scale = abs(A) + abs(c[j]) + abs(outer[j] * r) + abs(inner[j] * s)
+        if abs(F - prev) <= 1e-15 * scale:
+            F_A = 1.0 + outer[j] * out[1] + inner[j] * low[1]
+            F_p = (dc[j] + douter[j] * r + outer[j] * out[2]
+                   + dinner[j] * s + inner[j] * low[2])
+            return F / scale, (F_A / scale, F_p / scale), K, low, out
+        prev = F
+    raise OracleConvergenceError(f"continued fraction unsettled after "
+                                 f"{tab.cap} terms (p={tab.p}, A={A})")
+
+
 # ----------------------------------------------------------------------
 # angular channel
 
@@ -149,82 +233,41 @@ def _acoef(l, lam: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _legendre_terms(lam: int, parity: int, K: int):
-    """Degrees l = lam + sigma + 2k (k < K), l(l+1) - lam(lam+1) and the
-    tridiagonal (diag, off) of eta^2 in normalized P_l^lam, the off
-    diagonal padded with a last 0."""
+def _legendre_terms(lam: int, parity: int, n: int):
+    """Degrees l = lam + sigma + 2k (k < n), l(l+1) - lam(lam+1) and the
+    tridiagonal of eta^2 in normalized P_l^lam as the rows (diag, upper,
+    lower), the lower one starting at -0.0.  A row depends on k alone."""
     sigma = 0 if parity == +1 else 1
-    ls = np.arange(lam + sigma, lam + sigma + 2 * K, 2, dtype=float)
+    ls = np.arange(lam + sigma, lam + sigma + 2 * n, 2, dtype=float)
     a_l = _acoef(ls, lam)
     s_diag = a_l**2 + np.where(ls > lam, _acoef(ls - 1.0, lam)**2, 0.0)
-    s_off = np.append(a_l[:-1] * _acoef(ls[:-1] + 1.0, lam), 0.0)
-    return ls, ls * (ls + 1.0) - lam * (lam + 1.0), s_diag, s_off
+    s_off = a_l * _acoef(ls + 1.0, lam)
+    return (ls, ls * (ls + 1.0) - lam * (lam + 1.0),
+            np.stack([s_diag, s_off, np.append(-0.0, s_off[:-1])]))
 
 
-def _angular_matrix(p: float, lam: int, parity: int, K: int):
-    """The symmetric tridiagonal (c, e) of the eta channel in normalized
-    P_l^lam (k < K), shifted so that its rows read (A + c_k) v_k
-    + e_k v_(k+1) + e_(k-1) v_(k-1) = 0, and the p-slopes (dc, de):
-    -p^2 multiplies the tridiagonal of eta^2."""
-    _, L, s_diag, s_off = _legendre_terms(lam, parity, K)
-    return (L - p * p * s_diag, -p * p * s_off,
-            -2.0 * p * s_diag, -2.0 * p * s_off)
+def _angular_rows(p: float, lam: int, parity: int, lo: int, hi: int):
+    """The rows lo <= k < hi of the eta channel in normalized P_l^lam in
+    _Table's columns: -p^2 and its p-slope multiply the tridiagonal of
+    eta^2, and c_k adds l(l+1) - lam(lam+1).  Row 0 has no lower
+    neighbour; -p^2 times the -0.0 there is +0.0.  The p-free terms come
+    from the cached ones of the next power of two rows."""
+    _, L, s = _legendre_terms(lam, parity, 1 << (hi - 1).bit_length())
+    rows = np.multiply.outer((-p * p, -2.0 * p), s[:, lo:hi])
+    rows[0, 0] += L[lo:hi]
+    return rows.reshape(6, hi - lo).tolist()
 
 
-class _Angular:
-    """The angular matrix at one p as lists: c, e, dc, de and the lower
-    diagonals [0] + e[:-1], [0] + de[:-1], built again at the length of a
-    request that runs past them.  A row depends on k alone, but for the
-    padded 0 that ends e; a fraction over the rows k < K reads e_(K-1)
-    only times a zero ratio, so a longer table gives it the bits of a
-    K-row one."""
-
-    def __init__(self, p: float, lam: int, parity: int):
-        self.p, self.lam, self.parity = p, lam, parity
-        self.cols = ([],)
-
-    def rows(self, n: int):
-        """The columns, holding at least the rows k < n."""
-        if len(self.cols[0]) < n:
-            c, e, dc, de = (a.tolist() for a in _angular_matrix(
-                self.p, self.lam, self.parity, n))
-            self.cols = c, e, dc, de, [0.0] + e[:-1], [0.0] + de[:-1]
-        return self.cols
-
-
-def _angular_fraction(A: float, ang: _Angular, j: int, K: int):
+def _angular_fraction(A: float, ang: _Table, j: int, K: int):
     """Scaled F(A) = A + c_j + e_j v_(j+1)/v_j + e_(j-1) v_(j-1)/v_j, the
-    angular matrix's fraction twisted at row j (Leaver's inversion), its
-    slopes (F_A, F_p) on the same scale, the Sturm count (the pivots of
-    both sides below zero: the eigenvalues above A of the matrix without
-    row j) and the eigenvector v with v_j = 1.
-
-    The rows come from ang, the table at F's p.  The ratios below row j
-    run up from row 0, once, since no tail changes them.  Those above it
-    run down from the tail, which doubles from K terms until F settles,
-    as _fraction's does; the first tail only gives the value the next
-    one is checked against, so it sweeps that value alone."""
-    c, e, dc, de, lower, dlower = ang.rows(2 * K)  # both tails of a check
-    s, sA, sp, n_s, ss = _sweep(A, c, lower, e, dc, dlower, de, range(j))
-    prev = (A + c[j] + e[j] * _ratio(A, c, e, lower, range(K - 1, j, -1))
-            + lower[j] * s)
-    while (K := 2 * K) <= _K_ANG:
-        c, e, dc, de, lower, dlower = ang.rows(K)
-        r, rA, rp, n_r, rs = _sweep(A, c, e, lower, dc, de, dlower,
-                                    range(K - 1, j, -1))
-        F = A + c[j] + e[j] * r + lower[j] * s
-        scale = abs(A) + abs(c[j]) + abs(e[j] * r) + abs(lower[j] * s)
-        if abs(F - prev) <= 1e-15 * scale:
-            slopes = (1.0 + e[j] * rA + lower[j] * sA,
-                      dc[j] + de[j] * r + e[j] * rp + dlower[j] * s
-                      + lower[j] * sp)
-            v = np.concatenate([np.cumprod(ss[::-1])[::-1], [1.0],
-                                np.cumprod(rs[::-1])])
-            return (F / scale, tuple(d / scale for d in slopes),
-                    n_r + n_s, v)
-        prev = F
-    raise AngularConvergenceError(f"angular fraction unsettled after "
-                                  f"{_K_ANG} terms (p={ang.p}, A={A})")
+    angular matrix's fraction twisted at row j, its slopes (F_A, F_p) on
+    the same scale (see _settle), the Sturm count (the pivots of both
+    sides below zero: the eigenvalues above A of the matrix without row
+    j) and the eigenvector v with v_j = 1."""
+    F, slopes, _, low, high = _settle(A, ang, j, K, _sweep)
+    v = np.concatenate([np.cumprod(low[4][::-1])[::-1], [1.0],
+                        np.cumprod(high[4][::-1])])
+    return F, slopes, high[3] + low[3], v
 
 
 def _angular(p: float, lam: int, m: int, parity: int):
@@ -239,15 +282,16 @@ def _angular(p: float, lam: int, m: int, parity: int):
     bracket bisects.  The root is the m-th once the count without row j
     is m.
     """
-    ang = _Angular(p, lam, parity)
-    c, e = (np.array(a[:_K0 + lam]) for a in ang.rows(_K0 + lam)[:2])
+    ang = _Table(p, functools.partial(_angular_rows, p, lam, parity))
+    K = _K0 + lam
+    c, e, lower = (np.array(col[:K]) for col in ang.rows(K)[:3])
     e[-1] = 0.0  # the truncation ends at its last row
     mu, vecs = np.linalg.eigh(np.diag(c) + np.diag(e[:-1], 1)
                               + np.diag(e[:-1], -1))
     A, j = float(-mu[m]), int(np.argmax(np.abs(vecs[:, m])))
     # Gershgorin's bound on the truncation is below every A_m(K)
-    lo = -float(np.max(c + np.abs(e) + np.abs(np.roll(e, 1)))) - 1.0
-    K, hi, step = _K0 + lam, p * p + 1.0, math.inf
+    lo = -float(np.max(c + np.abs(e) + np.abs(lower))) - 1.0
+    hi, step = p * p + 1.0, math.inf
     for _ in range(_MAX_STEPS):
         F, (F_A, F_p), below, v = _angular_fraction(A, ang, j,
                                                     max(K // 2, j + 1))
@@ -261,8 +305,8 @@ def _angular(p: float, lam: int, m: int, parity: int):
         A = new
         if below == m and _settled(step, prev, max(1.0, abs(A))):
             return A, -F_p / F_A, K, v
-    raise AngularConvergenceError(f"Newton on the angular A_{m}(p={p}) "
-                                  "did not settle")
+    raise OracleConvergenceError(f"Newton on the angular A_{m}(p={p}) "
+                                 "did not settle")
 
 
 def angular_eigenvalue(p: float, lam: int, m: int, parity: int) -> float:
@@ -275,8 +319,9 @@ def angular_eigenvalue(p: float, lam: int, m: int, parity: int) -> float:
 
 
 def _recurrence(p: float, b: float, lam: int, lo: int, hi: int):
-    """alpha_k, c_k = beta_k - A, gamma_k and the p-slopes dc_k, dgamma_k
-    for lo <= k < hi."""
+    """c_k = beta_k - A, alpha_k, gamma_k and the p-slopes dc_k, 0,
+    dgamma_k for lo <= k < hi, as lists: _Table's columns, with alpha
+    outer and gamma inner."""
     k = np.arange(lo, hi, dtype=float)
     kap = b / (2.0 * p)
     alpha = (k + 1.0) * (k + lam + 1.0)
@@ -287,30 +332,20 @@ def _recurrence(p: float, b: float, lam: int, lo: int, hi: int):
     dc = (-b * (k + 0.5 * (lam + 1.0)) / (p * p) - 4.0 * k - 2.0 * lam
           - 2.0 * p - 2.0)
     dgamma = kap / p * (2.0 * k + lam - 2.0 * kap)
-    return alpha, c, gamma, dc, dgamma
+    return (c.tolist(), alpha.tolist(), gamma.tolist(), dc.tolist(),
+            [0.0] * (hi - lo), dgamma.tolist())
 
 
-class _Radial:
-    """The radial recurrence at one p as lists: alpha, c, gamma, dc,
-    dgamma and the p-slope of alpha, which is zero, extended in place to
-    the length of a request that runs past them.  A row depends on k
-    alone, so no row is computed twice and the lists hold the floats of
-    one long build."""
+class _Radial(_Table):
+    """The radial recurrence at one p (_recurrence's rows), whose tail of
+    K terms sweeps the rows K..1 and starts from the minimal solution's
+    ratio."""
+
+    lead, cap = 1, _K_MAX
 
     def __init__(self, p: float, b: float, lam: int):
-        self.p, self.b, self.lam = p, b, lam
-        self.cols = ([], [], [], [], [], [])
-
-    def rows(self, n: int):
-        """The columns, holding at least the rows k < n."""
-        *cols, zero = self.cols
-        size = len(zero)
-        if size < n:
-            for col, a in zip(cols, _recurrence(self.p, self.b, self.lam,
-                                                size, n)):
-                col.extend(a.tolist())
-            zero.extend([0.0] * (n - size))
-        return self.cols
+        super().__init__(p, functools.partial(_recurrence, p, b, lam))
+        self.b = b
 
     def tail(self, k: int) -> float:
         """Where a sweep over the rows below k starts: the minimal
@@ -326,60 +361,11 @@ class _Radial:
                 + (2.0 * p - 0.5 * self.b / p - 0.75) / k)
 
 
-def _ratios(A: float, cols, ks, x: float):
-    """_sweep over the radial rows ks from x: the last ratio, its A- and
-    p-slopes and every ratio."""
-    alpha, c, gamma, dc, dgamma, dalpha = cols
-    x, xA, xp, _, xs = _sweep(A, c, alpha, gamma, dc, dalpha, dgamma, ks, x)
-    return x, xA, xp, xs
-
-
-def _pivots(A: float, cols, ks, x: float):
-    """_sweep over the radial rows ks from x, to its bits, without the
-    ratio list and alpha's p-slope, which is zero: the last ratio, its A-
-    and p-slopes and the count of negative pivots."""
-    alpha, c, gamma, dc, dgamma, _ = cols
-    xA = xp = 0.0
-    below = 0
-    for k in ks:
-        den = A + c[k] + alpha[k] * x
-        below += den < 0.0
-        slope = dc[k] + alpha[k] * xp
-        x = -gamma[k] / den
-        xA = -x * (1.0 + alpha[k] * xA) / den
-        xp = -(dgamma[k] + x * slope) / den
-    return x, xA, xp, below
-
-
-def _settle(A: float, rad: _Radial, K: int, sweep):
-    """Scaled F(A), its slopes (F_A, F_p) on the same scale, the settled
-    tail length and the last item of sweep (_ratios or _pivots) over it.
-    The tail doubles from K terms until F settles at the rounding level of
-    its terms, each sweep starting at rad.tail.  The rows come from rad,
-    the table at F's p; the first tail only gives the value the next one
-    is checked against, so it sweeps that value alone."""
-    alpha, c, gamma = rad.rows(2 * K + 1)[:3]  # both tails of a check
-    prev = A + c[0] + alpha[0] * _ratio(A, c, alpha, gamma, range(K, 0, -1),
-                                        rad.tail(K + 1))
-    while (K := 2 * K) <= _K_MAX:
-        cols = rad.rows(K + 1)
-        alpha, c, _, dc = cols[:4]
-        rk, rA, rp, out = sweep(A, cols, range(K, 0, -1), rad.tail(K + 1))
-        F = A + c[0] + alpha[0] * rk
-        scale = abs(A) + abs(c[0]) + abs(alpha[0] * rk)
-        if abs(F - prev) <= 1e-15 * scale:
-            slopes = (1.0 + alpha[0] * rA, dc[0] + alpha[0] * rp)
-            return F / scale, tuple(d / scale for d in slopes), K, out
-        prev = F
-    raise OracleConvergenceError(f"continued fraction unsettled after "
-                                 f"{_K_MAX} terms (p={rad.p}, A={A})")
-
-
 def _fraction(A: float, rad: _Radial, K: int = 64):
     """Scaled F(A), its slopes (F_A, F_p) on the same scale, and the ratios
     r_0..r_K (r_0 = 1) of the settled tail (see _settle)."""
-    F, slopes, _, rs = _settle(A, rad, K, _ratios)
-    return F, slopes, [1.0] + rs[::-1]
+    F, slopes, _, _, out = _settle(A, rad, 0, K, _sweep)
+    return F, slopes, [1.0] + out[4][::-1]
 
 
 def _settled(step: float, prev: float, x: float) -> bool:
@@ -391,7 +377,7 @@ def _settled(step: float, prev: float, x: float) -> bool:
 def _estimate(rad: _Radial, n: int) -> float:
     """The n-th eigenvalue of the recurrence truncated to its first
     _N_ESTIMATE rows."""
-    alpha, c, gamma = (np.array(col[:_N_ESTIMATE]) for col in
+    c, alpha, gamma = (np.array(col[:_N_ESTIMATE]) for col in
                        rad.rows(_N_ESTIMATE)[:3])
     M = -(np.diag(c) + np.diag(alpha[:-1], 1) + np.diag(gamma[1:], -1))
     return float(np.sort(np.linalg.eigvals(M).real)[n])
@@ -411,14 +397,14 @@ def _radial_eigenvalue(p: float, b: float, lam: int, n: int,
         A = _estimate(rad, n) if start is None else start
         K_polish, step = K, math.inf
         for _ in range(_MAX_STEPS):
-            F, (F_A, F_p), K_polish, below = _settle(A, rad, K_polish // 2,
-                                                     _pivots)
+            F, (F_A, F_p), K_polish, _, out = _settle(
+                A, rad, 0, K_polish // 2, _pivots)
             if F_A == 0.0:
                 break
             prev, step = step, F / F_A
             A -= step
             if _settled(step, prev, max(1.0, abs(A))):
-                if start is None or K_polish - below == n:
+                if start is None or K_polish - out[3] == n:
                     return A, -F_p / F_A, K_polish, rad
                 break
     raise OracleConvergenceError(f"Newton on A_{n}(p={p}) did not settle")
@@ -432,8 +418,8 @@ def radial_solution(E_total: float, A: float, setup: PhysicalSetup, lam: int,
     doubles from K terms, on a table of its own."""
     b = (setup.Z1 + setup.Z2) * setup.R
     rad = _Radial(p_from_energy(E_total, setup), b, lam)
-    defect, _, K, below = _settle(A, rad, K, _pivots)
-    return defect, K - below
+    defect, _, K, _, out = _settle(A, rad, 0, K, _pivots)
+    return defect, K - out[3]
 
 
 def radial_mismatch(E_total: float, A: float, setup: PhysicalSetup, lam: int,
@@ -515,14 +501,17 @@ def solve_bispectral(label: StateLabel, setup: PhysicalSetup,
 # exact eigenfunctions
 
 
-def _series(A: float, rad: _Radial, t_max: float, r):
-    """Coefficients g_k of the radial series sum g_k t^k, scaled so that
-    max |g_k| = 1, and the log of that scale, from the ratios r of a
-    settled fraction on the table rad.  The tail doubles until the terms
-    past its first half fall below 1e-18 of the largest on t <= t_max;
-    those are dropped."""
+def _series(result: OracleResult, t_max: float):
+    """Coefficients g_k of the radial series sum g_k t^k of an oracle
+    solution, scaled so that max |g_k| = 1, and the log of that scale,
+    from the ratios of the settled fraction at its (A, p) on a table of
+    its own.  The tail doubles until the terms past its first half fall
+    below 1e-18 of the largest on t <= t_max; those are dropped."""
+    setup, A = result.setup, result.A
+    rad = _Radial(result.p, (setup.Z1 + setup.Z2) * setup.R,
+                  result.label.lam)
     log_t = math.log(max(t_max, 1e-3))
-    r = np.array(r)
+    r = np.array(_fraction(A, rad)[2])
     while True:
         K = r.size - 1
         with np.errstate(divide="ignore"):
@@ -538,20 +527,6 @@ def _series(A: float, rad: _Radial, t_max: float, r):
             raise OracleConvergenceError(
                 f"radial series unsettled after {K} terms at t={t_max}")
         r = np.array(_fraction(A, rad, K)[2])
-
-
-def _sign_changes(A: float, rad: _Radial, r):
-    """The node grid t = (xi-1)/(xi+1) on (0, t_far], the series
-    coefficients g on it (from the ratios r on the table rad), and the
-    indices i where sum g_k t^k changes sign between t[i] and t[i+1].  No
-    node lies beyond the outer turning point of A + b xi - p^2 xi^2."""
-    p, b = rad.p, rad.b
-    xi_far = (b + math.sqrt(b * b + 4.0 * p * p * max(A, 0.0))) \
-        / (2.0 * p * p) + 1.0 / p
-    t = np.linspace(0.0, 1.0, 1400)[1:] * (xi_far - 1.0) / (xi_far + 1.0)
-    g, _ = _series(A, rad, t[-1], r)
-    s = np.sign(np.polynomial.polynomial.polyval(t, g))
-    return t, g, np.flatnonzero(s[:-1] * s[1:] < 0.0)
 
 
 def _legendre_sum(coef, ls, lam: int, x):
@@ -580,12 +555,9 @@ def exact_channels(result: OracleResult, xi, eta):
     label, setup, p = result.label, result.setup, result.p
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
-    b = (setup.Z1 + setup.Z2) * setup.R
-    kap = b / (2.0 * p)
+    kap = (setup.Z1 + setup.Z2) * setup.R / (2.0 * p)
     t = (xi - 1.0) / (xi + 1.0)
-    rad = _Radial(p, b, label.lam)
-    g, scale = _series(result.A, rad, float(np.max(t, initial=0.0)),
-                       _fraction(result.A, rad)[2])
+    g, scale = _series(result, float(np.max(t, initial=0.0)))
     S = np.polynomial.polynomial.polyval(t, g)
     v = result.eigenvector
     ls = _legendre_terms(label.lam, label.parity, v.size)[0]
@@ -599,11 +571,18 @@ def exact_channels(result: OracleResult, xi, eta):
 
 def exact_node(result: OracleResult) -> float:
     """xi of the first interior node of the exact radial function: Newton
-    steps on Jaffe's series in t, inside the node grid's sign change that
-    holds the node; a step that leaves it bisects."""
-    setup, A, p, lam = result.setup, result.A, result.p, result.label.lam
-    rad = _Radial(p, (setup.Z1 + setup.Z2) * setup.R, lam)
-    t, g, change = _sign_changes(A, rad, _fraction(A, rad)[2])
+    steps on Jaffe's series in t, inside the first sign change of the
+    series on a node grid over t = (xi-1)/(xi+1) in (0, t_far]; a step
+    that leaves it bisects.  No node lies beyond the outer turning point
+    of A + b xi - p^2 xi^2."""
+    setup, A, p = result.setup, result.A, result.p
+    b = (setup.Z1 + setup.Z2) * setup.R
+    xi_far = (b + math.sqrt(b * b + 4.0 * p * p * max(A, 0.0))) \
+        / (2.0 * p * p) + 1.0 / p
+    t = np.linspace(0.0, 1.0, 1400)[1:] * (xi_far - 1.0) / (xi_far + 1.0)
+    g, _ = _series(result, t[-1])
+    s = np.sign(np.polynomial.polynomial.polyval(t, g))
+    change = np.flatnonzero(s[:-1] * s[1:] < 0.0)
     if change.size == 0:
         raise RadialRootError(f"no radial node for {result.label}")
     i = change[0]

@@ -86,13 +86,16 @@ class SolvedState:
 
 
 def _damped(ca: ChannelArrays, pt: ChannelPT | None) -> ChannelArrays:
-    """The channel times exp(-phase correction), when one is attached."""
+    """The channel times exp(-phase correction), when one is attached.  The
+    phase's minimum on the nodes moves into the log scale, as the trial
+    channels' own phases do, so the damping factor stays at most 1."""
     if pt is None:
         return ca
     phase, slope = pt.correction(ca.nodes)
-    damp = np.exp(-phase)
+    shift = float(np.min(phase))
+    damp = np.exp(-(phase - shift))
     return ChannelArrays(ca.vals * damp, (ca.dvals - ca.vals * slope) * damp,
-                         ca.logscale, ca.nodes)
+                         ca.logscale + shift, ca.nodes)
 
 
 def attach_corrections(state: SolvedState) -> SolvedState:

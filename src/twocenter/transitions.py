@@ -97,7 +97,9 @@ def _pair_moments(state_i: SolvedState, state_f: SolvedState,
 
     and <s|s> = 2 pi a^3 [(s, 2)_xi (s, 0)_eta - (s, 0)_xi (s, 2)_eta].
     Each row sums as if it came alone, so the norm rows leave the others'
-    bits as they are.
+    bits as they are.  The rows take the channels on their own scales
+    (ChannelArrays.vals): every element and |i| |f| carry the same four
+    channel scales, so a squared element over |i|^2 |f|^2 is free of them.
     """
     rules = build_rules(0.5 * (state_i.params.p + state_f.params.p), 96)
     out = []
@@ -106,8 +108,7 @@ def _pair_moments(state_i: SolvedState, state_f: SolvedState,
         x = rule.nodes
         sign = 1.0 if rule.channel == "xi" else -1.0
         base = sign * (x * x - 1.0)
-        vi = ci.vals * math.exp(-ci.logscale)
-        vf, dvf = (v * math.exp(-cf.logscale) for v in (cf.vals, cf.dvals))
+        vi, vf, dvf = ci.vals, cf.vals, cf.dvals
         rows = {(k, w): x**k * base**w * vi * vf for k, w in kw}
         if gradient:
             rows["grad"] = vi * (base * dvf + sign * x * vf)
@@ -118,8 +119,10 @@ def _pair_moments(state_i: SolvedState, state_f: SolvedState,
         out.append(dict(zip(rows, sums)))
     X, Y = out
     norms = [X[s, 2] * Y[s, 0] - X[s, 0] * Y[s, 2] for s in "if"]
-    if min(norms) <= 0.0:
-        raise QuadratureError(f"non-positive norm integral: {min(norms)!r}")
+    for n in norms:
+        if not 0.0 < n < math.inf:
+            raise QuadratureError(
+                f"norm integral not finite and positive: {n!r}")
     return X, Y, 2.0 * math.pi * state_i.setup.a**3 * math.sqrt(
         norms[0] * norms[1])
 

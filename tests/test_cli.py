@@ -269,6 +269,16 @@ def test_extended_precision_flag(tmp_path):
     assert abs(float(vals["E_extended"]) - float(vals["E"])) <= 1e-12
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_underflowing_correction_pass_exit_code(capsys):
+    # at R = 1000 the eta pass of 1ssg underflows (w Y0^2 = 0 on a quarter
+    # of its nodes, so its bound is 0/0, with numpy's warnings on the way):
+    # a numerical failure, exit 3
+    assert main(["pt", "--state", "1ssg", "--R", "1000"]) == 3
+    err = capsys.readouterr().err
+    assert "non-finite perturbation data" in err and "Traceback" not in err
+
+
 def test_oracle_failure_exit_codes(monkeypatch, capsys):
     import twocenter.oracle
     from twocenter.oracle import RadialRootError

@@ -8,6 +8,7 @@ from twocenter.model import (SUPPORTED_LABELS, PhysicalSetup, StateLabel,
 from twocenter.nonlinearization import (ChannelPT, first_correction_eta,
                                         first_correction_xi,
                                         true_potential_xi)
+from twocenter.quadrature import QuadratureError
 from twocenter.states import (StateBank, attach_corrections,
                               correction_energy_shift)
 from twocenter.trial import TrialParams
@@ -479,7 +480,7 @@ def test_bound_is_the_largest_perturbation_on_the_pass_nodes(bank, label):
 
 @pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf])
 def test_channel_pt_rejects_a_non_finite_bound(bound):
-    with pytest.raises(ValueError):
+    with pytest.raises(QuadratureError):
         ChannelPT("xi", 0.5, lambda x: (x, x), bound)
 
 

@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,11 +11,10 @@ from scipy.special import obl_cv
 
 from twocenter.model import (SUPPORTED_LABELS, PhysicalSetup, StateLabel,
                              label_from_designation, p_from_energy)
-from twocenter.oracle import (RadialRootError, _Angular, _Radial, _angular,
-                              _angular_fraction, _angular_matrix,
-                              _fraction, _legendre_terms, _pivots,
-                              _radial_eigenvalue, _ratio, _recurrence,
-                              _settle, _sign_changes, _sweep,
+from twocenter.oracle import (RadialRootError, _Radial, _Table, _angular,
+                              _angular_fraction, _angular_rows, _fraction,
+                              _legendre_terms, _pivots, _radial_eigenvalue,
+                              _ratio, _series, _settle, _sweep,
                               angular_eigenvalue,
                               exact_channels, exact_node,
                               find_root, hydrogenic_seed, radial_mismatch,
@@ -22,11 +23,30 @@ from twocenter.reference import energy_table
 from twocenter.united_atom import limit_form
 
 
-def _series_nodes(A, rad, K=64):
-    # the interior node count as the sign changes of Jaffe's series on the
-    # node grid, as exact_node finds them: the check independent of the
-    # pivot count that radial_solution reads
-    return _sign_changes(A, rad, _fraction(A, rad, K)[2])[2].size
+def _node_grid(res):
+    """exact_node's node grid t on (0, t_far], Jaffe's series g of the
+    solution res and the indices i where the series changes sign between
+    t[i] and t[i+1]."""
+    p, A, b = res.p, res.A, 2.0 * res.setup.R
+    xi_far = (b + math.sqrt(b * b + 4.0 * p * p * max(A, 0.0))) \
+        / (2.0 * p * p) + 1.0 / p
+    t = np.linspace(0.0, 1.0, 1400)[1:] * (xi_far - 1.0) / (xi_far + 1.0)
+    g = _series(res, t[-1])[0]
+    s = np.sign(np.polynomial.polynomial.polyval(t, g))
+    return t, g, np.flatnonzero(s[:-1] * s[1:] < 0.0)
+
+
+def _series_nodes(A, p, R, lam):
+    # the interior node count as the sign changes of Jaffe's series at
+    # (A, p) on the node grid, as exact_node finds them: the check
+    # independent of the pivot count that radial_solution reads
+    res = SimpleNamespace(setup=PhysicalSetup(R), A=A, p=p,
+                          label=StateLabel(0, 0, lam, +1))
+    return _node_grid(res)[2].size
+
+
+def _angular_table(p, lam, parity):
+    return _Table(p, functools.partial(_angular_rows, p, lam, parity))
 
 
 @pytest.mark.parametrize("lam,m,parity,l", [
@@ -53,13 +73,14 @@ def _angular_by_eigh_tridiagonal(p, lam, m, parity):
     tridiagonal eigensolver, the basis doubled until A settles."""
     K, prev = 24 + lam, None
     while True:
-        _, L, s_diag, s_off = _legendre_terms(lam, parity, K)
-        diag, off = L - p * p * s_diag, -p * p * s_off[:-1]
+        _, L, s = _legendre_terms(lam, parity, K)
+        s_diag, s_off = s[0], s[1, :-1]
+        diag, off = L - p * p * s_diag, -p * p * s_off
         mu, v = eigh_tridiagonal(diag, off, select="i", select_range=(m, m),
                                  tol=2.0 * np.finfo(float).tiny)
         A, v = -mu[0], v[:, 0]
         if prev is not None and abs(A - prev) < 1e-13 * max(1.0, abs(A)):
-            vSv = s_diag @ (v * v) + 2.0 * s_off[:-1] @ (v[:-1] * v[1:])
+            vSv = s_diag @ (v * v) + 2.0 * s_off @ (v[:-1] * v[1:])
             return A, 2.0 * p * vSv, v
         prev, K = A, 2 * K
 
@@ -219,8 +240,7 @@ def test_cold_solves_toward_the_united_atom(label):
         res = solve_bispectral(label, PhysicalSetup(float(R)))
         assert radial_solution(res.E_total, res.A, res.setup,
                                label.lam)[1] == label.n
-        assert _series_nodes(res.A, _Radial(res.p, 2.0 * R,
-                                            label.lam)) == label.n
+        assert _node_grid(res)[2].size == label.n
         if label.n == 1:
             r_node = R * exact_node(res) / 2.0
             assert abs(r_node - N * (l + 1) / 2.0) <= 2.0 * R * R
@@ -245,8 +265,8 @@ def test_small_seed_truncation_lands_on_the_same_roots(label, monkeypatch):
     monkeypatch.setattr(oracle, "_N_ESTIMATE", 48)
 
     def index(A, rad, K):
-        K, below = _settle(A, rad, K // 2, _pivots)[2:]
-        return K - below
+        _, _, K, _, out = _settle(A, rad, 0, K // 2, _pivots)
+        return K - out[3]
 
     for (A, dA, K, rad), (p, b) in zip(small, cases):
         A_ref, dA_ref, K_ref, rad_ref = _radial_eigenvalue(p, b, label.lam,
@@ -368,9 +388,7 @@ def test_exact_node_matches_brentq(name):
     label = label_from_designation(name)
     for R in np.geomspace(0.05, 50.0, 8):
         res = solve_bispectral(label, PhysicalSetup(float(R)))
-        b = 2.0 * float(R)
-        rad = _Radial(res.p, b, label.lam)
-        t, g, change = _sign_changes(res.A, rad, _fraction(res.A, rad)[2])
+        t, g, change = _node_grid(res)
         i = change[0]
         root = brentq(lambda u: np.polynomial.polynomial.polyval(u, g),
                       t[i], t[i + 1], xtol=1e-16, rtol=8.9e-16)
@@ -382,32 +400,32 @@ def test_exact_node_matches_brentq(name):
 # work shared within one p: each reuse gives the bits of the unshared one
 
 
-class _FreshRadial:
+class _FreshRadial(_Radial):
     """A radial table that builds every request anew at its exact length,
-    as each tail of the continued fraction once built its own rows."""
-
-    def __init__(self, p, b, lam):
-        self.p, self.b, self.lam = p, b, lam
+    as each tail of the continued fraction once built its own rows; the
+    tail start and its conventions are _Radial's."""
 
     def rows(self, n):
-        cols = [a.tolist() for a in _recurrence(self.p, self.b, self.lam,
-                                                0, n)]
-        return (*cols, [0.0] * n)
-
-    tail = _Radial.tail  # the tail start at its own (p, b)
+        return self.build(0, n)
 
 
-class _FreshAngular:
+class _FreshAngular(_Table):
     """An angular table that builds every request anew at its exact
-    length, its off diagonal padded with a last 0."""
+    length, as each tail of the fraction once built its own matrix: the
+    tridiagonal of eta^2 truncated to n rows, its upper diagonal padded
+    with a last 0 and its lower one starting at 0."""
 
     def __init__(self, p, lam, parity):
-        self.p, self.lam, self.parity = p, lam, parity
+        super().__init__(p, None)
+        self.lam, self.parity = lam, parity
 
     def rows(self, n):
-        c, e, dc, de = (a.tolist() for a in
-                        _angular_matrix(self.p, self.lam, self.parity, n))
-        return c, e, dc, de, [0.0] + e[:-1], [0.0] + de[:-1]
+        p, (_, L, s) = self.p, _legendre_terms(self.lam, self.parity, n)
+        s_diag, s_off = s[0], np.append(s[1, :-1], 0.0)
+        c, e, dc, de = (a.tolist() for a in (
+            L - p * p * s_diag, -p * p * s_off, -2.0 * p * s_diag,
+            -2.0 * p * s_off))
+        return c, e, [0.0] + e[:-1], dc, de, [0.0] + de[:-1]
 
 
 _SHARED_CASES = [("1ssg", 2.0), ("2ppu", 0.1), ("3psu", 50.0),
@@ -437,16 +455,18 @@ def test_fraction_on_a_shared_table_matches_fresh_tables(name, R):
 
 @pytest.mark.parametrize("name,R", _SHARED_CASES)
 def test_angular_fraction_on_a_longer_table_matches_exact_tables(name, R):
-    # the angular fraction on a table longer than its tail, whose e at the
-    # tail's last row is the true one, equals the fraction on tables of
-    # the exact length, whose e ends in the padded 0, for every twist row
+    # the angular fraction on a table grown past its tail, whose upper
+    # diagonal at the tail's last row is the true one, equals the fraction
+    # on tables of the exact length, whose upper diagonal ends in a padded
+    # 0, for every twist row
     label = label_from_designation(name)
     p = solve_bispectral(label, PhysicalSetup(R)).p
     A0 = angular_eigenvalue(p, label.lam, label.m, label.parity)
     for A in (A0, A0 + 0.37, A0 - 2.5):
         for K in (4, 12, 24, 48):
             for j in {0, 1, K // 2, K - 2, K - 1}:
-                shared = _Angular(p, label.lam, label.parity)
+                shared = _angular_table(p, label.lam, label.parity)
+                shared.rows(K)
                 shared.rows(4 * K)
                 F, slopes, below, v = _angular_fraction(A, shared, j, K)
                 F2, slopes2, below2, v2 = _angular_fraction(
@@ -455,21 +475,56 @@ def test_angular_fraction_on_a_longer_table_matches_exact_tables(name, R):
                 assert v.tobytes() == v2.tobytes()
 
 
+@pytest.mark.parametrize("name,R", [("1ssg", 60.0), ("2ppu", 400.0),
+                                    ("3ddg", 1000.0), ("3psu", 400.0)])
+def test_each_angular_row_is_built_once(name, R, monkeypatch):
+    # at large p the angular tail doubles past the truncation's rows; the
+    # solve asks its table's builder only for rows the table does not
+    # hold yet: the ranges [lo, hi) tile [0, n) in order, one per tail
+    # past the rows so far, and a table grown in those steps holds the
+    # floats of one build of n rows
+    import twocenter.oracle as oracle
+
+    label = label_from_designation(name)
+    p = solve_bispectral(label, PhysicalSetup(R)).p
+    build, ranges = oracle._angular_rows, []
+
+    def counted(p, lam, parity, lo, hi):
+        ranges.append((lo, hi))
+        return build(p, lam, parity, lo, hi)
+
+    monkeypatch.setattr(oracle, "_angular_rows", counted)
+    K = _angular(p, label.lam, label.m, label.parity)[2]
+    assert len(ranges) >= 2 and ranges[-1][1] >= K
+    assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
+    assert all(lo < hi for lo, hi in ranges)
+    grown = _angular_table(p, label.lam, label.parity)
+    for _, hi in ranges:
+        grown.rows(hi)
+    assert list(grown.cols) == build(p, label.lam, label.parity, 0,
+                                     ranges[-1][1])
+
+
 @pytest.mark.parametrize("name,R", _SHARED_CASES)
 def test_value_only_check_matches_the_full_sweep(name, R):
     # the tail check's value-only sweep gives the bits of _sweep's ratio,
-    # on the radial rows and on both angular directions
+    # on the radial rows and on both angular directions, and the polish's
+    # sweep without ratios gives the bits of _sweep's on the radial rows
     label = label_from_designation(name)
     res = solve_bispectral(label, PhysicalSetup(R))
-    alpha, c, gamma, dc, dgamma, dalpha = _Radial(
-        res.p, 2.0 * R, label.lam).rows(257)
-    ca, e, dca, de, lower, dlower = _Angular(
+    rad = _Radial(res.p, 2.0 * R, label.lam)
+    c, alpha, gamma, dc, dalpha, dgamma = rad.rows(257)
+    ca, e, lower, dca, de, dlower = _angular_table(
         res.p, label.lam, label.parity).rows(64)
     for A in (res.A, res.A + 0.37, res.A - 2.5):
         for K in (8, 16, 64, 256):
             ks = range(K, 0, -1)
             assert _ratio(A, c, alpha, gamma, ks) == _sweep(
                 A, c, alpha, gamma, dc, dalpha, dgamma, ks)[0]
+            x = rad.tail(K + 1)
+            assert _pivots(A, c, alpha, gamma, dc, dalpha, dgamma, ks,
+                           x) == _sweep(A, c, alpha, gamma, dc, dalpha,
+                                        dgamma, ks, x)[:4]
         for j in (0, 3, 20):
             up, down = range(63, j, -1), range(j)
             assert _ratio(A, ca, e, lower, up) == _sweep(
@@ -524,22 +579,22 @@ def test_each_p_step_builds_its_tables_once(monkeypatch):
     # probe toward the united atom: every p-step starts one radial table,
     # at 2K + 1 rows for the tail length K it carries, and extends it only
     # for a tail settled past them; each solve's verification starts one
-    # table of its own at p(E).  Rows are computed once, no angular matrix
-    # is built twice at one length, and no dense estimate runs
+    # table of its own at p(E).  Rows are computed once, radial and
+    # angular alike, and no dense estimate runs
     import twocenter.oracle as oracle
     import twocenter.united_atom as united_atom
 
     GS, US = StateLabel(0, 0, 0, +1), StateLabel(0, 0, 0, -1)
     radial, angular, tables, polishes = [], [], [], []
-    recurrence, matrix = oracle._recurrence, oracle._angular_matrix
+    recurrence, angular_rows = oracle._recurrence, oracle._angular_rows
 
     def counted_recurrence(p, b, lam, lo, hi):
         radial.append((p, lo, hi))
         return recurrence(p, b, lam, lo, hi)
 
-    def counted_matrix(p, lam, parity, K):
-        angular.append((p, lam, parity, K))
-        return matrix(p, lam, parity, K)
+    def counted_rows(p, lam, parity, lo, hi):
+        angular.append(((p, lam, parity), lo, hi))
+        return angular_rows(p, lam, parity, lo, hi)
 
     def no_eigvals(M):
         raise AssertionError("a dense radial estimate ran")
@@ -561,7 +616,7 @@ def test_each_p_step_builds_its_tables_once(monkeypatch):
         return out
 
     monkeypatch.setattr(oracle, "_recurrence", counted_recurrence)
-    monkeypatch.setattr(oracle, "_angular_matrix", counted_matrix)
+    monkeypatch.setattr(oracle, "_angular_rows", counted_rows)
     monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
     monkeypatch.setattr(oracle, "_radial_eigenvalue",
                         tables_started_in(recorded_polish))
@@ -607,7 +662,10 @@ def test_each_p_step_builds_its_tables_once(monkeypatch):
     for p, lo, hi in radial:
         assert lo == 0 or lo == end[p]
         end[p] = hi
-    assert len(set(angular)) == len(angular)
+    end = {}
+    for key, lo, hi in angular:
+        assert lo == end.get(key, 0) < hi
+        end[key] = hi
 
 
 # ----------------------------------------------------------------------
@@ -628,15 +686,15 @@ def test_settled_radial_sweep_has_n_non_negative_pivots(label, monkeypatch):
 
     def checked(p, b, lam, n, K, A):
         A_n, dA_n, K_n, rad = polish(p, b, lam, n, K, A)
-        below = _pivots(A_n, rad.rows(K_n + 1), range(K_n, 0, -1),
+        below = _pivots(A_n, *rad.rows(K_n + 1), range(K_n, 0, -1),
                         rad.tail(K_n + 1))[3]
-        seen.append((K_n - below, _series_nodes(A_n, rad, K_n // 2)))
+        seen.append((K_n - below, _series_nodes(A_n, p, 0.5 * b, lam)))
         return A_n, dA_n, K_n, rad
 
     def checked_verification(E, A, setup, lam, K):
         defect, index = verify(E, A, setup, lam, K)
-        rad = _Radial(p_from_energy(E, setup), 2.0 * setup.R, lam)
-        verified.append((index, _series_nodes(A, rad, K)))
+        verified.append((index, _series_nodes(A, p_from_energy(E, setup),
+                                              setup.R, lam)))
         return defect, index
 
     monkeypatch.setattr(oracle, "_radial_eigenvalue", checked)
@@ -693,7 +751,7 @@ def test_tail_start_is_near_a_long_sweep(name, R):
     label = label_from_designation(name)
     res = solve_bispectral(label, PhysicalSetup(R))
     rad = _Radial(res.p, 2.0 * R, label.lam)
-    alpha, c, gamma, dc, dgamma, dalpha = rad.rows(4097)
+    c, alpha, gamma, dc, dalpha, dgamma = rad.rows(4097)
     xs = _sweep(res.A, c, alpha, gamma, dc, dalpha, dgamma,
                 range(4096, 0, -1))[4]
     ks = [k for k in (64, 128, 256, 512, 1024) if k >= 64.0 * res.p]

@@ -1,11 +1,13 @@
 import dataclasses
 import functools
+import math
 
 import numpy as np
 import pytest
 
 from twocenter.model import EnergyPair, PhysicalSetup, StateLabel
 from twocenter.oracle import OracleResult, exact_channels, solve_bispectral
+from twocenter.quadrature import build_rules
 from twocenter.reference import oscillator_table
 from twocenter.states import SolvedState
 from twocenter.transitions import (TransitionOrderingError,
@@ -200,10 +202,29 @@ def test_pair_rule_norms_match_own_rule_norms(bank, R):
     for kind, name in _TABLE_PAIRS:
         f = bank.get(label_from_designation(name), R, corrected=True)
         strength = oscillator_strength(kind, g, f).f
-        pair_norm2 = _pair_moments(g, f)[2] ** 2
+        # the pair rule's |i| |f| carries the four channel scales on its
+        # nodes; the own-rule norms are on the true scale
+        rules = build_rules(0.5 * (g.params.p + f.params.p), 96)
+        scales = sum(c.logscale for s in (g, f) for c in s.channels(rules))
+        pair_norm2 = (_pair_moments(g, f)[2] * math.exp(-scales)) ** 2
         own = strength * pair_norm2 / (g.norm_squared() * f.norm_squared())
         assert own == pytest.approx(strength, rel=5e-11, abs=0.0), \
             (kind, name)
+
+
+@pytest.mark.parametrize("R", [300.0, 400.0])
+def test_corrected_strengths_stay_finite_at_large_R(bank, R):
+    # the corrected 2ppu eta channel reaches 1e108 at R = 300 and passes
+    # the float range at R = 400 unless its phase's minimum moves into the
+    # log scale; on the channels' own scales the corrected strengths sit
+    # within 1e-6 of the plain ones
+    g, g_plain = bank.get(GS, R, corrected=True), bank.get(GS, R)
+    for kind, name in (("E1", "2ppu"), ("E2", "3ddg")):
+        label = _FINALS[name]
+        f = oscillator_strength(kind, g, bank.get(label, R, corrected=True))
+        plain = oscillator_strength(kind, g_plain, bank.get(label, R))
+        assert math.isfinite(f.S) and math.isfinite(f.f), (kind, name)
+        assert f.f == pytest.approx(plain.f, rel=1e-6), (kind, name)
 
 
 def test_strength_pass_reads_no_own_norm(bank, monkeypatch):
