@@ -10,8 +10,8 @@ coefficients obey (A + c_k) v_k + e_k v_(k+1) + e_(k-1) v_(k-1) = 0, a
 symmetric recurrence (the sign of the p^2 eta^2 term makes A the
 oblate-type characteristic value).  Its m-th eigenvalue is a zero of the
 fraction twisted at the eigenvector's largest component, seeded by the
-eigenvalue of a small truncation, and the count of negative pivots (the
-Sturm count) verifies m.
+eigenvalue of a small truncation or the last p-step's tangent, and the
+count of negative pivots (the Sturm count) verifies m.
 
 The radial problem (xi^2-1) X'' + 2(lam+1) xi X' + (A + b xi - p^2 xi^2) X
 = 0, with b = (Z1+Z2) R and kappa = b/(2p), becomes an exact three-term
@@ -40,23 +40,20 @@ trial functions, so it is the ground truth for the variational results.
 At the root, exact_channels evaluates the exact eigenfunctions: the
 series above, and the angular eigenvector summed over the Legendre basis.
 
-Each piece of work is done once per p-step, and the dense radial
-estimate only where a Newton start lands on another root.  Each p-step
-solves the angular channel first; its A_ang starts the first step's
-radial Newton, and each later step starts at the last one's tangent
-A_n(p_prev) + dA_n/dp (p - p_prev), checked by the pivot count.  Both
-channels run on one engine.  The rows of either recurrence depend on k
-alone, so each channel keeps one table per p-step (_Table), and the
-verification one of its own; a table builds each row once and grows in
-place to the longest tail asked of it.  One loop settles both fractions
-(_settle): a tail is settled when F over it matches F over half of it;
-the half-length sweep only gives that value, so it runs without slopes,
-a polish's sweeps keep no ratios, and the sweep from row 0 up to the
-angular twist, which no tail changes, runs once per fraction.  A radial
-tail starts from the ratios' large-k expansion where that holds
-(_Radial.tail), an angular one from 0.  find_root starts each p-step's
-radial polish at the tail length the previous step settled on, and the
-result keeps the angular eigenvector that exact_channels sums.
+Each piece of work is done once per p-step, and a dense estimate only
+where a channel has no Newton start or its start lands on another root.
+Each p-step solves the angular channel first; its A_ang starts the first
+step's radial Newton, and each later step starts both channels at the
+last one's tangent A(p_prev) + dA/dp (p - p_prev), the angular one
+twisted and tailed as the last eigenvector, each checked by its count.
+Both channels run on one engine: a table per channel and p-step whose
+rows, which depend on k alone, are built once (_Table), and one loop
+that settles either fraction (_settle).  A radial tail starts from five
+terms of the ratios' expansion in k^(-1/2) where that holds
+(_Radial.tail), which halves the tails a two-term start needs; an
+angular one starts from 0.  find_root starts each p-step's radial polish
+at the tail length the previous step settled on, and the result keeps
+the angular eigenvector that exact_channels sums.
 """
 
 from __future__ import annotations
@@ -131,7 +128,7 @@ class _Table:
                 col += new
         return self.cols
 
-    def tail(self, k: int) -> float:
+    def tail(self, k: int, A: float) -> float:
         """Where a sweep over the rows below k starts: 0, the ratio of a
         recurrence cut off at row k."""
         return 0.0
@@ -202,12 +199,12 @@ def _settle(A: float, tab: _Table, j: int, K: int, sweep):
     s = low[0]
     prev = (A + c[j] + outer[j] * _ratio(A, c, outer, inner,
                                          range(K + lead - 1, j, -1),
-                                         tab.tail(K + lead))
+                                         tab.tail(K + lead, A))
             + inner[j] * s)
     while (K := 2 * K) <= tab.cap:
         c, outer, inner, dc, douter, dinner = tab.rows(K + lead)
         out = sweep(A, c, outer, inner, dc, douter, dinner,
-                    range(K + lead - 1, j, -1), tab.tail(K + lead))
+                    range(K + lead - 1, j, -1), tab.tail(K + lead, A))
         r = out[0]
         F = A + c[j] + outer[j] * r + inner[j] * s
         scale = abs(A) + abs(c[j]) + abs(outer[j] * r) + abs(inner[j] * s)
@@ -270,41 +267,50 @@ def _angular_fraction(A: float, ang: _Table, j: int, K: int):
     return F, slopes, high[3] + low[3], v
 
 
-def _angular(p: float, lam: int, m: int, parity: int):
+def _angular(p: float, lam: int, m: int, parity: int, warm=None):
     """A_ang(p), its slope dA/dp = -F_p/F_A, the settled tail length and
     the eigenvector over the normalized P_l^lam.
 
-    The m-th largest eigenvalue of the _K0 + lam truncation, a lower bound
-    of A_ang, seeds Newton steps on the angular fraction twisted at the
-    largest component of its eigenvector.  The full Sturm count narrows
-    a bracket (lo, hi) on A_m, from Gershgorin's bound to p^2, the bound
-    of -p^2 eta^2; a step from outside (A_(m+1), A_(m-1)) or out of the
-    bracket bisects.  The root is the m-th once the count without row j
-    is m.
+    Newton steps on the fraction start warm = (A, u) at A, twisted at the
+    largest component of the vector u and tailed at its length, or cold
+    at the m-th largest eigenvalue of the _K0 + lam truncation, a lower
+    bound of A_ang, twisted at its eigenvector's largest component.  The
+    full Sturm count narrows a bracket (lo, hi) on A_m, cold from
+    Gershgorin's bound to p^2, the bound of -p^2 eta^2; a step from
+    outside (A_(m+1), A_(m-1)) or out of the bracket bisects, or sends a
+    warm start to the cold one.  The root is the m-th once the count
+    without row j is m.
     """
     ang = _Table(p, functools.partial(_angular_rows, p, lam, parity))
-    K = _K0 + lam
-    c, e, lower = (np.array(col[:K]) for col in ang.rows(K)[:3])
-    e[-1] = 0.0  # the truncation ends at its last row
-    mu, vecs = np.linalg.eigh(np.diag(c) + np.diag(e[:-1], 1)
-                              + np.diag(e[:-1], -1))
-    A, j = float(-mu[m]), int(np.argmax(np.abs(vecs[:, m])))
-    # Gershgorin's bound on the truncation is below every A_m(K)
-    lo = -float(np.max(c + np.abs(e) + np.abs(lower))) - 1.0
-    hi, step = p * p + 1.0, math.inf
-    for _ in range(_MAX_STEPS):
-        F, (F_A, F_p), below, v = _angular_fraction(A, ang, j,
-                                                    max(K // 2, j + 1))
-        K, count = v.size, below + (F < 0.0)
-        lo, hi = (A, hi) if count > m else (lo, A)
-        new = A - F / F_A
-        # Newton only between A_(m+1) and A_(m-1), where F has no other root
-        if count not in (m, m + 1) or not lo <= new <= hi:
-            new = 0.5 * (lo + hi)
-        prev, step = step, new - A
-        A = new
-        if below == m and _settled(step, prev, max(1.0, abs(A))):
-            return A, -F_p / F_A, K, v
+    for start in (warm, None) if warm else (None,):
+        if start:
+            (A, u), lo, hi, step = start, -math.inf, math.inf, math.inf
+            j, K = int(np.argmax(np.abs(u))), u.size
+        else:
+            K = _K0 + lam
+            c, e, lower = (np.array(col[:K]) for col in ang.rows(K)[:3])
+            e[-1] = 0.0  # the truncation ends at its last row
+            mu, vecs = np.linalg.eigh(np.diag(c) + np.diag(e[:-1], 1)
+                                      + np.diag(e[:-1], -1))
+            A, j = float(-mu[m]), int(np.argmax(np.abs(vecs[:, m])))
+            # Gershgorin's bound on the truncation is below every A_m(K)
+            lo = -float(np.max(c + np.abs(e) + np.abs(lower))) - 1.0
+            hi, step = p * p + 1.0, math.inf
+        for _ in range(_MAX_STEPS):
+            F, (F_A, F_p), below, v = _angular_fraction(
+                A, ang, j, max(K // 2, j + 1))
+            K, count = v.size, below + (F < 0.0)
+            lo, hi = (A, hi) if count > m else (lo, A)
+            new = A - F / F_A
+            # Newton only between A_(m+1) and A_(m-1), no other root of F
+            if count not in (m, m + 1) or not lo <= new <= hi:
+                if start:
+                    break
+                new = 0.5 * (lo + hi)
+            prev, step = step, new - A
+            A = new
+            if below == m and _settled(step, prev, max(1.0, abs(A))):
+                return A, -F_p / F_A, K, v
     raise OracleConvergenceError(f"Newton on the angular A_{m}(p={p}) "
                                  "did not settle")
 
@@ -320,45 +326,58 @@ def angular_eigenvalue(p: float, lam: int, m: int, parity: int) -> float:
 
 def _recurrence(p: float, b: float, lam: int, lo: int, hi: int):
     """c_k = beta_k - A, alpha_k, gamma_k and the p-slopes dc_k, 0,
-    dgamma_k for lo <= k < hi, as lists: _Table's columns, with alpha
-    outer and gamma inner."""
+    dgamma_k for lo <= k < hi as _Table's columns (alpha outer, gamma
+    inner), each a polynomial in k with scalar coefficients: c_k = (c1 -
+    2k) k + c0, gamma_k = (k + lam - 2 kappa) k + kappa (kappa - lam)."""
     k = np.arange(lo, hi, dtype=float)
-    kap = b / (2.0 * p)
-    alpha = (k + 1.0) * (k + lam + 1.0)
-    c = (b * (k + 0.5 * (lam + 1.0)) / p + b - 2.0 * k * k
-         - 2.0 * k * lam - 4.0 * k * p - 2.0 * k - (lam + 1.0) ** 2
-         - 2.0 * lam * p - p * p - 2.0 * p)
-    gamma = (k - kap) * (k + lam - kap)
-    dc = (-b * (k + 0.5 * (lam + 1.0)) / (p * p) - 4.0 * k - 2.0 * lam
-          - 2.0 * p - 2.0)
-    dgamma = kap / p * (2.0 * k + lam - 2.0 * kap)
-    return (c.tolist(), alpha.tolist(), gamma.tolist(), dc.tolist(),
-            [0.0] * (hi - lo), dgamma.tolist())
+    kap, lp = b / (2.0 * p), lam + 1.0
+    c1 = b / p - 2.0 * lam - 4.0 * p - 2.0
+    c0 = kap * lp + b - lp * lp - 2.0 * lam * p - p * p - 2.0 * p
+    d0 = -kap * lp / p - 2.0 * lam - 2.0 * p - 2.0
+    return (((c1 - 2.0 * k) * k + c0).tolist(),
+            ((k + 1.0) * (k + lp)).tolist(),
+            ((k + (lam - 2.0 * kap)) * k + kap * (kap - lam)).tolist(),
+            ((-b / (p * p) - 4.0) * k + d0).tolist(), [0.0] * (hi - lo),
+            (kap / p * (2.0 * k + (lam - 2.0 * kap))).tolist())
 
 
 class _Radial(_Table):
     """The radial recurrence at one p (_recurrence's rows), whose tail of
-    K terms sweeps the rows K..1 and starts from the minimal solution's
-    ratio."""
+    K terms sweeps the rows K..1 from the minimal solution's ratio."""
 
     lead, cap = 1, _K_MAX
 
     def __init__(self, p: float, b: float, lam: int):
         super().__init__(p, functools.partial(_recurrence, p, b, lam))
-        self.b = b
+        self.terms = (  # d2, a - A, y4, x5, y5 (see tail)
+            2.0 * p - 0.5 * b / p - 0.75,
+            3.0 * b - lam * (lam + 1.0) + p * (2.0 * lam - 5.0 * p + 6.0),
+            (4.0 * lam + 6.0) * b + 0.1875 + 4.0 * p * (
+                4.0 * b + 2.0 * lam + 3.0 + p * (6.0 - 8.0 * p)),
+            32.0 * p * p - 16.0 * p * (lam + 1.0) - 8.0 * b + 1.125,
+            (16.0 * b - 3.0) * b - 63.0 / 256.0 + 2.0 * p * (
+                (8.0 * lam + 24.0) * b - 3.0 + 2.0 * p * (
+                    8.0 * lam + 9.0 - 24.0 * b
+                    + 32.0 * p * (p - 0.5 * lam - 1.5))))
 
-    def tail(self, k: int) -> float:
+    def tail(self, k: int, A: float) -> float:
         """Where a sweep over the rows below k starts: the minimal
-        solution's ratio r_k = 1 - 2 sqrt(p/k) + (2p - kappa - 3/4)/k, to
-        O((max(1, p)/k)^(3/2)), from the recurrence's leading orders in k
-        (minimal solutions: Gautschi, SIAM Rev. 9, 24 (1967)).  The
-        expansion is in sqrt(p/k), so it is taken from k = 64 p on, where
-        it is good to about 1%, and 0 below that."""
+        solution's ratio r_k = 1 + sum_j d_j k^(-j/2), j <= 5, to
+        O((max(1, p)/k)^3 / min(1, p)^2), by orders in k^(-1/2) (Birkhoff
+        and Trjitzinsky, Acta Math. 60, 1 (1933); Gautschi, SIAM Rev. 9, 24
+        (1967)): d1 = -2 sqrt(p), d2 = 2p - kappa - 3/4, and with w =
+        1/(4 sqrt(pk)) and a = A + 3b - lam(lam+1) + p(2 lam - 5p + 6),
+        d3..d5 sum to w/k (a - 3/16 + w (y4 - (1 + 8p) a + w ((a + x5) a +
+        y5))).  The series is in sqrt(p/k) and in w: the start is 0 below
+        k = 16 p, and two terms (w = 0) below k p = 4."""
         p = self.p
-        if k < 64.0 * p:
+        if k < 16.0 * p:
             return 0.0
-        return (1.0 - 2.0 * math.sqrt(p / k)
-                + (2.0 * p - 0.5 * self.b / p - 0.75) / k)
+        d2, a0, y4, x5, y5 = self.terms
+        a, w = A + a0, 0.25 / math.sqrt(p * k) if k * p >= 4.0 else 0.0
+        return 1.0 - 2.0 * math.sqrt(p / k) + d2 / k + w / k * (
+            a - 0.1875 + w * (y4 - (1.0 + 8.0 * p) * a
+                              + w * ((a + x5) * a + y5)))
 
 
 def _fraction(A: float, rad: _Radial, K: int = 64):
@@ -446,17 +465,17 @@ def find_root(label: StateLabel, setup: PhysicalSetup, E_seed: float):
     narrows a bracket (lo, hi); a step that leaves it bisects, or doubles
     p while no upper bound is known.  The last p evaluated is the root
     once a step is within 4 ulp of it, or within 1e-12 p and no longer
-    halving (the noise floor of D).  The first p-step's radial polish
-    starts at A_ang(p), each later one at the tangent of the last,
-    A_n(p_prev) + dA_n/dp (p - p_prev), and from the tail length the
-    last one settled on.  Returns E there, A_ang at p(E) with its
+    halving (the noise floor of D).  After the first p-step, whose radial
+    polish starts at A_ang(p), both channels start at the last step's
+    tangent A(p_prev) + dA/dp (p - p_prev), with its eigenvector or tail
+    length.  Returns E there, A_ang at p(E), started likewise, with its
     eigenvector, the radial tail length and the number of p-steps.
     """
     b = (setup.Z1 + setup.Z2) * setup.R
     p = p_from_energy(E_seed, setup)
-    lo, hi, step, K_rad = 0.0, math.inf, math.inf, _K_RADIAL
+    lo, hi, step, K_rad, warm = 0.0, math.inf, math.inf, _K_RADIAL, None
     for steps in range(1, _MAX_STEPS + 1):
-        A, dA, _, v = _angular(p, label.lam, label.m, label.parity)
+        A, dA, _, v = _angular(p, label.lam, label.m, label.parity, warm)
         start = A if steps == 1 else A_n + dA_n * (p - rad.p)
         A_n, dA_n, K_rad, rad = _radial_eigenvalue(p, b, label.lam, label.n,
                                                    K_rad, start)
@@ -470,9 +489,10 @@ def find_root(label: StateLabel, setup: PhysicalSetup, E_seed: float):
             E = energy_from_p(p, setup)
             p_E = p_from_energy(E, setup)
             if p_E != p:  # the result's A is taken at E's own p
-                A, _, _, v = _angular(p_E, label.lam, label.m, label.parity)
+                A, _, _, v = _angular(p_E, label.lam, label.m, label.parity,
+                                      (A + dA * (p_E - p), v))
             return E, A, v, K_rad, steps
-        p = new
+        p, warm = new, (A + dA * (new - p), v)
     raise RadialRootError(
         f"no bispectral root with n={label.n} near E={E_seed}")
 

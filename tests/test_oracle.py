@@ -400,6 +400,38 @@ def test_exact_node_matches_brentq(name):
 # work shared within one p: each reuse gives the bits of the unshared one
 
 
+def _radial_terms(p, b, lam, k):
+    """The radial rows c_k, alpha_k, gamma_k, dc_k and dgamma_k at the
+    integers k, each as the array of its terms, summed one by one."""
+    kap = b / (2.0 * p)
+    return ([b * k / p, b * 0.5 * (lam + 1.0) / p + 0.0 * k, b + 0.0 * k,
+             -2.0 * k * k, -2.0 * k * lam, -4.0 * k * p, -2.0 * k,
+             -(lam + 1.0) ** 2 - 2.0 * lam * p - p * p - 2.0 * p + 0.0 * k],
+            [(k + 1.0) * (k + lam + 1.0)],
+            [k * k, k * (lam - 2.0 * kap), kap * (kap - lam) + 0.0 * k],
+            [-b * k / (p * p), -b * 0.5 * (lam + 1.0) / (p * p) + 0.0 * k,
+             -4.0 * k, -2.0 * lam - 2.0 * p - 2.0 + 0.0 * k],
+            [kap / p * 2.0 * k, kap / p * (lam - 2.0 * kap) + 0.0 * k])
+
+
+@pytest.mark.parametrize("p,b,lam", [(0.0033, 0.02, 1), (0.46, 1.0, 0),
+                                     (2.3, 12.0, 2), (25.5, 100.0, 0),
+                                     (500.5, 2000.0, 2)])
+def test_radial_rows_match_their_terms(p, b, lam):
+    # the rows as polynomials in k equal the sum of their terms, within
+    # 8 eps of the sum of the terms' sizes, on a table grown in two steps
+    k = np.arange(0.0, 2048.0)
+    rad = _Radial(p, b, lam)
+    rad.rows(100)
+    c, alpha, gamma, dc, dalpha, dgamma = map(np.array, rad.rows(2048))
+    assert not dalpha.any()
+    eps = np.finfo(float).eps
+    for got, terms in zip((c, alpha, gamma, dc, dgamma),
+                          _radial_terms(p, b, lam, k)):
+        size = sum(np.abs(t) for t in terms)
+        assert np.all(np.abs(got - sum(terms)) <= 8.0 * eps * size)
+
+
 class _FreshRadial(_Radial):
     """A radial table that builds every request anew at its exact length,
     as each tail of the continued fraction once built its own rows; the
@@ -521,7 +553,7 @@ def test_value_only_check_matches_the_full_sweep(name, R):
             ks = range(K, 0, -1)
             assert _ratio(A, c, alpha, gamma, ks) == _sweep(
                 A, c, alpha, gamma, dc, dalpha, dgamma, ks)[0]
-            x = rad.tail(K + 1)
+            x = rad.tail(K + 1, A)
             assert _pivots(A, c, alpha, gamma, dc, dalpha, dgamma, ks,
                            x) == _sweep(A, c, alpha, gamma, dc, dalpha,
                                         dgamma, ks, x)[:4]
@@ -556,22 +588,96 @@ def test_carried_radial_tail_lands_on_the_same_roots(label, monkeypatch):
 
 
 @pytest.mark.parametrize("label", SUPPORTED_LABELS, ids=str)
-def test_kept_eigenvector_matches_a_fresh_angular_solve(label):
-    # the result keeps the eigenvector find_root computed at p(E);
-    # exact_channels on it equals exact_channels on a fresh _angular one
+def test_kept_eigenvector_matches_a_fresh_angular_solve(label, monkeypatch):
+    # the result keeps the eigenvector of find_root's last _angular call,
+    # at p(E) from the warm start it was given: that call run again gives
+    # its bytes.  A cold solve at p(E) lands within the polish's stop: A
+    # within 4 ulp, and exact_channels on its eigenvector give X to the
+    # bit (X reads no eigenvector) and Y, on the kept Y's scale, within
+    # 64 eps of the kept Y's largest value on the grid
+    import twocenter.oracle as oracle
+
+    angular, calls = oracle._angular, []
+
+    def recorded(*args):
+        calls.append(args)
+        return angular(*args)
+
+    monkeypatch.setattr(oracle, "_angular", recorded)
     for R in (0.05, 1.0, 6.0, 50.0):
         res = solve_bispectral(label, PhysicalSetup(R))
-        v = _angular(res.p, label.lam, label.m, label.parity)[3]
+        assert calls[-1][0] == res.p and calls[-1][4] is not None
+        v = angular(*calls[-1])[3]
         assert res.eigenvector.tobytes() == v.tobytes()
         assert res.angular_basis_size == v.size
+        A, _, _, v_cold = angular(res.p, label.lam, label.m, label.parity)
+        assert abs(A - res.A) <= 4.0 * math.ulp(max(1.0, abs(A)))
         xi = np.linspace(1.0, 1.0 + 20.0 / res.p, 9)
         eta = np.linspace(-1.0, 1.0, 11)
         kept = exact_channels(res, xi, eta)
-        fresh = exact_channels(dataclasses.replace(res, eigenvector=v), xi,
-                               eta)
-        for (log_k, sign_k), (log_f, sign_f) in zip(kept, fresh):
-            assert log_k.tobytes() == log_f.tobytes()
-            assert sign_k.tobytes() == sign_f.tobytes()
+        cold = exact_channels(dataclasses.replace(res, eigenvector=v_cold),
+                              xi, eta)
+        assert kept[0][0].tobytes() == cold[0][0].tobytes()
+        assert kept[0][1].tobytes() == cold[0][1].tobytes()
+        Y_kept, Y_cold = (sign * np.exp(log) for log, sign in (kept[1],
+                                                              cold[1]))
+        top = np.argmax(np.abs(Y_kept))
+        Y_cold *= Y_kept[top] / Y_cold[top]
+        assert (np.max(np.abs(Y_kept - Y_cold))
+                <= 64.0 * np.finfo(float).eps * abs(Y_kept[top]))
+
+
+@pytest.mark.parametrize("label", SUPPORTED_LABELS, ids=str)
+def test_warm_angular_start_lands_on_the_cold_root(label, monkeypatch):
+    # at every p-step after the first of cold solves from R = 0.01 to
+    # 1000, the warm _angular's Sturm count puts its A on A_m (m + 1
+    # eigenvalues above A just below it, m just above), and A lies within
+    # _settled's stop of a cold solve at the same p.  Most warm starts run
+    # no dense estimate; one that does (a long p-step) returns the cold
+    # solve's bytes, as a warm start on A_(m+1) does
+    import twocenter.oracle as oracle
+
+    angular, warm = oracle._angular, []
+
+    def recorded(*args):
+        if args[4] is not None:
+            warm.append(args)
+        return angular(*args)
+
+    monkeypatch.setattr(oracle, "_angular", recorded)
+    for R in np.geomspace(0.01, 1000.0, 13):
+        solve_bispectral(label, PhysicalSetup(float(R)))
+    assert len(warm) > 13
+    eigh, dense = np.linalg.eigh, []
+
+    def counted_eigh(M):
+        dense.append(M.shape)
+        return eigh(M)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    lam, m, parity, cold_starts = label.lam, label.m, label.parity, 0
+    for args in warm:
+        p = args[0]
+        A, dA, K, v = angular(*args)
+        fell_back = bool(dense)
+        j, tol = int(np.argmax(np.abs(v))), 2e-12 * max(1.0, abs(A))
+        for shift, above in ((-tol, m + 1), (tol, m)):
+            F, _, below, _ = _angular_fraction(
+                A + shift, _angular_table(p, lam, parity), j, K // 2)
+            assert below + (F < 0.0) == above
+        cold = angular(p, lam, m, parity)
+        dense.clear()
+        assert abs(A - cold[0]) <= tol
+        if fell_back:
+            assert (A, dA, K) == cold[:3] and v.tobytes() == cold[3].tobytes()
+        cold_starts += fell_back
+    assert cold_starts <= len(warm) // 4
+    p, other = warm[-1][0], angular(warm[-1][0], lam, m + 1, parity)
+    dense.clear()
+    got = angular(p, lam, m, parity, (other[0], other[3]))
+    assert len(dense) == 1
+    cold = angular(p, lam, m, parity)
+    assert got[:3] == cold[:3] and got[3].tobytes() == cold[3].tobytes()
 
 
 def test_each_p_step_builds_its_tables_once(monkeypatch):
@@ -687,7 +793,7 @@ def test_settled_radial_sweep_has_n_non_negative_pivots(label, monkeypatch):
     def checked(p, b, lam, n, K, A):
         A_n, dA_n, K_n, rad = polish(p, b, lam, n, K, A)
         below = _pivots(A_n, *rad.rows(K_n + 1), range(K_n, 0, -1),
-                        rad.tail(K_n + 1))[3]
+                        rad.tail(K_n + 1, A_n))[3]
         seen.append((K_n - below, _series_nodes(A_n, p, 0.5 * b, lam)))
         return A_n, dA_n, K_n, rad
 
@@ -758,4 +864,45 @@ def test_tail_start_is_near_a_long_sweep(name, R):
     assert ks
     for k in ks:
         r_k = xs[4096 - k]
-        assert abs(rad.tail(k) - r_k) <= 5.0 * (max(1.0, res.p) / k) ** 1.5
+        assert (abs(rad.tail(k, res.A) - r_k)
+                <= 5.0 * (max(1.0, res.p) / k) ** 1.5)
+
+
+@pytest.mark.parametrize("label", SUPPORTED_LABELS, ids=str)
+def test_five_term_tail_start_is_near_a_long_sweep(label):
+    # where the start takes d3..d5 (k >= 16 p and k p >= 4) it is within
+    # 8 (max(1, p)/k)^3 / min(1, p)^2 of the r_k that an 8192-term sweep
+    # from 0 gives at the oracle's root, the order of the first term it
+    # drops (4fdu at R = 1 reaches 4.3 of it); from k = 16 p to k p = 4
+    # it is the two-term start to the bit, and below k = 16 p it is 0.
+    # Plugged into the recurrence, alpha_k r_(k+1) r_k + (A + c_k) r_k +
+    # gamma_k, the start leaves a residual of O(k^(-3/2)), which a wrong
+    # d3..d5 raises to O(k^(-1)) at least: where k = 1024 is well inside
+    # the five-term region (k >= 16 p, k p >= 16), it falls by 4 or more
+    # from k = 1024 to 4096, past the rounding of its terms
+    for R in (0.03125, 0.5, 1.0, 6.0, 10.0, 50.0):
+        res = solve_bispectral(label, PhysicalSetup(R))
+        p, A, b = res.p, res.A, 2.0 * R
+        rad = _Radial(p, b, label.lam)
+        xs = _sweep(A, *rad.rows(8193), range(8192, 0, -1))[4]
+        c, alpha, gamma = rad.cols[:3]
+        terms = [(alpha[k] * rad.tail(k + 1, A) * rad.tail(k, A),
+                  (A + c[k]) * rad.tail(k, A), gamma[k])
+                 for k in (1024, 4096)]
+        if 16.0 * p <= 1024.0 and 1024.0 * p >= 16.0:
+            big, small = (abs(sum(t)) for t in terms)
+            noise = 8.0 * np.finfo(float).eps * sum(map(abs, terms[1]))
+            assert small <= 0.25 * big + noise
+        five = 0
+        for k in (1 << j for j in range(11)):
+            two = 1.0 - 2.0 * math.sqrt(p / k) + (2.0 * p - 0.5 * b / p
+                                                  - 0.75) / k
+            if k < 16.0 * p:
+                assert rad.tail(k, A) == 0.0
+            elif k * p < 4.0:
+                assert rad.tail(k, A) == two
+            else:
+                five += 1
+                bound = (max(1.0, p) / k) ** 3 / min(1.0, p) ** 2
+                assert abs(rad.tail(k, A) - xs[8192 - k]) <= 8.0 * bound
+        assert five
